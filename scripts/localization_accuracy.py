@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from rabibeat.analysis import fft_spectrum, refine_peak_frequency, resolution_estimate
+from rabibeat.analysis import dominant_frequency, resolution_estimate
 from rabibeat.evolve import DecayModel, ManifoldSpec, TimeGrid, rabi_trace_incoherent
 from rabibeat.imaging import (
     FieldMap,
@@ -30,9 +30,7 @@ def recover_rabi(true_rabi, grid, t1):
         grid,
         decay=DecayModel("exponential", t1),
     )
-    spectrum = fft_spectrum(trace, window="hann", zero_pad=4)
-    guess = spectrum.freqs[int(np.argmax(spectrum.magnitudes))]
-    return refine_peak_frequency(trace.times, trace.values, guess, window="hann")
+    return dominant_frequency(trace)
 
 
 def run(args):

@@ -43,6 +43,7 @@ from .analysis import (
     fft_spectrum,
     find_peaks,
     refine_peak_frequency,
+    dominant_frequency,
     analytic_envelope,
     fit_decay_time,
     extract_beats,

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.ndimage
 import scipy.optimize
 import scipy.signal
 
-from .traces import SampledTrace, format_float
+from .traces import SampledTrace, write_columns
 
 __all__ = [
     "Spectrum",
@@ -29,6 +28,7 @@ __all__ = [
     "fft_spectrum",
     "find_peaks",
     "refine_peak_frequency",
+    "dominant_frequency",
     "analytic_envelope",
     "fit_decay_time",
     "extract_beats",
@@ -39,7 +39,9 @@ __all__ = [
 
 WINDOWS = ("rectangular", "hann")
 SPECTRUM_HEADER = "# rabibeat-spectrum v1"
+SPECTRUM_COLUMNS = "freq_MHz,magnitude"
 LINESHAPE_HEADER = "# rabibeat-esr v1"
+LINESHAPE_COLUMNS = "freq_MHz,signal"
 
 
 @dataclass
@@ -65,13 +67,11 @@ class Spectrum:
         if self.freqs[0] != 0.0 or np.any(np.diff(self.freqs) <= 0):
             raise ValueError("frequency grid must ascend from zero")
 
-    def to_csv(self, path) -> Path:
-        path = Path(path)
-        lines = [SPECTRUM_HEADER, f"# window: {self.window}", "freq_MHz,magnitude"]
-        for f, m in zip(self.freqs, self.magnitudes):
-            lines.append(f"{format_float(f)},{format_float(m)}")
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        return path
+    def to_csv(self, path):
+        return write_columns(
+            path, SPECTRUM_HEADER, SPECTRUM_COLUMNS,
+            (self.freqs, self.magnitudes), {"window": self.window},
+        )
 
 
 @dataclass
@@ -89,13 +89,10 @@ class Lineshape:
         if np.any(np.diff(self.freqs) <= 0):
             raise ValueError("frequency grid must be strictly increasing")
 
-    def to_csv(self, path) -> Path:
-        path = Path(path)
-        lines = [LINESHAPE_HEADER, "freq_MHz,signal"]
-        for f, v in zip(self.freqs, self.values):
-            lines.append(f"{format_float(f)},{format_float(v)}")
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        return path
+    def to_csv(self, path):
+        return write_columns(
+            path, LINESHAPE_HEADER, LINESHAPE_COLUMNS, (self.freqs, self.values)
+        )
 
 
 @dataclass(frozen=True)
@@ -249,6 +246,17 @@ def refine_peak_frequency(
         options={"xatol": 1e-10},
     )
     return float(res.x)
+
+
+def dominant_frequency(trace: SampledTrace) -> float:
+    """Frequency in MHz of a trace's strongest spectral line.
+
+    The argmax bin of a Hann-windowed, 4x zero-padded spectrum seeds a
+    grid-free :func:`refine_peak_frequency` with the same window.
+    """
+    spectrum = fft_spectrum(trace, window="hann", zero_pad=4)
+    guess = spectrum.freqs[int(np.argmax(spectrum.magnitudes))]
+    return refine_peak_frequency(trace.times, trace.values, guess, window="hann")
 
 
 def analytic_envelope(

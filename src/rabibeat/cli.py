@@ -9,7 +9,6 @@ configuration and argument errors, 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,11 +19,10 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    dominant_frequency,
     extract_beats,
     fft_spectrum,
-    find_peaks,
     fit_decay_time,
-    refine_peak_frequency,
     resolution_estimate,
     synthesize_esr,
 )
@@ -38,13 +36,12 @@ from .evolve import (
 )
 from .imaging import (
     FieldMap,
-    WaveguideGeometry,
     position_from_rabi,
     rabi_at,
     resolution_budget,
     resolution_from_count,
 )
-from .traces import SampledTrace
+from .traces import SampledTrace, write_json
 
 __all__ = ["main"]
 
@@ -63,30 +60,6 @@ _COMMAND_KINDS = {
 }
 
 
-def _jsonable(obj):
-    """Convert numpy scalars/arrays and non-finite floats for JSON output."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def _provenance(config_name, label: str, seed: int) -> dict:
     return {
         "tool": f"rabibeat {__version__}",
@@ -96,14 +69,28 @@ def _provenance(config_name, label: str, seed: int) -> dict:
     }
 
 
-def _gnuplot_stub(lines) -> str:
-    head = [
+# gnuplot stub per command: (x label, y label, plotted CSV, extra lines)
+_PLOTS = {
+    "simulate": ("time (us)", "population", "trace.csv", []),
+    "analyze": ("frequency (MHz)", "magnitude", "spectrum.csv", []),
+    "esr": ("frequency offset (MHz)", "signal", "esr.csv", ["set yrange [0:1.05]"]),
+    "imaging-demo": ("position (um)", "rabi (MHz)", "fieldmap.csv", []),
+}
+
+
+def _write_plot(out_dir: Path, command: str) -> None:
+    xlabel, ylabel, csv, extra = _PLOTS[command]
+    lines = [
         "# gnuplot stub; run: gnuplot -p plot.gp",
         'set datafile separator ","',
         "set key autotitle columnhead",
         "set grid",
+        f'set xlabel "{xlabel}"',
+        f'set ylabel "{ylabel}"',
+        *extra,
+        f'plot "{csv}" using 1:2 with lines',
     ]
-    return "\n".join(head + list(lines)) + "\n"
+    (out_dir / "plot.gp").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _seed_arg(text: str) -> int:
@@ -176,19 +163,8 @@ def _simulate_trace(cfg: RunConfig, seed: int) -> SampledTrace:
 def _cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     trace = _simulate_trace(cfg, seed)
     trace.meta["provenance"] = _provenance(args.config, cfg.label, seed)
-    trace.meta = _jsonable(trace.meta)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.save(out_dir / "trace.csv")
-    (out_dir / "plot.gp").write_text(
-        _gnuplot_stub(
-            [
-                'set xlabel "time (us)"',
-                'set ylabel "population"',
-                'plot "trace.csv" using 1:2 with lines',
-            ]
-        ),
-        encoding="utf-8",
-    )
 
 
 def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
@@ -216,7 +192,7 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     spectrum.to_csv(out_dir / "spectrum.csv")
-    _write_json(
+    write_json(
         out_dir / "report.json",
         {
             "mode": report.mode,
@@ -234,24 +210,10 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
             "provenance": _provenance(args.config, cfg.label, seed),
         },
     )
-    (out_dir / "plot.gp").write_text(
-        _gnuplot_stub(
-            [
-                'set xlabel "frequency (MHz)"',
-                'set ylabel "magnitude"',
-                'plot "spectrum.csv" using 1:2 with lines',
-            ]
-        ),
-        encoding="utf-8",
-    )
 
 
 def _cmd_esr(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     e = cfg.esr
-    if not e["f_stop_mhz"] > e["f_start_mhz"]:
-        raise ConfigError("esr.f_stop_mhz: must exceed esr.f_start_mhz")
-    if e["n_points"] < 2:
-        raise ConfigError("esr.n_points: must be >= 2")
     grid = np.linspace(e["f_start_mhz"], e["f_stop_mhz"], e["n_points"])
     try:
         shape = synthesize_esr(
@@ -261,7 +223,7 @@ def _cmd_esr(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
         raise ConfigError(f"esr: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     shape.to_csv(out_dir / "esr.csv")
-    _write_json(
+    write_json(
         out_dir / "esr.meta.json",
         {
             "units": UNITS,
@@ -274,42 +236,14 @@ def _cmd_esr(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
             "provenance": _provenance(args.config, cfg.label, seed),
         },
     )
-    (out_dir / "plot.gp").write_text(
-        _gnuplot_stub(
-            [
-                'set xlabel "frequency offset (MHz)"',
-                'set ylabel "signal"',
-                'set yrange [0:1.05]',
-                'plot "esr.csv" using 1:2 with lines',
-            ]
-        ),
-        encoding="utf-8",
-    )
 
 
 def _cmd_imaging_demo(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     im = cfg.imaging
-    try:
-        geom = WaveguideGeometry(
-            gap=im["gap_um"],
-            center_width=im.get("center_width_um", 10.0),
-            drive_scale=im["drive_scale_mhz"],
-            edge_cutoff=im.get("edge_cutoff_um", 0.5),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"imaging: {exc}") from None
-    branch = im.get("branch", "left")
-    if branch not in ("left", "right"):
-        raise ConfigError("imaging.branch: must be left or right")
+    geom = cfg.geometry
     x_true = im["emitter_x_um"]
-    half = geom.gap / 2.0
-    inside = (0 < x_true < half) if branch == "left" else (half < x_true < geom.gap)
-    if not inside:
-        raise ConfigError(
-            "imaging.emitter_x_um: must lie strictly inside the selected branch"
-        )
     fmap = FieldMap.from_model(
-        geom, n_points=im.get("map_points", 501), branch=branch
+        geom, n_points=im.get("map_points", 501), branch=im["branch"]
     )
 
     t1 = im["t1_rho_us"]
@@ -320,11 +254,7 @@ def _cmd_imaging_demo(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
         cfg.grid,
         decay=DecayModel("exponential", t1),
     )
-    spectrum = fft_spectrum(trace, window="hann", zero_pad=4)
-    guess = spectrum.freqs[int(np.argmax(spectrum.magnitudes))]
-    measured = refine_peak_frequency(
-        trace.times, trace.values, guess, window="hann"
-    )
+    measured = dominant_frequency(trace)
     budget = resolution_budget(geom.gap, measured, t1)
     res = resolution_estimate(measured, budget.n_oscillations)
     loc = position_from_rabi(measured, fmap, resolvable_mhz=res.delta_cyclic)
@@ -332,9 +262,8 @@ def _cmd_imaging_demo(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     fmap.to_csv(out_dir / "fieldmap.csv")
     trace.meta["provenance"] = _provenance(args.config, cfg.label, seed)
-    trace.meta = _jsonable(trace.meta)
     trace.save(out_dir / "trace.csv")
-    _write_json(
+    write_json(
         out_dir / "report.json",
         {
             "true": {"position_um": x_true, "rabi_MHz": true_rabi},
@@ -371,16 +300,6 @@ def _cmd_imaging_demo(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
             "units": UNITS,
             "provenance": _provenance(args.config, cfg.label, seed),
         },
-    )
-    (out_dir / "plot.gp").write_text(
-        _gnuplot_stub(
-            [
-                'set xlabel "position (um)"',
-                'set ylabel "rabi (MHz)"',
-                'plot "fieldmap.csv" using 1:2 with lines',
-            ]
-        ),
-        encoding="utf-8",
     )
 
 
@@ -448,13 +367,18 @@ def _check_kind(cfg: RunConfig, command: str) -> None:
         )
 
 
+def _run(args, cfg: RunConfig, out_dir: Path, seed: int) -> None:
+    """Run one config and write the command's plot stub beside it."""
+    _RUNNERS[args.command](cfg, out_dir, seed, args)
+    _write_plot(out_dir, args.command)
+
+
 def _dispatch(args) -> int:
     out_dir = _resolve_out(args.out)
-    runner = _RUNNERS[args.command]
     if args.sweep is None:
         cfg = load_config(args.config)
         _check_kind(cfg, args.command)
-        runner(cfg, out_dir, args.seed, args)
+        _run(args, cfg, out_dir, args.seed)
         print(f"{args.command}: wrote {out_dir}")
         return 0
 
@@ -468,8 +392,8 @@ def _dispatch(args) -> int:
         sub = out_dir / f"{key.replace('.', '-')}={value:.6g}"
         variants.append((cfg, sub, child_seed))
     with ThreadPoolExecutor(max_workers=min(8, len(variants))) as pool:
-        list(pool.map(lambda item: runner(item[0], item[1], item[2], args), variants))
-    _write_json(
+        list(pool.map(lambda item: _run(args, *item), variants))
+    write_json(
         out_dir / "sweep.json",
         {
             "key": key,

@@ -13,6 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .evolve import DecayModel, DriftModel, ManifoldSpec, TimeGrid
+from .imaging import WaveguideGeometry
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "preset_names", "SCHEMA"]
 
@@ -110,6 +111,7 @@ class RunConfig:
     n_sweeps: int = 1
     esr: dict = field(default_factory=dict)
     imaging: dict = field(default_factory=dict)
+    geometry: WaveguideGeometry | None = None
     analyze: dict = field(default_factory=dict)
 
 
@@ -151,6 +153,11 @@ def _typed(section: str, key: str, raw: str):
         return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: {exc}") from None
+
+
+# [imaging] key -> WaveguideGeometry field; absent keys take its defaults
+_GEOMETRY_FIELDS = {"gap_um": "gap", "center_width_um": "center_width",
+                    "drive_scale_mhz": "drive_scale", "edge_cutoff_um": "edge_cutoff"}
 
 
 def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
@@ -257,7 +264,24 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
     ):
         raise ConfigError("drive.amplitude_mode: must be exact or equal_cosine")
     cfg.esr = typed.get("esr", {})
-    cfg.imaging = typed.get("imaging", {})
+    if kind == "esr":
+        if not cfg.esr["f_stop_mhz"] > cfg.esr["f_start_mhz"]:
+            raise ConfigError("esr.f_stop_mhz: must exceed esr.f_start_mhz")
+        if cfg.esr["n_points"] < 2:
+            raise ConfigError("esr.n_points: must be >= 2")
+    cfg.imaging = im = typed.get("imaging", {})
+    if kind == "imaging-demo":
+        cfg.geometry = geom = build("imaging", lambda: WaveguideGeometry(
+            **{attr: im[key] for key, attr in _GEOMETRY_FIELDS.items() if key in im}
+        ))
+        branch = im.setdefault("branch", "left")
+        if branch not in ("left", "right"):
+            raise ConfigError("imaging.branch: must be left or right")
+        x, half = im["emitter_x_um"], geom.gap / 2.0
+        if not ((0 < x < half) if branch == "left" else (half < x < geom.gap)):
+            raise ConfigError(
+                "imaging.emitter_x_um: must lie strictly inside the selected branch"
+            )
     cfg.analyze = typed.get("analyze", {})
     if kind == "analyze":
         mode = cfg.analyze.get("mode")

@@ -234,6 +234,20 @@ def _check_amplitude_mode(mode: str):
         )
 
 
+def _incoherent_meta(omega0, manifolds, decay, amplitude_mode) -> dict:
+    return {
+        "units": {"time": "us", "frequency": "MHz"},
+        "drive": {
+            "kind": "rabi-single",
+            "omega0_MHz": omega0,
+            "detunings_MHz": list(manifolds.detunings),
+            "weights": list(manifolds.weights),
+            "amplitude_mode": amplitude_mode,
+        },
+        "decay": {"kind": decay.kind, "t1_rho_us": decay.t1_rho},
+    }
+
+
 def rabi_trace_incoherent(
     omega0: float,
     manifolds: ManifoldSpec,
@@ -261,18 +275,9 @@ def rabi_trace_incoherent(
         amp = (omega0 / om) ** 2 if amplitude_mode == "exact" else 1.0
         osc = np.cos(2.0 * np.pi * om * times)
         total += weight * (amp / 2.0) * (1.0 - osc * env)
-    meta = {
-        "units": {"time": "us", "frequency": "MHz"},
-        "drive": {
-            "kind": "rabi-single",
-            "omega0_MHz": omega0,
-            "detunings_MHz": list(manifolds.detunings),
-            "weights": list(manifolds.weights),
-            "amplitude_mode": amplitude_mode,
-        },
-        "decay": {"kind": decay.kind, "t1_rho_us": decay.t1_rho},
-    }
-    return SampledTrace(times, total, meta)
+    return SampledTrace(
+        times, total, _incoherent_meta(omega0, manifolds, decay, amplitude_mode)
+    )
 
 
 def rabi_trace_vtype(
@@ -358,9 +363,9 @@ def apply_power_drift(
             omega0 * float(np.sqrt(p)), manifolds, grid, decay, amplitude_mode
         )
         acc += sweep.values
-    trace = rabi_trace_incoherent(omega0, manifolds, grid, decay, amplitude_mode)
-    trace.meta["drive"]["power_drift"] = base_meta_drift
-    return SampledTrace(times, acc / n_sweeps, trace.meta)
+    meta = _incoherent_meta(omega0, manifolds, decay, amplitude_mode)
+    meta["drive"]["power_drift"] = base_meta_drift
+    return SampledTrace(times, acc / n_sweeps, meta)
 
 
 def drift_relation(rel_power_change) -> np.ndarray:

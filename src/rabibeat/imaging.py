@@ -11,11 +11,10 @@ times microseconds, so no 2*pi appears).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .traces import format_float
+from .traces import read_columns, write_columns
 
 __all__ = [
     "WaveguideGeometry",
@@ -33,6 +32,7 @@ __all__ = [
 ]
 
 FIELDMAP_HEADER = "# rabibeat-fieldmap v1"
+FIELDMAP_COLUMNS = "position_um,rabi_MHz"
 
 
 @dataclass(frozen=True)
@@ -159,41 +159,16 @@ class FieldMap:
             },
         )
 
-    def to_csv(self, path) -> Path:
-        path = Path(path)
-        source = self.meta.get("model", "measured")
-        lines = [FIELDMAP_HEADER, f"# model: {source}", "position_um,rabi_MHz"]
-        for p, r in zip(self.positions, self.rabi):
-            lines.append(f"{format_float(p)},{format_float(r)}")
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        return path
+    def to_csv(self, path):
+        return write_columns(
+            path, FIELDMAP_HEADER, FIELDMAP_COLUMNS, (self.positions, self.rabi),
+            {"model": self.meta.get("model", "measured")},
+        )
 
     @classmethod
     def from_csv(cls, path) -> "FieldMap":
-        path = Path(path)
-        raw = path.read_text(encoding="ascii").splitlines()
-        if not raw or raw[0].strip() != FIELDMAP_HEADER:
-            raise ValueError(f"{path}:1: missing header {FIELDMAP_HEADER!r}")
-        meta = {}
-        pos, rabi = [], []
-        for lineno, line in enumerate(raw[1:], start=2):
-            text = line.strip()
-            if text.startswith("# model:"):
-                meta["model"] = text.split(":", 1)[1].strip()
-                continue
-            if not text or text.startswith("#") or text == "position_um,rabi_MHz":
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected two comma-separated fields"
-                )
-            try:
-                pos.append(float(parts[0]))
-                rabi.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-        return cls(np.array(pos), np.array(rabi), meta)
+        (pos, rabi), comments = read_columns(path, FIELDMAP_HEADER, FIELDMAP_COLUMNS)
+        return cls(pos, rabi, comments)
 
 
 def oscillation_count(base_rabi: float, t1_rho: float) -> float:

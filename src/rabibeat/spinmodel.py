@@ -184,23 +184,20 @@ def hyperfine_detunings(a_hf: float) -> np.ndarray:
 
     The carrier is taken resonant with the lowest hyperfine line, so the
     three manifolds sit at detunings {0, a_hf, 2*a_hf}.
-    """
-    if a_hf < 0:
-        raise ValueError(f"a_hf must be non-negative, got {a_hf}")
-    return np.array([0.0, a_hf, 2.0 * a_hf])
 
-
-def vtype_half_splittings(a_hf: float) -> np.ndarray:
-    """Upper-level half-splittings of the three nuclear manifolds, in MHz.
-
-    Valid when the axial Zeeman shift matches the hyperfine splitting so the
-    two transition triplets overlap at a common center line.  Driving that
+    The same ladder gives the upper-level half-splittings of the V
+    configuration (:data:`vtype_half_splittings`).  That reading is valid
+    when the axial Zeeman shift matches the hyperfine splitting so the two
+    transition triplets overlap at a common center line; driving that
     center line, the manifolds form V systems with half-splittings
     {0, a_hf, 2*a_hf}.
     """
     if a_hf < 0:
         raise ValueError(f"a_hf must be non-negative, got {a_hf}")
     return np.array([0.0, a_hf, 2.0 * a_hf])
+
+
+vtype_half_splittings = hyperfine_detunings
 
 
 def rabi_frequency(omega0: float, delta: float) -> float:

@@ -1,34 +1,118 @@
-"""Sampled time traces and their on-disk formats.
+"""Sampled time traces and the on-disk formats of every artifact.
 
-A trace CSV starts with the exact header line ``# rabibeat-trace v1``
-followed by the column line ``time_us,signal`` and one row per sample.
-Optional metadata travels in a JSON sidecar named ``<stem>.meta.json``
-with the top-level keys ``units``, ``drive``, ``decay`` and ``provenance``.
-Serialization is deterministic: equal traces produce byte-identical files,
-and parse -> re-serialize is the identity on files this module wrote.
+Every CSV artifact is a columns file: a versioned header line such as
+``# rabibeat-trace v1``, optional ``# key: value`` comment lines, a column
+line such as ``time_us,signal``, then one :func:`format_float` row per
+sample.  A trace's metadata travels in a JSON sidecar ``<stem>.meta.json``
+with the top-level keys ``units``, ``drive``, ``decay`` and ``provenance``;
+all JSON goes through :func:`write_json`.  Equal inputs produce
+byte-identical files, and parse -> re-serialize is the identity on files
+this module wrote.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SampledTrace", "TRACE_HEADER", "format_float", "meta_path_for"]
+__all__ = ["SampledTrace", "TRACE_HEADER", "format_float", "meta_path_for",
+           "read_columns", "write_columns", "write_json"]
 
 TRACE_HEADER = "# rabibeat-trace v1"
 TRACE_COLUMNS = "time_us,signal"
 
 
+_FLOAT = "{:.12e}"
+
+
 def format_float(x: float) -> str:
     """13-significant-digit format; parses back to a float that reprints
     identically, which keeps file round-trips byte-stable."""
-    return f"{x:.12e}"
+    return _FLOAT.format(x)
 
 
 def meta_path_for(csv_path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
+
+
+def write_columns(path, header: str, columns: str, arrays, comments=None) -> Path:
+    """Write equal-length ``arrays`` as the rows of a columns file, with
+    ``comments`` (a dict) as ``# key: value`` lines under the header."""
+    path = Path(path)
+    lines = [header, *(f"# {k}: {v}" for k, v in (comments or {}).items()), columns]
+    lists = [np.asarray(a, dtype=float).tolist() for a in arrays]
+    lines += map(",".join([_FLOAT] * len(lists)).format, *lists)
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return path
+
+
+def read_columns(path, header: str, columns: str):
+    """Parse a columns file into ``(arrays, comments)``: one float array
+    per column and the dict of ``# key: value`` lines.  Errors name the
+    file and line."""
+    path = Path(path)
+    raw = path.read_text(encoding="ascii").splitlines()
+    if not raw or raw[0].strip() != header:
+        raise ValueError(f"{path}:1: missing header {header!r}")
+    width = columns.count(",") + 1
+    fields, linenos, comments = [], [], {}
+    for lineno, line in enumerate(raw[1:], start=2):
+        text = line.strip()
+        if text.startswith("#"):
+            key, sep, value = text[1:].partition(":")
+            if sep:
+                comments[key.strip()] = value.strip()
+            continue
+        if not text or text == columns:
+            continue
+        parts = text.split(",")
+        if len(parts) != width:
+            raise ValueError(
+                f"{path}:{lineno}: expected {width} comma-separated fields, "
+                f"got {line!r}"
+            )
+        fields += parts
+        linenos.append(lineno)
+    try:
+        values = list(map(float, fields))
+    except ValueError as exc:
+        # rare path: find the offending field to report its line
+        for i, text in enumerate(fields):
+            try:
+                float(text)
+            except ValueError:
+                raise ValueError(f"{path}:{linenos[i // width]}: {exc}") from None
+    if len(linenos) < 2:
+        raise ValueError(f"{path}: fewer than two data rows")
+    return [np.array(values[i::width]) for i in range(width)], comments
+
+
+def _jsonable(obj):
+    """Convert numpy scalars/arrays and non-finite floats for JSON output."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as sorted, indented JSON via :func:`_jsonable`."""
+    Path(path).write_text(
+        json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
 
 
 @dataclass
@@ -80,53 +164,22 @@ class SampledTrace:
         return bool(np.all(np.abs(steps - steps[0]) <= rtol * abs(steps[0])))
 
     def to_csv(self, path) -> Path:
-        path = Path(path)
-        lines = [TRACE_HEADER, TRACE_COLUMNS]
-        for t, v in zip(self.times, self.values):
-            lines.append(f"{format_float(t)},{format_float(v)}")
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        return path
+        return write_columns(
+            path, TRACE_HEADER, TRACE_COLUMNS, (self.times, self.values)
+        )
 
     @classmethod
     def from_csv(cls, path) -> "SampledTrace":
-        path = Path(path)
-        raw = path.read_text(encoding="ascii").splitlines()
-        if not raw or raw[0].strip() != TRACE_HEADER:
-            raise ValueError(
-                f"{path}:1: missing trace header {TRACE_HEADER!r}"
-            )
-        times, values = [], []
-        for lineno, line in enumerate(raw[1:], start=2):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if text == TRACE_COLUMNS:
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected two comma-separated fields, "
-                    f"got {line!r}"
-                )
-            try:
-                times.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if len(times) < 2:
-            raise ValueError(f"{path}: fewer than two data rows")
+        (times, values), _ = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
         meta = {}
         side = meta_path_for(path)
         if side.exists():
             meta = json.loads(side.read_text(encoding="utf-8"))
-        return cls(np.array(times), np.array(values), meta)
+        return cls(times, values, meta)
 
     def save(self, path) -> Path:
         """Write the CSV and, when metadata is present, the JSON sidecar."""
         path = self.to_csv(path)
         if self.meta:
-            meta_path_for(path).write_text(
-                json.dumps(self.meta, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            write_json(meta_path_for(path), self.meta)
         return path

@@ -7,6 +7,7 @@ from rabibeat.analysis import (
     Spectrum,
     analytic_envelope,
     detuning_from_beat,
+    dominant_frequency,
     extract_beats,
     fft_spectrum,
     find_peaks,
@@ -184,6 +185,12 @@ def test_synthesize_esr_validation():
         synthesize_esr([0.0], [0.5], -0.8, f)
     with pytest.raises(ValueError):
         synthesize_esr([0.0, 1.0], [0.5], 0.8, f)
+
+
+def test_dominant_frequency_is_grid_free():
+    # 7.31 MHz falls between the 12.5 kHz bins of a 4x zero-padded 20 us trace
+    trace = tone(7.31, decay=15.0)
+    assert dominant_frequency(trace) == pytest.approx(7.31, abs=1e-4)
 
 
 def test_spectrum_csv_round_trip(tmp_path):

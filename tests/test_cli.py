@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from rabibeat.analysis import LINESHAPE_COLUMNS, LINESHAPE_HEADER
+from rabibeat.analysis import SPECTRUM_COLUMNS, SPECTRUM_HEADER
 from rabibeat.cli import main
-from rabibeat.traces import SampledTrace
+from rabibeat.traces import SampledTrace, read_columns, write_columns
 
 
 def read_json(path):
@@ -59,6 +61,20 @@ def test_analyze_round_trips_its_own_output(tmp_path):
     second = trace.to_csv(tmp_path / "again.csv")
     assert (sim / "trace.csv").read_text() == second.read_text()
 
+    # and so must the spectrum and ESR columns files
+    ana = tmp_path / "ana"
+    esr = tmp_path / "esr"
+    main(["analyze", "--config", "paper-fig8", "--trace", str(second),
+          "--out", str(ana)])
+    main(["esr", "--config", "paper-fig2", "--out", str(esr)])
+    for path, header, columns in (
+        (ana / "spectrum.csv", SPECTRUM_HEADER, SPECTRUM_COLUMNS),
+        (esr / "esr.csv", LINESHAPE_HEADER, LINESHAPE_COLUMNS),
+    ):
+        arrays, comments = read_columns(path, header, columns)
+        again = write_columns(tmp_path / path.name, header, columns, arrays, comments)
+        assert path.read_bytes() == again.read_bytes()
+
 
 def test_esr_writes_lineshape(tmp_path):
     out = tmp_path / "esr"
@@ -102,6 +118,18 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["simulate", "--config", "nope", "--out", str(tmp_path)]) == 2
     assert main(["analyze", "--config", "paper-fig4", "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--config", "paper-fig2", "--out", str(tmp_path)]) == 2
+    bad_esr = tmp_path / "esr.ini"
+    bad_esr.write_text(
+        "[run]\nkind = esr\n[esr]\ntransitions_mhz = 0.0\ncontrasts = 0.1\n"
+        "linewidth_fwhm_mhz = 0.8\nf_start_mhz = 5.0\nf_stop_mhz = 1.0\n"
+        "n_points = 101\n"
+    )
+    assert main(["esr", "--config", str(bad_esr), "--out", str(tmp_path)]) == 2
+    # every sweep variant is validated before any of them writes
+    sweep = tmp_path / "sweep"
+    assert main(["imaging-demo", "--config", "imaging-default", "--out",
+                 str(sweep), "--sweep", "imaging.gap_um=10,-1"]) == 2
+    assert not sweep.exists()
     err = capsys.readouterr().err
     assert "config error" in err
 

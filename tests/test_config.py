@@ -33,6 +33,9 @@ def test_preset_fields_are_typed():
     assert cfg.grid.n_points == 6001
     assert cfg.decay.kind == "exponential"
     assert list(d for d, _ in cfg.manifolds) == [0.0, 2.18, 4.36]
+    imaging = load_config("imaging-default")
+    assert imaging.geometry.gap == 10.0
+    assert imaging.geometry.drive_scale == 20.0
 
 
 def test_unknown_config_name():
@@ -117,3 +120,18 @@ def test_overrides_apply_before_validation():
     assert cfg.drive["omega0_mhz"] == 30.0
     with pytest.raises(ConfigError, match="unknown config field"):
         load_config("paper-fig3", overrides={"drive.volume": "11"})
+
+
+@pytest.mark.parametrize(
+    "preset, field, value, match",
+    [
+        ("paper-fig2", "esr.f_stop_mhz", "-3.0", "esr.f_stop_mhz"),
+        ("paper-fig2", "esr.n_points", "1", "esr.n_points"),
+        ("imaging-default", "imaging.branch", "middle", "imaging.branch"),
+        ("imaging-default", "imaging.emitter_x_um", "6.0", "imaging.emitter_x_um"),
+        ("imaging-default", "imaging.gap_um", "0.0", "imaging: gap must be positive"),
+    ],
+)
+def test_run_checks_name_the_field(preset, field, value, match):
+    with pytest.raises(ConfigError, match=match):
+        load_config(preset, overrides={field: value})

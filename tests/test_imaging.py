@@ -68,6 +68,9 @@ def test_field_map_csv_round_trip(tmp_path):
     loaded = FieldMap.from_csv(path)
     assert np.allclose(loaded.positions, fmap.positions, rtol=1e-12)
     assert np.allclose(loaded.rabi, fmap.rabi, rtol=1e-12)
+    assert loaded.meta["model"] == fmap.meta["model"]
+    again = loaded.to_csv(tmp_path / "again.csv")
+    assert again.read_bytes() == path.read_bytes()
 
 
 @given(
