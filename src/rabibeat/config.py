@@ -88,8 +88,8 @@ _REQUIRED = {
                    "grid": ["t_end_us", "n_points"]},
     "drift": {"drive": ["omega0_mhz"], "manifolds": ["detunings_mhz"],
               "grid": ["t_end_us", "n_points"], "drift": ["kind", "n_sweeps"]},
-    "esr": {"esr": ["transitions_mhz", "contrasts", "f_start_mhz",
-                    "f_stop_mhz", "n_points"]},
+    "esr": {"esr": ["transitions_mhz", "contrasts", "linewidth_fwhm_mhz",
+                    "f_start_mhz", "f_stop_mhz", "n_points"]},
     "imaging-demo": {"imaging": ["gap_um", "drive_scale_mhz", "t1_rho_us",
                                  "emitter_x_um"],
                      "grid": ["t_end_us", "n_points"]},
@@ -274,6 +274,8 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
         cfg.geometry = geom = build("imaging", lambda: WaveguideGeometry(
             **{attr: im[key] for key, attr in _GEOMETRY_FIELDS.items() if key in im}
         ))
+        if not im["t1_rho_us"] > 0:
+            raise ConfigError("imaging.t1_rho_us: must be positive")
         branch = im.setdefault("branch", "left")
         if branch not in ("left", "right"):
             raise ConfigError("imaging.branch: must be left or right")

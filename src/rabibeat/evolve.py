@@ -10,7 +10,6 @@ structure enters as an incoherent average over fixed-detuning manifolds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -67,6 +66,52 @@ def _grid_times(grid) -> np.ndarray:
     if not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
     return times
+
+
+# The trace kernel splits the grid into blocks of _BLOCK samples and feeds
+# its oscillators to the matrix product _CHUNK at a time, so the size of its
+# scratch matrices depends on the grid length, not on the number of sweeps.
+_BLOCK = 64
+_CHUNK = 256
+
+
+def _even_times(grid) -> tuple:
+    """Sample times of an evenly spaced grid, and their spacing."""
+    times = _grid_times(grid)
+    step = (times[-1] - times[0]) / (times.size - 1)
+    even = times[0] + step * np.arange(times.size)
+    if np.max(np.abs(times - even)) > 8 * np.spacing(np.max(np.abs(times))):
+        raise ValueError("time grid must be evenly spaced")
+    return times, step
+
+
+def _cosine_sum(freqs, coeffs, times, step) -> np.ndarray:
+    """sum_k coeffs[k] * cos(2 pi freqs[k] t) over an evenly spaced grid.
+
+    Sample j = b * _BLOCK + m lies m steps after its block anchor
+    times[b * _BLOCK], so exp(i 2 pi f t) is an anchor phasor times an
+    in-block phasor, and the sum over k is the complex product
+    (anchor phasors * coeffs) @ (in-block phasors) of shape
+    (blocks x K) @ (K x _BLOCK).  Chunks of oscillators are added in a
+    fixed order; tests/test_cli.py checks that the bytes do not depend on
+    the BLAS thread count.
+    """
+    anchors = times[::_BLOCK]
+    offsets = step * np.arange(_BLOCK)
+    total = np.zeros((anchors.size, _BLOCK), dtype=complex)
+    for start in range(0, freqs.size, _CHUNK):
+        w = 2.0 * np.pi * freqs[start:start + _CHUNK]
+        total += (_phasors(np.outer(anchors, w)) * coeffs[start:start + _CHUNK]
+                  ) @ _phasors(np.outer(w, offsets))
+    return total.real.ravel()[: times.size]
+
+
+def _phasors(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase), built from cos and sin, which is faster than np.exp."""
+    out = np.empty(phase.shape, dtype=complex)
+    out.real = np.cos(phase)
+    out.imag = np.sin(phase)
+    return out
 
 
 @dataclass(frozen=True)
@@ -249,7 +294,7 @@ def _incoherent_meta(omega0, manifolds, decay, amplitude_mode) -> dict:
 
 
 def rabi_trace_incoherent(
-    omega0: float,
+    omega0,
     manifolds: ManifoldSpec,
     grid,
     decay: DecayModel = DecayModel(),
@@ -261,22 +306,28 @@ def rabi_trace_incoherent(
     ``"exact"`` mode the physical amplitude factor omega0^2/omega^2 is kept;
     ``"equal_cosine"`` substitutes unit-amplitude cosines at the same
     frequencies, which is the conventional fitting model for beat traces.
-    The decay envelope multiplies each oscillation about its own mean, so
+    The decay envelope multiplies the summed oscillation about its mean, so
     the trace mean is unaffected by decay.
+
+    ``omega0`` is one drive or a 1-D array of drives, one per sweep; the
+    trace is then the mean over the sweeps.  Equal drives are merged first,
+    so repeating one drive returns its single-drive trace exactly.  ``grid``
+    must be evenly spaced.
     """
     _check_amplitude_mode(amplitude_mode)
-    if not omega0 > 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
-    times = _grid_times(grid)
-    env = decay.envelope(times)
-    total = np.zeros_like(times)
-    for det, weight in manifolds:
-        om = rabi_frequency(omega0, det)
-        amp = (omega0 / om) ** 2 if amplitude_mode == "exact" else 1.0
-        osc = np.cos(2.0 * np.pi * om * times)
-        total += weight * (amp / 2.0) * (1.0 - osc * env)
+    if np.ndim(omega0) > 1 or np.size(omega0) == 0:
+        raise ValueError("omega0 must be a scalar or a non-empty 1-D array")
+    times, step = _even_times(grid)
+    drives, counts = np.unique(np.asarray(omega0, dtype=float), return_counts=True)
+    drives = drives[:, None]
+    om = rabi_frequency(drives, np.asarray(manifolds.detunings))
+    amp = (drives / om) ** 2 if amplitude_mode == "exact" else 1.0
+    coeffs = (counts / counts.sum())[:, None] * np.asarray(manifolds.weights)
+    coeffs = (coeffs * amp / 2.0).ravel()
+    osc = _cosine_sum(om.ravel(), coeffs, times, step)
+    values = coeffs.sum() - osc * decay.envelope(times)
     return SampledTrace(
-        times, total, _incoherent_meta(omega0, manifolds, decay, amplitude_mode)
+        times, values, _incoherent_meta(omega0, manifolds, decay, amplitude_mode)
     )
 
 
@@ -331,41 +382,30 @@ def apply_power_drift(
     """Average of ``n_sweeps`` Rabi traces whose drive power drifts.
 
     Each sweep k sees a power factor p_k from the drift model and therefore
-    a scaled Rabi frequency omega0 * sqrt(p_k).  Sweeps are accumulated in a
-    fixed order, so the result is independent of any execution parallelism.
-    With constant drift the output equals the undrifted trace exactly.
+    a scaled Rabi frequency omega0 * sqrt(p_k).  All sweeps go to one
+    :func:`rabi_trace_incoherent` call, which sums them in a fixed order, so
+    the result is independent of any execution parallelism.  With constant
+    drift the output equals the undrifted trace exactly.
     ``seed`` is required for gaussian drift.
     """
-    _check_amplitude_mode(amplitude_mode)
     rng = None
     if drift.kind == "gaussian" and drift.sigma_relative > 0:
         if seed is None:
             raise ValueError("gaussian drift requires an explicit seed")
         rng = np.random.default_rng(seed)
     factors = drift.power_factors(n_sweeps, rng)
-    base_meta_drift = {
+    trace = rabi_trace_incoherent(
+        omega0 * np.sqrt(factors), manifolds, grid, decay, amplitude_mode
+    )
+    trace.meta = _incoherent_meta(omega0, manifolds, decay, amplitude_mode)
+    trace.meta["drive"]["power_drift"] = {
         "kind": drift.kind,
         "total_relative_change": drift.total_relative_change,
         "sigma_relative": drift.sigma_relative,
         "n_sweeps": n_sweeps,
         "seed": seed,
     }
-    if np.all(factors == 1.0):
-        trace = rabi_trace_incoherent(
-            omega0, manifolds, grid, decay, amplitude_mode
-        )
-        trace.meta["drive"]["power_drift"] = base_meta_drift
-        return trace
-    times = _grid_times(grid)
-    acc = np.zeros_like(times)
-    for p in factors:
-        sweep = rabi_trace_incoherent(
-            omega0 * float(np.sqrt(p)), manifolds, grid, decay, amplitude_mode
-        )
-        acc += sweep.values
-    meta = _incoherent_meta(omega0, manifolds, decay, amplitude_mode)
-    meta["drive"]["power_drift"] = base_meta_drift
-    return SampledTrace(times, acc / n_sweeps, meta)
+    return trace
 
 
 def drift_relation(rel_power_change) -> np.ndarray:

@@ -200,15 +200,19 @@ def hyperfine_detunings(a_hf: float) -> np.ndarray:
 vtype_half_splittings = hyperfine_detunings
 
 
-def rabi_frequency(omega0: float, delta: float) -> float:
+def rabi_frequency(omega0, delta):
     """Generalized Rabi frequency sqrt(omega0^2 + delta^2), in MHz.
 
     ``omega0`` is the resonant Rabi frequency and ``delta`` the drive
-    detuning, both cyclic MHz.
+    detuning, both cyclic MHz.  Arrays broadcast to an array; scalars give
+    a float.
     """
-    if not omega0 > 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
-    return float(np.hypot(omega0, delta))
+    drive = np.asarray(omega0, dtype=float)
+    if not np.all(drive > 0):
+        bad = omega0 if drive.ndim == 0 else drive[~(drive > 0)][0]
+        raise ValueError(f"omega0 must be positive, got {bad}")
+    om = np.hypot(drive, delta)
+    return float(om) if om.ndim == 0 else om
 
 
 def beat_shift_two_level(omega0: float, delta: float) -> float:

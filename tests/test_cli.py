@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rabibeat
 from rabibeat.analysis import LINESHAPE_COLUMNS, LINESHAPE_HEADER
 from rabibeat.analysis import SPECTRUM_COLUMNS, SPECTRUM_HEADER
 from rabibeat.cli import main
@@ -130,6 +135,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["imaging-demo", "--config", "imaging-default", "--out",
                  str(sweep), "--sweep", "imaging.gap_um=10,-1"]) == 2
     assert not sweep.exists()
+    assert main(["imaging-demo", "--config", "imaging-default", "--out",
+                 str(sweep), "--sweep", "imaging.t1_rho_us=25,-5"]) == 2
+    assert not sweep.exists()
     err = capsys.readouterr().err
     assert "config error" in err
 
@@ -176,6 +184,27 @@ def test_determinism_across_runs(tmp_path):
         main(["simulate", "--config", "drift-demo", "--out", str(out), "--seed", "7"])
     for name in ("trace.csv", "trace.meta.json", "plot.gp"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_drift_trace_is_independent_of_blas_threads(tmp_path):
+    # the drift average is a BLAS matrix product; its bytes must not depend
+    # on the thread count, also while sweep variants run concurrently
+    src = str(Path(rabibeat.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = ["simulate", "--config", "drift-demo", "--seed", "7", "--out"]
+        runs = [run + [str(out / "single")],
+                run + [str(out / "sweep"), "--sweep", "drift.sigma_relative=8e-4,1.6e-3"]]
+        script = f"from rabibeat.cli import main\nfor a in {runs!r}: assert main(a) == 0"
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        outs.append(out)
+    traces = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("trace.csv"))
+    assert len(traces) == 3
+    for rel in traces:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
 
 def test_sweep_writes_variant_directories(tmp_path):

@@ -1,3 +1,6 @@
+import configparser
+from importlib import resources
+
 import pytest
 
 from rabibeat.config import ConfigError, load_config, preset_names
@@ -130,8 +133,21 @@ def test_overrides_apply_before_validation():
         ("imaging-default", "imaging.branch", "middle", "imaging.branch"),
         ("imaging-default", "imaging.emitter_x_um", "6.0", "imaging.emitter_x_um"),
         ("imaging-default", "imaging.gap_um", "0.0", "imaging: gap must be positive"),
+        ("imaging-default", "imaging.t1_rho_us", "-5.0", "imaging.t1_rho_us"),
+        ("paper-fig2", "esr.linewidth_fwhm_mhz", None,
+         "esr.linewidth_fwhm_mhz: required for kind esr"),
     ],
 )
-def test_run_checks_name_the_field(preset, field, value, match):
+def test_run_checks_name_the_field(tmp_path, preset, field, value, match):
+    """Each case overrides one field of a preset; ``None`` removes it."""
+    if value is None:
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(
+            (resources.files("rabibeat") / "presets" / f"{preset}.ini").read_text()
+        )
+        assert parser.remove_option(*field.split("."))
+        preset = tmp_path / "run.ini"
+        with preset.open("w") as fh:
+            parser.write(fh)
     with pytest.raises(ConfigError, match=match):
-        load_config(preset, overrides={field: value})
+        load_config(preset, overrides={} if value is None else {field: value})

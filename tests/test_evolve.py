@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rabibeat import evolve
 from rabibeat.evolve import (
     DecayModel,
     DriftModel,
@@ -158,6 +159,60 @@ def test_constant_drift_reproduces_undrifted_trace():
         22.2, ManifoldSpec.single(), grid, DriftModel(), n_sweeps=16
     )
     assert np.array_equal(plain.values, drifted.values)
+
+
+def per_sweep_reference(omega0, manifolds, times, decay, amplitude_mode, factors):
+    """The drift average as a per-sweep loop: one full-length cos per sweep
+    and manifold, accumulated in sweep order."""
+    env = decay.envelope(times)
+    acc = np.zeros_like(times)
+    for p in factors:
+        drive = omega0 * float(np.sqrt(p))
+        for det, weight in manifolds:
+            om = np.hypot(drive, det)
+            amp = (drive / om) ** 2 if amplitude_mode == "exact" else 1.0
+            osc = np.cos(2.0 * np.pi * om * times)
+            acc += weight * (amp / 2.0) * (1.0 - osc * env)
+    return acc / len(factors)
+
+
+@pytest.mark.parametrize("drift", [
+    DriftModel("linear", total_relative_change=0.02),
+    DriftModel("gaussian", sigma_relative=2e-3),
+])
+@pytest.mark.parametrize("detunings", [(0.0,), (0.0, 2.18), (0.0, 2.18, 4.36)])
+@pytest.mark.parametrize("decay", [DecayModel(), DecayModel("exponential", 25.0)])
+@pytest.mark.parametrize("amplitude_mode", ["exact", "equal_cosine"])
+def test_drift_kernel_matches_per_sweep_loop(drift, detunings, decay, amplitude_mode):
+    grid = TimeGrid(0.0, 20.0, 2001)  # not a whole number of blocks
+    assert grid.n_points % evolve._BLOCK
+    n_sweeps = 600
+    assert n_sweeps * len(detunings) > evolve._CHUNK
+    manifolds = ManifoldSpec(detunings)
+    trace = apply_power_drift(22.2, manifolds, grid, drift, n_sweeps, decay,
+                              amplitude_mode, seed=3)
+    factors = drift.power_factors(n_sweeps, np.random.default_rng(3))
+    expected = per_sweep_reference(22.2, manifolds, grid.times, decay,
+                                   amplitude_mode, factors)
+    assert np.max(np.abs(trace.values - expected)) <= 1e-12
+
+
+def test_kernel_needs_an_evenly_spaced_grid():
+    grid = TimeGrid(0.0, 10.0, 1001)
+    times = grid.times
+    explicit = rabi_trace_incoherent(22.2, ManifoldSpec.single(), times)
+    gridded = rabi_trace_incoherent(22.2, ManifoldSpec.single(), grid)
+    assert np.array_equal(explicit.values, gridded.values)
+    times[500] += 1e-3
+    with pytest.raises(ValueError, match="evenly spaced"):
+        rabi_trace_incoherent(22.2, ManifoldSpec.single(), times)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_kernel_rejects_a_non_positive_drive(bad):
+    grid = TimeGrid(0.0, 1.0, 101)
+    with pytest.raises(ValueError, match="omega0 must be positive"):
+        rabi_trace_incoherent(np.array([22.2, bad, 22.3]), ManifoldSpec.single(), grid)
 
 
 def test_gaussian_drift_is_seed_reproducible():
