@@ -1,19 +1,14 @@
 """rabibeat: simulation and analysis of Rabi-beat spectroscopy and
 drive-gradient imaging with spin-1 defect centers.
 
-Conventions: frequencies in cyclic MHz, times in microseconds, fields in
-Gauss.  Factors of 2*pi live inside propagation and trig code only.
+Conventions: frequencies in cyclic MHz, times in microseconds.  Factors of
+2*pi live inside propagation and trig code only.
 """
 from .spinmodel import (
-    NVParams,
     DriveParams,
-    TransitionPair,
-    transition_frequencies,
-    hyperfine_detunings,
-    vtype_half_splittings,
     rabi_frequency,
-    beat_shift_two_level,
-    beat_shift_vtype,
+    beat_shift,
+    detuning_from_beat,
     build_rot_frame_h,
     vtype_eigenfrequency,
     vtype_population,
@@ -31,7 +26,6 @@ from .evolve import (
     rabi_trace_vtype,
     apply_power_drift,
     drift_relation,
-    drift_relation_exact,
 )
 from .traces import SampledTrace
 from .analysis import (
@@ -47,7 +41,6 @@ from .analysis import (
     analytic_envelope,
     fit_decay_time,
     extract_beats,
-    detuning_from_beat,
     resolution_estimate,
     synthesize_esr,
 )
@@ -60,10 +53,8 @@ from .imaging import (
     rabi_at,
     oscillation_count,
     resolution_from_count,
-    t1_limited_resolution,
     resolution_budget,
     position_from_rabi,
-    two_axis_localize,
 )
 from .config import ConfigError, RunConfig, load_config, preset_names
 

@@ -1,5 +1,6 @@
-"""Signal analysis: spectra, peak finding, beat extraction, detuning
-inversion, resolution estimates, and synthetic resonance lineshapes.
+"""Signal analysis: spectra, peak finding, beat extraction, resolution
+estimates, and synthetic resonance lineshapes.  Beats are turned into
+detunings by the exact inverse in :mod:`rabibeat.spinmodel`.
 
 Beat extraction works in the time domain on the analytic-signal envelope,
 because a slow beat is resolvable from a couple of modulation periods even
@@ -17,6 +18,7 @@ import scipy.ndimage
 import scipy.optimize
 import scipy.signal
 
+from .spinmodel import detuning_from_beat
 from .traces import SampledTrace, write_columns
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "analytic_envelope",
     "fit_decay_time",
     "extract_beats",
-    "detuning_from_beat",
     "resolution_estimate",
     "synthesize_esr",
 ]
@@ -401,7 +402,8 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
     smallest and largest of the triplet.  A trace too short to hold a beat
     period yields an empty beat list and a diagnostic note.
 
-    ``mode`` selects the inversion applied to each beat:
+    ``mode`` selects the exact inversion
+    :func:`rabibeat.spinmodel.detuning_from_beat` applied to each beat:
     ``"single"`` for detuned two-level beats, ``"vtype"`` for split
     V-configuration beats.
     """
@@ -488,25 +490,6 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
         "fft_consistent": consistency,
     }
     return BeatReport(mode, base, list(beats), detunings, diag)
-
-
-def detuning_from_beat(beat: float, base: float, mode: str = "single") -> float:
-    """Invert a beat shift to the underlying detuning, in MHz.
-
-    single:  beat = delta^2 / (2 base)   =>  delta = sqrt(2 base beat)
-    vtype:   beat = 2 delta^2 / base     =>  delta = sqrt(base beat / 2)
-
-    Exact round trip with the corresponding beat-shift formulas.
-    """
-    if beat < 0:
-        raise ValueError(f"beat must be non-negative, got {beat}")
-    if not base > 0:
-        raise ValueError(f"base must be positive, got {base}")
-    if mode == "single":
-        return float(np.sqrt(2.0 * base * beat))
-    if mode == "vtype":
-        return float(np.sqrt(0.5 * base * beat))
-    raise ValueError(f"mode must be 'single' or 'vtype', got {mode!r}")
 
 
 def resolution_estimate(base: float, n_oscillations: float) -> ResolutionEstimate:

@@ -385,12 +385,18 @@ def _dispatch(args) -> int:
     key, values = _parse_sweep(args.sweep)
     children = np.random.SeedSequence(args.seed).spawn(len(values))
     child_seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
-    variants = []
+    variants, seen = [], {}
     for value, child_seed in zip(values, child_seeds):
-        cfg = load_config(args.config, overrides={key: repr(value)})
+        name = f"{key.replace('.', '-')}={value:.6g}"
+        if name in seen:
+            raise ConfigError(
+                f"sweep: values {seen[name]!r} and {value!r} both write to {name}"
+            )
+        seen[name] = value
+        # integral values without ".0", so int fields take them too
+        cfg = load_config(args.config, overrides={key: repr(value).removesuffix(".0")})
         _check_kind(cfg, args.command)
-        sub = out_dir / f"{key.replace('.', '-')}={value:.6g}"
-        variants.append((cfg, sub, child_seed))
+        variants.append((cfg, out_dir / name, child_seed))
     with ThreadPoolExecutor(max_workers=min(8, len(variants))) as pool:
         list(pool.map(lambda item: _run(args, *item), variants))
     write_json(

@@ -8,6 +8,7 @@ below, reproduced in the README.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -75,8 +76,8 @@ SCHEMA = {
     },
     "analyze": {
         "mode": ("str", "single or vtype"),
-        "window": ("str", "rectangular or hann"),
-        "zero_pad": ("int", "FFT zero-padding factor, >= 1"),
+        "window": ("str", "rectangular or hann; spectrum.csv only, beats use hann"),
+        "zero_pad": ("int", "FFT zero-padding factor, >= 1; spectrum.csv only"),
         "trace": ("str", "input trace CSV path"),
     },
 }
@@ -134,18 +135,25 @@ def _resolve_source(name_or_path) -> str:
     )
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _parse_floats(text: str):
     try:
-        return [float(tok) for tok in text.split(",")]
+        values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"not a comma-separated float list: {exc}") from None
+    return [_finite(v) for v in values]
 
 
 def _typed(section: str, key: str, raw: str):
     tag = SCHEMA[section][key][0]
     try:
         if tag == "float":
-            return float(raw)
+            return _finite(float(raw))
         if tag == "int":
             return int(raw)
         if tag == "floats":

@@ -28,7 +28,6 @@ __all__ = [
     "rabi_trace_vtype",
     "apply_power_drift",
     "drift_relation",
-    "drift_relation_exact",
 ]
 
 AMPLITUDE_MODES = ("exact", "equal_cosine")
@@ -415,14 +414,3 @@ def drift_relation(rel_power_change) -> np.ndarray:
     if np.any(np.abs(x) >= 1):
         raise ValueError("relative power change must satisfy |x| < 1")
     return -0.5 * x
-
-
-def drift_relation_exact(rel_power_change) -> np.ndarray:
-    """Exact fractional period change 1/sqrt(1+x) - 1.
-
-    Differs from the linear form by less than x^2 for |x| <= 0.5.
-    """
-    x = np.asarray(rel_power_change, dtype=float)
-    if np.any(x <= -1):
-        raise ValueError("relative power change must exceed -1")
-    return 1.0 / np.sqrt(1.0 + x) - 1.0

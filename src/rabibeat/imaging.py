@@ -25,10 +25,8 @@ __all__ = [
     "rabi_at",
     "oscillation_count",
     "resolution_from_count",
-    "t1_limited_resolution",
     "resolution_budget",
     "position_from_rabi",
-    "two_axis_localize",
 ]
 
 FIELDMAP_HEADER = "# rabibeat-fieldmap v1"
@@ -122,10 +120,6 @@ class FieldMap:
     def increasing(self) -> bool:
         return bool(self.rabi[-1] > self.rabi[0])
 
-    @property
-    def monotonic_region(self):
-        return float(self.positions[0]), float(self.positions[-1])
-
     @classmethod
     def from_model(
         cls,
@@ -193,14 +187,6 @@ def resolution_from_count(gap_um: float, n_oscillations: float) -> float:
             f"n_oscillations must be positive, got {n_oscillations}"
         )
     return 1000.0 * gap_um / n_oscillations
-
-
-def t1_limited_resolution(gap_um: float, t1_rho: float, base_rabi: float) -> float:
-    """Resolution gap / (t1_rho * base_rabi) in nanometers.
-
-    Identical to ``resolution_from_count(gap_um, oscillation_count(...))``.
-    """
-    return 1000.0 * gap_um / (oscillation_count(base_rabi, t1_rho))
 
 
 @dataclass(frozen=True)
@@ -273,27 +259,3 @@ def position_from_rabi(
             raise ValueError("field map gradient vanishes at the recovered position")
         uncertainty = resolvable_mhz / local
     return LocalizationResult(x, uncertainty)
-
-
-def two_axis_localize(
-    measured_x: float,
-    map_x: FieldMap,
-    measured_y: float,
-    map_y: FieldMap,
-    resolvable_x: float | None = None,
-    resolvable_y: float | None = None,
-):
-    """Componentwise two-axis localization from two orthogonal drive maps.
-
-    Returns a pair of LocalizationResult.  Errors identify the failing
-    axis by name.
-    """
-    try:
-        rx = position_from_rabi(measured_x, map_x, resolvable_x)
-    except ValueError as exc:
-        raise ValueError(f"x axis: {exc}") from None
-    try:
-        ry = position_from_rabi(measured_y, map_y, resolvable_y)
-    except ValueError as exc:
-        raise ValueError(f"y axis: {exc}") from None
-    return rx, ry

@@ -1,14 +1,13 @@
 """Ground-state spin model of a driven S=1 defect center.
 
-Closed-form expressions for detuned Rabi oscillations, beat shifts, and the
-rotating-frame Hamiltonian for simultaneous driving of both upper branches
-(V configuration).
+Closed-form expressions for detuned Rabi oscillations, the beat-shift
+relation and its exact inverse, and the rotating-frame Hamiltonian for
+simultaneous driving of both upper branches (V configuration).
 
 Unit conventions, used package-wide:
 
 * frequencies, couplings, splittings: cyclic MHz
 * times: microseconds
-* magnetic field: Gauss
 
 All trigonometric and propagation code converts to angular frequency
 (factor 2*pi) internally; public values never carry the 2*pi.  Under this
@@ -18,22 +17,17 @@ equals the stated Rabi frequency directly.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "NVParams",
     "DriveParams",
-    "TransitionPair",
-    "transition_frequencies",
-    "hyperfine_detunings",
-    "vtype_half_splittings",
     "rabi_frequency",
-    "beat_shift_two_level",
-    "beat_shift_vtype",
+    "beat_shift",
+    "detuning_from_beat",
     "build_rot_frame_h",
     "vtype_eigenfrequency",
     "vtype_population",
@@ -41,51 +35,6 @@ __all__ = [
 ]
 
 SQRT2 = float(np.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class NVParams:
-    """Static spin Hamiltonian constants of a single defect center.
-
-    Parameters
-    ----------
-    d_zfs : float
-        Axial zero-field splitting in MHz.  Must be positive.
-    e_strain : float
-        Transverse strain splitting in MHz.  Must be non-negative.  Values
-        above one percent of ``d_zfs`` degrade the equal-coupling assumption
-        used by the V-configuration drive model and trigger a warning.
-    gamma_e : float
-        Electronic gyromagnetic ratio in MHz per Gauss.  Must be positive.
-    b_axial : float
-        DC magnetic field component along the defect axis, in Gauss.
-    a_hf : float
-        Hyperfine splitting between adjacent nuclear sublevels in MHz.
-        Must be non-negative.
-    """
-
-    d_zfs: float = 2880.0
-    e_strain: float = 0.0
-    gamma_e: float = 2.8
-    b_axial: float = 0.0
-    a_hf: float = 2.18
-
-    def __post_init__(self):
-        if not self.d_zfs > 0:
-            raise ValueError(f"d_zfs must be positive, got {self.d_zfs}")
-        if self.e_strain < 0:
-            raise ValueError(f"e_strain must be non-negative, got {self.e_strain}")
-        if not self.gamma_e > 0:
-            raise ValueError(f"gamma_e must be positive, got {self.gamma_e}")
-        if self.a_hf < 0:
-            raise ValueError(f"a_hf must be non-negative, got {self.a_hf}")
-        if self.e_strain > 0.01 * self.d_zfs:
-            warnings.warn(
-                "e_strain exceeds 1% of d_zfs; the equal-coupling V-drive "
-                "model becomes unreliable in this regime",
-                UserWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -135,71 +84,6 @@ class DriveParams:
             )
 
 
-class TransitionPair(NamedTuple):
-    f_minus: float
-    f_plus: float
-
-
-def _spin1_matrices():
-    """Spin-1 operators in the (m=+1, 0, -1) basis."""
-    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
-    sy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / SQRT2
-    sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    return sx, sy, sz
-
-
-def transition_frequencies(params: NVParams) -> TransitionPair:
-    """Frequencies of the two allowed ground-state transitions.
-
-    With zero strain the pair is ``d_zfs -/+ gamma_e * b_axial`` in closed
-    form.  With strain the static Hamiltonian
-
-        d_zfs * (Sz^2 - 2/3) + e_strain * (Sx^2 - Sy^2) + gamma_e*b_axial * Sz
-
-    is diagonalized and the two transition frequencies are taken from the
-    lowest eigenstate to the upper two.
-
-    Returns
-    -------
-    TransitionPair
-        ``(f_minus, f_plus)`` with ``f_minus <= f_plus``, in MHz.
-    """
-    zeeman = params.gamma_e * params.b_axial
-    if params.e_strain == 0.0:
-        lo, hi = sorted((params.d_zfs - zeeman, params.d_zfs + zeeman))
-        return TransitionPair(lo, hi)
-    sx, sy, sz = _spin1_matrices()
-    ident = np.eye(3, dtype=complex)
-    h = (
-        params.d_zfs * (sz @ sz - (2.0 / 3.0) * ident)
-        + params.e_strain * (sx @ sx - sy @ sy)
-        + zeeman * sz
-    )
-    evals = np.linalg.eigvalsh(h)
-    return TransitionPair(float(evals[1] - evals[0]), float(evals[2] - evals[0]))
-
-
-def hyperfine_detunings(a_hf: float) -> np.ndarray:
-    """Drive detunings of the three nuclear manifolds, in MHz.
-
-    The carrier is taken resonant with the lowest hyperfine line, so the
-    three manifolds sit at detunings {0, a_hf, 2*a_hf}.
-
-    The same ladder gives the upper-level half-splittings of the V
-    configuration (:data:`vtype_half_splittings`).  That reading is valid
-    when the axial Zeeman shift matches the hyperfine splitting so the two
-    transition triplets overlap at a common center line; driving that
-    center line, the manifolds form V systems with half-splittings
-    {0, a_hf, 2*a_hf}.
-    """
-    if a_hf < 0:
-        raise ValueError(f"a_hf must be non-negative, got {a_hf}")
-    return np.array([0.0, a_hf, 2.0 * a_hf])
-
-
-vtype_half_splittings = hyperfine_detunings
-
-
 def rabi_frequency(omega0, delta):
     """Generalized Rabi frequency sqrt(omega0^2 + delta^2), in MHz.
 
@@ -215,42 +99,42 @@ def rabi_frequency(omega0, delta):
     return float(om) if om.ndim == 0 else om
 
 
-def beat_shift_two_level(omega0: float, delta: float) -> float:
-    """Leading-order shift delta^2 / (2*omega0) of a detuned Rabi line.
+def _beat_order(mode: str) -> int:
+    """k in the beat relation: 1 for a single-mode line, 2 for a V line."""
+    if mode not in ("single", "vtype"):
+        raise ValueError(f"mode must be 'single' or 'vtype', got {mode!r}")
+    return 1 if mode == "single" else 2
 
-    Approximates ``rabi_frequency(omega0, delta) - omega0`` with relative
-    error below (delta/omega0)^2 / 4.  Warns when delta/omega0 > 0.3.
+
+def beat_shift(base: float, delta: float, mode: str = "single") -> float:
+    """Shift hypot(base, k*delta) - base of a detuned line, in MHz.
+
+    ``"single"`` (k = 1): ``base`` is the resonant Rabi frequency and
+    ``delta`` the drive detuning, so the line is
+    ``rabi_frequency(base, delta)``.  ``"vtype"`` (k = 2): ``base`` is the
+    unsplit V base frequency 2*sqrt(2)*coupling and ``delta`` the
+    half-splitting, so the line is twice ``vtype_eigenfrequency``.  The
+    shift is computed as (k delta)^2 / (hypot(base, k delta) + base), which
+    does not cancel for small delta.
     """
-    if not omega0 > 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
-    if abs(delta) > 0.3 * omega0:
-        warnings.warn(
-            "delta/omega0 exceeds 0.3; the quadratic beat-shift expansion "
-            "degrades in this regime",
-            UserWarning,
-            stacklevel=2,
-        )
-    return delta**2 / (2.0 * omega0)
+    k = _beat_order(mode)
+    if not base > 0:
+        raise ValueError(f"base must be positive, got {base}")
+    kd = k * delta
+    return kd * kd / (math.hypot(base, kd) + base)
 
 
-def beat_shift_vtype(omega0_base: float, delta: float) -> float:
-    """Leading-order beat shift 2*delta^2 / omega0_base of a split V drive.
+def detuning_from_beat(beat: float, base: float, mode: str = "single") -> float:
+    """Exact inverse of :func:`beat_shift`, in MHz.
 
-    ``omega0_base`` is the observed base oscillation frequency of the
-    unsplit V system (equal to 2*sqrt(2)*coupling) and ``delta`` the
-    half-splitting of the two upper levels.  Exact shift is
-    sqrt(omega0_base^2 + 4*delta^2) - omega0_base.
+    delta = sqrt(beat * (beat + 2 base)) / k, with k = 1 for ``"single"``
+    and k = 2 for ``"vtype"``.
     """
-    if not omega0_base > 0:
-        raise ValueError(f"omega0_base must be positive, got {omega0_base}")
-    if 2.0 * abs(delta) > 0.3 * omega0_base:
-        warnings.warn(
-            "2*delta/omega0_base exceeds 0.3; the quadratic beat-shift "
-            "expansion degrades in this regime",
-            UserWarning,
-            stacklevel=2,
-        )
-    return 2.0 * delta**2 / omega0_base
+    if beat < 0:
+        raise ValueError(f"beat must be non-negative, got {beat}")
+    if not base > 0:
+        raise ValueError(f"base must be positive, got {base}")
+    return math.sqrt(beat * (beat + 2.0 * base)) / _beat_order(mode)
 
 
 def build_rot_frame_h(drive: DriveParams) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rabibeat.analysis import (
+    dominant_frequency,
     extract_beats,
     fft_spectrum,
     find_peaks,
@@ -305,11 +306,7 @@ def test_criterion_09_imaging_round_trip():
             grid,
             decay=DecayModel("exponential", t1),
         )
-        spec = fft_spectrum(trace, window="hann", zero_pad=4)
-        guess = spec.freqs[int(np.argmax(spec.magnitudes))]
-        measured = refine_peak_frequency(
-            trace.times, trace.values, guess, window="hann"
-        )
+        measured = dominant_frequency(trace)
         loc = position_from_rabi(measured, fmap)
         bound_um = resolution_from_count(
             geom.gap, oscillation_count(measured, t1)

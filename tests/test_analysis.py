@@ -6,7 +6,6 @@ from rabibeat.analysis import (
     Lineshape,
     Spectrum,
     analytic_envelope,
-    detuning_from_beat,
     dominant_frequency,
     extract_beats,
     fft_spectrum,
@@ -16,8 +15,14 @@ from rabibeat.analysis import (
     resolution_estimate,
     synthesize_esr,
 )
-from rabibeat.evolve import DecayModel, ManifoldSpec, TimeGrid, rabi_trace_incoherent
-from rabibeat.spinmodel import beat_shift_two_level, beat_shift_vtype
+from rabibeat.evolve import (
+    DecayModel,
+    ManifoldSpec,
+    TimeGrid,
+    rabi_trace_incoherent,
+    rabi_trace_vtype,
+)
+from rabibeat.spinmodel import beat_shift, detuning_from_beat
 from rabibeat.traces import SampledTrace
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -118,13 +123,32 @@ def test_extract_beats_three_tone_sum_closure():
     grid = TimeGrid(0.0, 30.0, 6001)
     trace = rabi_trace_incoherent(22.2, ManifoldSpec((0.0, 2.18, 4.36)), grid)
     report = extract_beats(trace, mode="single")
-    b1 = beat_shift_two_level(22.2, 2.18)
-    b2 = beat_shift_two_level(22.2, 4.36)
+    b1 = beat_shift(22.2, 2.18, "single")
+    b2 = beat_shift(22.2, 4.36, "single")
     assert len(report.beat_frequencies) == 2
     assert report.beat_frequencies[0] == pytest.approx(b1, rel=0.05)
     assert report.beat_frequencies[1] == pytest.approx(b2, rel=0.05)
     assert report.recovered_detunings[0] == pytest.approx(2.18, rel=0.05)
     assert report.recovered_detunings[1] == pytest.approx(4.36, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "mode, simulate, splittings",
+    [
+        ("single", lambda m, g, d: rabi_trace_incoherent(22.2, m, g, decay=d),
+         (2.18, 4.36)),
+        ("vtype", lambda m, g, d: rabi_trace_vtype(14.849242404917497, m, g, decay=d),
+         (2.0, 4.1)),
+    ],
+)
+def test_extract_beats_inverts_without_leading_order_bias(mode, simulate, splittings):
+    # inverting only to leading order in delta/base reads them ~0.5% low
+    grid = TimeGrid(0.0, 30.0, 12001)
+    trace = simulate(
+        ManifoldSpec((0.0,) + splittings), grid, DecayModel("exponential", 25.0)
+    )
+    report = extract_beats(trace, mode=mode)
+    assert report.recovered_detunings == pytest.approx(splittings, rel=2e-3)
 
 
 def test_extract_beats_single_tone_is_clean():
@@ -140,8 +164,8 @@ def test_extract_beats_single_tone_is_clean():
     delta=st.floats(0.1, 1.4, **finite),
 )
 def test_detuning_from_beat_inverts_beat_shift(base, delta):
-    single = detuning_from_beat(beat_shift_two_level(base, delta), base, "single")
-    vtype = detuning_from_beat(beat_shift_vtype(base, delta), base, "vtype")
+    single = detuning_from_beat(beat_shift(base, delta, "single"), base, "single")
+    vtype = detuning_from_beat(beat_shift(base, delta, "vtype"), base, "vtype")
     assert single == pytest.approx(delta, rel=1e-9)
     assert vtype == pytest.approx(delta, rel=1e-9)
 

@@ -140,6 +140,16 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert not sweep.exists()
     err = capsys.readouterr().err
     assert "config error" in err
+    assert main(["simulate", "--config", "drift-demo", "--out", str(sweep),
+                 "--sweep", "drift.sigma_relative=nan,0.001"]) == 2
+    assert not sweep.exists()
+    assert "drift.sigma_relative: must be finite" in capsys.readouterr().err
+    # two values that share one variant directory
+    for values in ("20,20", "22.2,22.2000001"):
+        assert main(["simulate", "--config", "paper-fig3", "--out", str(sweep),
+                     "--sweep", f"drive.omega0_mhz={values}"]) == 2
+        assert not sweep.exists()
+        assert "both write to drive-omega0_mhz=" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_malformed_trace(tmp_path):
@@ -247,6 +257,15 @@ def test_sweep_range_expansion(tmp_path):
     assert code == 0
     index = read_json(out / "sweep.json")
     assert index["values"] == pytest.approx([0.4, 0.6, 0.8])
+    # an int field takes the integral values of a range
+    out = tmp_path / "points"
+    assert main(["esr", "--config", "paper-fig2", "--out", str(out),
+                 "--sweep", "esr.n_points=101:201:2"]) == 0
+    index = read_json(out / "sweep.json")
+    assert index["directories"] == ["esr-n_points=101", "esr-n_points=201"]
+    for sub, n_points in zip(index["directories"], (101, 201)):
+        rows = (out / sub / "esr.csv").read_text().splitlines()[2:]
+        assert len(rows) == n_points
 
 
 def test_sweep_rejects_malformed_spec(tmp_path):

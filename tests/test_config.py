@@ -136,6 +136,12 @@ def test_overrides_apply_before_validation():
         ("imaging-default", "imaging.t1_rho_us", "-5.0", "imaging.t1_rho_us"),
         ("paper-fig2", "esr.linewidth_fwhm_mhz", None,
          "esr.linewidth_fwhm_mhz: required for kind esr"),
+        ("paper-fig3", "drive.omega0_mhz", "nan", "drive.omega0_mhz: must be finite"),
+        ("paper-fig3", "manifolds.detunings_mhz", "0.0,inf",
+         "manifolds.detunings_mhz: must be finite"),
+        ("drift-demo", "drift.sigma_relative", "-inf",
+         "drift.sigma_relative: must be finite"),
+        ("paper-fig3", "manifolds.weights", "nan,0.5,0.5", "manifolds: must be finite"),
     ],
 )
 def test_run_checks_name_the_field(tmp_path, preset, field, value, match):

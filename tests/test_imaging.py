@@ -11,8 +11,6 @@ from rabibeat.imaging import (
     rabi_at,
     resolution_budget,
     resolution_from_count,
-    t1_limited_resolution,
-    two_axis_localize,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -81,13 +79,14 @@ def test_field_map_csv_round_trip(tmp_path):
 def test_resolution_identity(gap, rabi, t1):
     # counting oscillations then converting equals the direct formula
     via_count = resolution_from_count(gap, oscillation_count(rabi, t1))
-    direct = t1_limited_resolution(gap, t1, rabi)
+    direct = 1000.0 * gap / (t1 * rabi)
     assert abs(via_count - direct) <= 1e-12 * direct
 
 
 def test_resolution_reference_points():
     assert resolution_from_count(10.0, 1.0e6) == pytest.approx(0.01, rel=1e-12)
-    assert t1_limited_resolution(10.0, 1000.0, 2880.0) == pytest.approx(
+    high_field = oscillation_count(2880.0, 1000.0)
+    assert resolution_from_count(10.0, high_field) == pytest.approx(
         0.003472222, rel=1e-6
     )
     assert oscillation_count(22.2, 25.0) == pytest.approx(555.0, rel=1e-12)
@@ -120,30 +119,6 @@ def test_position_from_rabi_out_of_range():
     fmap = FieldMap.from_model(GEOM, n_points=51, branch="left")
     with pytest.raises(ValueError):
         position_from_rabi(1.0, fmap)
-
-
-def test_two_axis_localize_round_trip():
-    geom_y = WaveguideGeometry(gap=16.0, drive_scale=30.0)
-    map_x = FieldMap.from_model(GEOM, n_points=401, branch="left")
-    map_y = FieldMap.from_model(geom_y, n_points=401, branch="right")
-    true_x, true_y = 3.2, 11.1
-    loc_x, loc_y = two_axis_localize(
-        float(rabi_at(GEOM, true_x)),
-        map_x,
-        float(rabi_at(geom_y, true_y)),
-        map_y,
-        resolvable_x=0.1,
-        resolvable_y=0.1,
-    )
-    assert loc_x.position == pytest.approx(true_x, abs=1e-3)
-    assert loc_y.position == pytest.approx(true_y, abs=1e-3)
-
-
-def test_two_axis_localize_names_failing_axis():
-    map_x = FieldMap.from_model(GEOM, n_points=51, branch="left")
-    map_y = FieldMap.from_model(GEOM, n_points=51, branch="left")
-    with pytest.raises(ValueError, match="y axis"):
-        two_axis_localize(25.0, map_x, 1.0, map_y)
 
 
 def test_geometry_validation():

@@ -4,58 +4,16 @@ from hypothesis import given, strategies as st
 
 from rabibeat.spinmodel import (
     DriveParams,
-    NVParams,
-    beat_shift_two_level,
-    beat_shift_vtype,
+    beat_shift,
     build_rot_frame_h,
-    hyperfine_detunings,
+    detuning_from_beat,
     rabi_frequency,
     require_hermitian,
-    transition_frequencies,
     vtype_eigenfrequency,
-    vtype_half_splittings,
     vtype_population,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
-
-
-def test_transition_frequencies_zero_field():
-    pair = transition_frequencies(NVParams())
-    assert pair.f_minus == pytest.approx(2880.0)
-    assert pair.f_plus == pytest.approx(2880.0)
-
-
-def test_transition_frequencies_zeeman_split():
-    pair = transition_frequencies(NVParams(b_axial=10.0))
-    assert pair.f_minus == pytest.approx(2880.0 - 28.0)
-    assert pair.f_plus == pytest.approx(2880.0 + 28.0)
-    assert pair.f_plus - pair.f_minus == pytest.approx(2 * 2.8 * 10.0)
-
-
-def test_transition_frequencies_strain_matches_quadrature():
-    # with strain the splitting closes as sqrt(E^2 + (gamma B)^2)
-    p = NVParams(e_strain=5.0, b_axial=3.0)
-    pair = transition_frequencies(p)
-    gap = np.hypot(p.e_strain, p.gamma_e * p.b_axial)
-    assert pair.f_plus - pair.f_minus == pytest.approx(2 * gap, rel=1e-9)
-    assert (pair.f_plus + pair.f_minus) / 2 == pytest.approx(p.d_zfs, rel=1e-9)
-
-
-def test_nvparams_validation():
-    with pytest.raises(ValueError):
-        NVParams(d_zfs=-1.0)
-    with pytest.raises(ValueError):
-        NVParams(gamma_e=0.0)
-    with pytest.warns(UserWarning):
-        NVParams(e_strain=100.0)
-
-
-def test_hyperfine_detunings_ladder():
-    assert np.allclose(hyperfine_detunings(2.18), [0.0, 2.18, 4.36])
-    assert np.allclose(vtype_half_splittings(2.18), [0.0, 2.18, 4.36])
-    with pytest.raises(ValueError):
-        hyperfine_detunings(-1.0)
 
 
 @given(
@@ -78,26 +36,75 @@ def test_rabi_frequency_resonant():
 )
 def test_beat_shift_two_level_matches_expansion(omega0, delta):
     # sqrt(omega0^2 + d^2) - omega0 = d^2/(2 omega0) - d^4/(8 omega0^3) + ...
-    # the subtraction cancels, so allow a few ulps of omega0 on top
-    exact = rabi_frequency(omega0, delta) - omega0
-    approx = beat_shift_two_level(omega0, delta)
+    # the few ulps of omega0 on top cover a shift formed by subtraction
+    shift = beat_shift(omega0, delta, "single")
+    leading = delta**2 / (2 * omega0)
     slack = abs(delta) ** 4 / (2 * omega0**3) + 8 * np.finfo(float).eps * omega0
-    assert abs(exact - approx) <= slack
+    assert abs(shift - leading) <= slack
 
 
 def test_beat_shift_two_level_value():
-    assert beat_shift_two_level(22.2, 2.18) == pytest.approx(2.18**2 / 44.4)
-
-
-def test_beat_shift_warns_outside_small_detuning_regime():
-    with pytest.warns(UserWarning):
-        beat_shift_two_level(22.2, 10.0)
+    assert beat_shift(22.2, 2.18) == pytest.approx(np.hypot(22.2, 2.18) - 22.2)
 
 
 def test_beat_shift_vtype_value():
     base = 2 * vtype_eigenfrequency(14.849242404917497, 0.0)
     assert base == pytest.approx(42.0, rel=1e-12)
-    assert beat_shift_vtype(base, 2.0) == pytest.approx(2 * 4.0 / 42.0)
+    assert beat_shift(base, 2.0, "vtype") == pytest.approx(np.hypot(42.0, 4.0) - 42.0)
+
+
+# above delta/base ~ 0.1 the reference subtraction loses under 1e-13 relative
+ratios = st.floats(0.1, 3.0, **finite)
+
+
+@given(
+    base=st.floats(1.0, 100.0, **finite),
+    ratio=ratios,
+    sign=st.sampled_from([-1, 1]),
+)
+def test_beat_shift_single_is_the_rabi_line_shift(base, ratio, sign):
+    delta = sign * ratio * base
+    expected = rabi_frequency(base, delta) - base
+    assert beat_shift(base, delta, "single") == pytest.approx(expected, rel=1e-12)
+
+
+@given(coupling=st.floats(0.5, 40.0, **finite), ratio=ratios)
+def test_beat_shift_vtype_is_the_v_line_shift(coupling, ratio):
+    base = 2 * np.sqrt(2) * coupling
+    delta = ratio * base
+    expected = 2 * vtype_eigenfrequency(coupling, delta) - base
+    assert beat_shift(base, delta, "vtype") == pytest.approx(expected, rel=1e-12)
+
+
+@given(base=st.floats(1.0, 100.0, **finite), ratio=st.floats(1e-9, 1e-3, **finite))
+def test_beat_shift_keeps_full_precision_for_small_detunings(base, ratio):
+    # here the plain difference hypot(base, delta) - base loses every digit
+    delta = ratio * base
+    series = delta**2 / (2 * base) * (1 - ratio**2 / 4)
+    assert beat_shift(base, delta, "single") == pytest.approx(series, rel=1e-12)
+
+
+@given(
+    base=st.floats(1.0, 100.0, **finite),
+    ratio=st.floats(1e-6, 1.0, **finite),
+    mode=st.sampled_from(["single", "vtype"]),
+)
+def test_detuning_from_beat_round_trip_is_exact(base, ratio, mode):
+    delta = ratio * base
+    beat = beat_shift(base, delta, mode)
+    assert detuning_from_beat(beat, base, mode) == pytest.approx(delta, rel=1e-12)
+
+
+def test_beat_relation_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="beat must be non-negative"):
+        detuning_from_beat(-0.1, 22.2)
+    with pytest.raises(ValueError, match="base must be positive"):
+        detuning_from_beat(0.1, 0.0)
+    with pytest.raises(ValueError, match="base must be positive"):
+        beat_shift(0.0, 1.0)
+    for call in (beat_shift, detuning_from_beat):
+        with pytest.raises(ValueError, match="mode must be 'single' or 'vtype'"):
+            call(0.1, 22.2, "double")
 
 
 def test_build_rot_frame_h_layout():
