@@ -111,12 +111,16 @@ class BeatReport:
     ``beat_frequencies`` are envelope modulation frequencies relative to the
     base, ascending; ``recovered_detunings`` are their inversions through
     the beat-shift relation for the given mode, ascending, in MHz.
+    ``decay_time`` (us) is -1/rate of the log-linear trend of the base-band
+    envelope, which beat nodes do not drag down; inf when the trend does
+    not fall or fewer than three envelope points are above 1e-3 of its peak.
     """
 
     mode: str
     base_frequency: float
     beat_frequencies: list
     recovered_detunings: list
+    decay_time: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -306,31 +310,18 @@ def analytic_envelope(
     return trace.times[sl], env[sl]
 
 
-def fit_decay_time(
-    trace: SampledTrace, band: tuple | None = None, method: str = "crossing"
-) -> float:
+def fit_decay_time(trace: SampledTrace, band: tuple | None = None) -> float:
     """Envelope 1/e time in microseconds, or inf when the envelope never
     falls that far.
 
-    ``method="crossing"`` smooths the analytic-signal envelope with a
-    moving average, takes its early-time maximum as reference, and locates
-    the 1/e crossing by linear interpolation.  For a clean exponential this
-    reproduces the time constant; for other monotone envelopes it is the
-    effective 1/e time.  ``method="trend"`` instead fits a log-linear trend
-    to the envelope, which stays robust when beat modulation makes the
-    envelope dip below 1/e long before the decay itself does.
+    Smooths the analytic-signal envelope with a moving average, takes its
+    early-time maximum as reference, and locates the 1/e crossing by linear
+    interpolation.  For a clean exponential this reproduces the time
+    constant; for other monotone envelopes it is the effective 1/e time.
+    Beat modulation can pull the envelope below 1/e long before the decay
+    itself does; :attr:`BeatReport.decay_time` is robust to that.
     """
-    if method not in ("crossing", "trend"):
-        raise ValueError(f"method must be 'crossing' or 'trend', got {method!r}")
     times, env = analytic_envelope(trace, band=band)
-    if method == "trend":
-        positive = env > 1e-3 * env.max()
-        if np.count_nonzero(positive) < 3:
-            return math.inf
-        rate = np.polyfit(times[positive], np.log(env[positive]), 1)[0]
-        if rate >= 0:
-            return math.inf
-        return float(-1.0 / rate)
     n = env.size
     width = max(3, n // 20)
     smooth = scipy.ndimage.uniform_filter1d(env, size=width, mode="nearest")
@@ -354,30 +345,36 @@ def fit_decay_time(
 
 
 def _envelope_beat_spectrum(trace, band, f_min, f_max):
-    """Spectrum of the squared, detrended envelope; beat lines sit at the
-    pairwise differences of the underlying tone frequencies."""
+    """Peaks of the squared, detrended envelope's spectrum; beat lines sit
+    at the pairwise differences of the underlying tone frequencies.
+
+    Returns ``(envelope trace, peaks, decay time)``, the decay time being
+    -1/rate of the log-linear detrending fit, or inf when it does not fall.
+    """
     times, env = analytic_envelope(trace, band=band)
     duration = times[-1] - times[0]
     # detrend a decaying envelope; beats average out of the log-linear fit
     flat = env
+    decay_time = math.inf
     positive = env > 1e-3 * env.max()
     if np.count_nonzero(positive) > 2:
         rate = np.polyfit(times[positive], np.log(env[positive]), 1)[0]
         if rate < 0:
             flat = env * np.exp(-rate * (times - times[0]))
+            decay_time = float(-1.0 / rate)
     # a single tone has a flat envelope up to spectral-leakage ripple of a
     # few percent; without a depth gate that ripple would read as spurious
     # modulation lines.  A secondary tone at 5% relative amplitude already
     # modulates the envelope by ~20% peak-to-peak, so 10% is a safe floor.
     if flat.mean() <= 0 or np.ptp(flat) < 0.1 * flat.mean():
-        return None, None, []
+        return None, [], decay_time
     q = flat**2
     q = q - q.mean()
     sub = SampledTrace(times, q)
     spec = fft_spectrum(sub, window="hann", zero_pad=8)
     sel = (spec.freqs >= f_min) & (spec.freqs <= f_max)
     if not np.any(sel):
-        return sub, spec, []
+        return sub, [], decay_time
     masked = Spectrum(
         spec.freqs, np.where(sel, spec.magnitudes, 0.0), spec.window,
         spec.bin_width,
@@ -387,7 +384,7 @@ def _envelope_beat_spectrum(trace, band, f_min, f_max):
         masked, min_height_rel=0.15, min_separation=1.5 * raw_bin
     )
     peaks = [p for p in peaks if f_min <= p.frequency <= f_max]
-    return sub, spec, peaks
+    return sub, peaks, decay_time
 
 
 def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
@@ -400,7 +397,8 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
     three-tone traces this package produces, the modulation lines satisfy a
     sum closure and the two beats relative to the base component are the
     smallest and largest of the triplet.  A trace too short to hold a beat
-    period yields an empty beat list and a diagnostic note.
+    period yields an empty beat list and a diagnostic note; a trace with no
+    spectral peak at all (a constant one) raises ValueError.
 
     ``mode`` selects the exact inversion
     :func:`rabibeat.spinmodel.detuning_from_beat` applied to each beat:
@@ -414,7 +412,7 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
     spec = fft_spectrum(trace, window="hann", zero_pad=4)
     all_peaks = find_peaks(spec, min_height_rel=0.05, min_separation=0.0)
     if not all_peaks:
-        return BeatReport(mode, 0.0, [], [], {"notes": ["no spectral peaks"]})
+        raise ValueError("no spectral peak: the trace does not oscillate")
     base_peak = max(all_peaks, key=lambda p: p.magnitude)
     base = refine_peak_frequency(
         trace.times, trace.values, base_peak.frequency, window="hann"
@@ -423,9 +421,7 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
     f_min = 1.5 / duration
     f_max = 0.45 * base
     band = (0.7 * base, 1.3 * base)
-    sub, env_spec, env_peaks = _envelope_beat_spectrum(
-        trace, band, f_min, f_max
-    )
+    sub, env_peaks, decay_time = _envelope_beat_spectrum(trace, band, f_min, f_max)
     refined = [
         refine_peak_frequency(
             sub.times, sub.values, p.frequency, window="hann"
@@ -489,7 +485,7 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
         "envelope_beats": refined,
         "fft_consistent": consistency,
     }
-    return BeatReport(mode, base, list(beats), detunings, diag)
+    return BeatReport(mode, base, list(beats), detunings, decay_time, diag)
 
 
 def resolution_estimate(base: float, n_oscillations: float) -> ResolutionEstimate:

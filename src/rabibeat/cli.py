@@ -22,11 +22,10 @@ from .analysis import (
     dominant_frequency,
     extract_beats,
     fft_spectrum,
-    fit_decay_time,
     resolution_estimate,
     synthesize_esr,
 )
-from .config import ConfigError, RunConfig, load_config, preset_names
+from .config import ConfigError, RunConfig, load_config, parse_sweep, preset_names
 from .evolve import (
     DecayModel,
     ManifoldSpec,
@@ -109,32 +108,6 @@ def _resolve_out(arg) -> Path:
     return Path("rabibeat-out")
 
 
-def _parse_sweep(text: str):
-    """Parse ``section.key=start:stop:count`` or ``section.key=v1,v2,...``."""
-    key, sep, spec = text.partition("=")
-    key = key.strip()
-    if not sep or not key or "." not in key:
-        raise ConfigError("sweep: expected section.key=start:stop:count or =v1,v2,...")
-    spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError("sweep: range must be start:stop:count")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigError(f"sweep: {exc}") from None
-        if count < 2:
-            raise ConfigError("sweep: count must be >= 2")
-        values = np.linspace(start, stop, count).tolist()
-    else:
-        try:
-            values = [float(tok) for tok in spec.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"sweep: {exc}") from None
-    return key, values
-
-
 def _simulate_trace(cfg: RunConfig, seed: int) -> SampledTrace:
     if cfg.kind == "rabi-single":
         return rabi_trace_incoherent(
@@ -171,21 +144,20 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     trace_path = getattr(args, "trace", None) or cfg.analyze.get("trace")
     if not trace_path:
         raise ConfigError("analyze.trace: required (or pass --trace)")
+    # the trace is the one input that arrives at run time, so its checks
+    # (format, sampling, length, a spectral peak) run here
     try:
         trace = SampledTrace.from_csv(trace_path)
+        spectrum = fft_spectrum(
+            trace,
+            window=cfg.analyze.get("window", "hann"),
+            zero_pad=cfg.analyze.get("zero_pad", 4),
+        )
+        report = extract_beats(trace, mode=cfg.analyze["mode"])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"analyze.trace: {exc}") from None
 
-    window = cfg.analyze.get("window", "hann")
-    zero_pad = cfg.analyze.get("zero_pad", 4)
-    try:
-        spectrum = fft_spectrum(trace, window=window, zero_pad=zero_pad)
-    except ValueError as exc:
-        raise ConfigError(f"analyze: {exc}") from None
-    report = extract_beats(trace, mode=cfg.analyze["mode"])
-
-    base = report.base_frequency
-    decay_time = fit_decay_time(trace, band=(0.7 * base, 1.3 * base), method="trend")
+    decay_time = report.decay_time
     effective_time = decay_time if math.isfinite(decay_time) else trace.duration
     n_osc = report.base_frequency * effective_time
     res = resolution_estimate(report.base_frequency, max(n_osc, 1.0))
@@ -215,12 +187,9 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
 def _cmd_esr(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     e = cfg.esr
     grid = np.linspace(e["f_start_mhz"], e["f_stop_mhz"], e["n_points"])
-    try:
-        shape = synthesize_esr(
-            e["transitions_mhz"], e["contrasts"], e["linewidth_fwhm_mhz"], grid
-        )
-    except ValueError as exc:
-        raise ConfigError(f"esr: {exc}") from None
+    shape = synthesize_esr(
+        e["transitions_mhz"], e["contrasts"], e["linewidth_fwhm_mhz"], grid
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     shape.to_csv(out_dir / "esr.csv")
     write_json(
@@ -382,7 +351,7 @@ def _dispatch(args) -> int:
         print(f"{args.command}: wrote {out_dir}")
         return 0
 
-    key, values = _parse_sweep(args.sweep)
+    key, values = parse_sweep(args.sweep)
     children = np.random.SeedSequence(args.seed).spawn(len(values))
     child_seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
     variants, seen = [], {}

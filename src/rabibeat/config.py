@@ -1,9 +1,13 @@
 """Run configuration: INI parsing, schema validation, bundled presets.
 
 A run is described by one plain-text INI document with typed sections.
-Validation reports the failing field as ``section.key`` so configs can be
-fixed without reading code.  The published schema is the SCHEMA table
-below, reproduced in the README.
+SCHEMA declares each field once: its type and its allowed values (choices
+or a bound), and ``_typed`` is the one place that parses and checks a value.
+The library constructors built here (time grid, decay, drift, manifolds,
+waveguide) keep their own checks, and ``load_config`` adds the few checks
+that span fields.  Every message names the failing ``section.key``, and
+every check runs before anything is computed or written.  SCHEMA is
+reproduced in the README.
 """
 from __future__ import annotations
 
@@ -13,10 +17,15 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .evolve import DecayModel, DriftModel, ManifoldSpec, TimeGrid
+import numpy as np
+
+from .analysis import WINDOWS
+from .evolve import AMPLITUDE_MODES, DecayModel, DriftModel, ManifoldSpec, TimeGrid
 from .imaging import WaveguideGeometry
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "preset_names", "SCHEMA"]
+__all__ = [
+    "ConfigError", "RunConfig", "load_config", "parse_sweep", "preset_names", "SCHEMA",
+]
 
 
 class ConfigError(ValueError):
@@ -25,60 +34,71 @@ class ConfigError(ValueError):
 
 KINDS = ("rabi-single", "rabi-vtype", "esr", "drift", "imaging-demo", "analyze")
 
-# section -> key -> (type tag, description).  Types: float, int, str, floats
-# (comma-separated list).  Unknown sections or keys are rejected.
+# Allowed-value rules a SCHEMA entry may name, keyed by the text its message
+# quotes.  A list value passes when every element does.
+_RULES = {
+    "> 0": lambda v: v > 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+
+# section -> key -> (type tag, description, allowed).  Types: float, int,
+# str, floats (comma-separated list), weights ("equal" or floats).  Allowed
+# is None, a tuple of choices, or a _RULES key.  Unknown sections or keys
+# are rejected.
 SCHEMA = {
     "run": {
-        "kind": ("str", "one of " + ", ".join(KINDS)),
-        "label": ("str", "free-form run label recorded in outputs"),
+        "kind": ("str", "run type; decides the required fields", KINDS),
+        "label": ("str", "free-form run label recorded in outputs", None),
     },
     "drive": {
-        "omega0_mhz": ("float", "resonant Rabi frequency, MHz (single/drift)"),
-        "lambda_mhz": ("float", "branch coupling, MHz (vtype)"),
-        "amplitude_mode": ("str", "exact or equal_cosine"),
+        "omega0_mhz": ("float", "resonant Rabi frequency, MHz (single/drift)", "> 0"),
+        "lambda_mhz": ("float", "branch coupling, MHz (vtype)", "> 0"),
+        "amplitude_mode": ("str", "detuned amplitude model", AMPLITUDE_MODES),
     },
     "manifolds": {
-        "detunings_mhz": ("floats", "detunings or half-splittings, MHz"),
-        "weights": ("str", "'equal' or comma-separated weights summing to 1"),
+        "detunings_mhz": ("floats", "detunings or half-splittings, MHz", None),
+        "weights": ("weights", "manifold weights summing to 1", None),
     },
     "grid": {
-        "t_start_us": ("float", "first sample time, us"),
-        "t_end_us": ("float", "last sample time, us"),
-        "n_points": ("int", "number of samples, >= 2"),
+        "t_start_us": ("float", "first sample time, us", None),
+        "t_end_us": ("float", "last sample time, us", None),
+        "n_points": ("int", "number of samples", None),
     },
     "decay": {
-        "kind": ("str", "none or exponential"),
-        "t1_rho_us": ("float", "envelope time constant, us"),
+        "kind": ("str", "none or exponential", None),
+        "t1_rho_us": ("float", "envelope time constant, us", None),
     },
     "drift": {
-        "kind": ("str", "constant, linear, or gaussian"),
-        "total_relative_change": ("float", "linear ramp of P/P0 - 1"),
-        "sigma_relative": ("float", "gaussian sigma of P/P0"),
-        "n_sweeps": ("int", "averaged sweeps per acquisition"),
+        "kind": ("str", "constant, linear, or gaussian", None),
+        "total_relative_change": ("float", "linear ramp of P/P0 - 1", None),
+        "sigma_relative": ("float", "gaussian sigma of P/P0", None),
+        "n_sweeps": ("int", "averaged sweeps per acquisition", ">= 1"),
     },
     "esr": {
-        "transitions_mhz": ("floats", "dip positions, MHz"),
-        "contrasts": ("floats", "dip contrasts in (0, 1]"),
-        "linewidth_fwhm_mhz": ("float", "Lorentzian FWHM, MHz"),
-        "f_start_mhz": ("float", "scan start, MHz"),
-        "f_stop_mhz": ("float", "scan stop, MHz"),
-        "n_points": ("int", "scan points"),
+        "transitions_mhz": ("floats", "dip positions, MHz", None),
+        "contrasts": ("floats", "dip contrasts, one per transition", "in (0, 1]"),
+        "linewidth_fwhm_mhz": ("float", "Lorentzian FWHM, MHz", "> 0"),
+        "f_start_mhz": ("float", "scan start, MHz", None),
+        "f_stop_mhz": ("float", "scan stop, MHz", None),
+        "n_points": ("int", "scan points", ">= 2"),
     },
     "imaging": {
-        "gap_um": ("float", "waveguide gap, um"),
-        "center_width_um": ("float", "strip width at the taper, um"),
-        "edge_cutoff_um": ("float", "edge softening length, um"),
-        "drive_scale_mhz": ("float", "Rabi frequency at gap midpoint, MHz"),
-        "t1_rho_us": ("float", "envelope time constant, us"),
-        "emitter_x_um": ("float", "true emitter position, um"),
-        "map_points": ("int", "field map tabulation points"),
-        "branch": ("str", "left or right monotone branch"),
+        "gap_um": ("float", "waveguide gap, um", None),
+        "center_width_um": ("float", "strip width at the taper, um", None),
+        "edge_cutoff_um": ("float", "edge softening length, um", None),
+        "drive_scale_mhz": ("float", "Rabi frequency at gap midpoint, MHz", None),
+        "t1_rho_us": ("float", "envelope time constant, us", "> 0"),
+        "emitter_x_um": ("float", "true emitter position, um", None),
+        "map_points": ("int", "field map tabulation points", ">= 2"),
+        "branch": ("str", "monotone half of the gap", ("left", "right")),
     },
     "analyze": {
-        "mode": ("str", "single or vtype"),
-        "window": ("str", "rectangular or hann; spectrum.csv only, beats use hann"),
-        "zero_pad": ("int", "FFT zero-padding factor, >= 1; spectrum.csv only"),
-        "trace": ("str", "input trace CSV path"),
+        "mode": ("str", "beat inversion", ("single", "vtype")),
+        "window": ("str", "FFT window, spectrum.csv only; beats use hann", WINDOWS),
+        "zero_pad": ("int", "FFT zero-padding factor; spectrum.csv only", ">= 1"),
+        "trace": ("str", "input trace CSV path", None),
     },
 }
 
@@ -124,7 +144,7 @@ def preset_names() -> list:
 def _resolve_source(name_or_path) -> str:
     """Return config text from a filesystem path or a bundled preset name."""
     path = Path(name_or_path)
-    if path.exists():
+    if path.is_file():
         return path.read_text(encoding="utf-8")
     candidate = resources.files("rabibeat") / "presets" / f"{name_or_path}.ini"
     if candidate.is_file():
@@ -135,32 +155,31 @@ def _resolve_source(name_or_path) -> str:
     )
 
 
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {value}")
-    return value
-
-
-def _parse_floats(text: str):
-    try:
-        values = [float(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"not a comma-separated float list: {exc}") from None
-    return [_finite(v) for v in values]
-
-
 def _typed(section: str, key: str, raw: str):
-    tag = SCHEMA[section][key][0]
+    """Parse one raw value by its SCHEMA type and check its allowed values."""
+    tag, _, allowed = SCHEMA[section][key]
+    text = raw.strip()
+    if tag == "weights" and text == "equal":
+        return None
     try:
-        if tag == "float":
-            return _finite(float(raw))
-        if tag == "int":
-            return int(raw)
-        if tag == "floats":
-            return _parse_floats(raw)
-        return raw.strip()
+        if tag == "str":
+            value = text
+        elif tag == "int":
+            value = int(text)
+        elif tag == "float":
+            value = float(text)
+        else:
+            value = [float(tok) for tok in text.split(",")]
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"must be finite, got {v}")
+            if isinstance(allowed, str) and not _RULES[allowed](v):
+                raise ValueError(f"must be {allowed}, got {v}")
+        if isinstance(allowed, tuple) and value not in allowed:
+            raise ValueError(f"must be one of {', '.join(allowed)}, got {value!r}")
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: {exc}") from None
+    return value
 
 
 # [imaging] key -> WaveguideGeometry field; absent keys take its defaults
@@ -205,9 +224,7 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
 
     if "run" not in data or "kind" not in data["run"]:
         raise ConfigError("run.kind: required")
-    kind = data["run"]["kind"].strip()
-    if kind not in KINDS:
-        raise ConfigError(f"run.kind: must be one of {', '.join(KINDS)}")
+    kind = _typed("run", "kind", data["run"]["kind"])
     for section, keys in _REQUIRED[kind].items():
         for key in keys:
             if key not in data.get(section, {}):
@@ -221,31 +238,29 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
     def build(section, factory):
         try:
             return factory()
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
 
     cfg = RunConfig(kind=kind, label=typed["run"].get("label", kind))
-    if "grid" in typed and kind != "esr":
+    # only the kinds that use a grid or a mixture build one; in another kind
+    # these sections may be partial, since no key in them is required
+    if "grid" in _REQUIRED[kind]:
         g = typed["grid"]
         cfg.grid = build(
             "grid",
             lambda: TimeGrid(g.get("t_start_us", 0.0), g["t_end_us"], g["n_points"]),
         )
-    if "manifolds" in typed:
+    if "manifolds" in _REQUIRED[kind]:
         m = typed["manifolds"]
-        weights = m.get("weights", "equal")
-        if isinstance(weights, str) and weights.strip() == "equal":
-            cfg.manifolds = build(
-                "manifolds", lambda: ManifoldSpec(tuple(m["detunings_mhz"]))
-            )
-        else:
-            cfg.manifolds = build(
-                "manifolds",
-                lambda: ManifoldSpec(
-                    tuple(m["detunings_mhz"]), tuple(_parse_floats(weights))
-                ),
+        weights = m.get("weights")
+        cfg.manifolds = build(
+            "manifolds" if weights is None else "manifolds.weights",
+            lambda: ManifoldSpec(tuple(m["detunings_mhz"]), weights),
+        )
+        if kind == "rabi-vtype" and min(cfg.manifolds.detunings) < 0:
+            raise ConfigError(
+                "manifolds.detunings_mhz: half-splittings must be >= 0, "
+                f"got {min(cfg.manifolds.detunings)}"
             )
     if "decay" in typed:
         d = typed["decay"]
@@ -263,38 +278,47 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
             ),
         )
         cfg.n_sweeps = d.get("n_sweeps", 1)
-        if cfg.n_sweeps < 1:
-            raise ConfigError("drift.n_sweeps: must be >= 1")
     cfg.drive = typed.get("drive", {})
-    if "amplitude_mode" in cfg.drive and cfg.drive["amplitude_mode"] not in (
-        "exact",
-        "equal_cosine",
-    ):
-        raise ConfigError("drive.amplitude_mode: must be exact or equal_cosine")
-    cfg.esr = typed.get("esr", {})
+    cfg.esr = e = typed.get("esr", {})
     if kind == "esr":
-        if not cfg.esr["f_stop_mhz"] > cfg.esr["f_start_mhz"]:
+        if not e["f_stop_mhz"] > e["f_start_mhz"]:
             raise ConfigError("esr.f_stop_mhz: must exceed esr.f_start_mhz")
-        if cfg.esr["n_points"] < 2:
-            raise ConfigError("esr.n_points: must be >= 2")
+        if len(e["contrasts"]) != len(e["transitions_mhz"]):
+            raise ConfigError(
+                f"esr.contrasts: {len(e['contrasts'])} contrasts for "
+                f"{len(e['transitions_mhz'])} transitions"
+            )
     cfg.imaging = im = typed.get("imaging", {})
     if kind == "imaging-demo":
         cfg.geometry = geom = build("imaging", lambda: WaveguideGeometry(
             **{attr: im[key] for key, attr in _GEOMETRY_FIELDS.items() if key in im}
         ))
-        if not im["t1_rho_us"] > 0:
-            raise ConfigError("imaging.t1_rho_us: must be positive")
         branch = im.setdefault("branch", "left")
-        if branch not in ("left", "right"):
-            raise ConfigError("imaging.branch: must be left or right")
         x, half = im["emitter_x_um"], geom.gap / 2.0
         if not ((0 < x < half) if branch == "left" else (half < x < geom.gap)):
             raise ConfigError(
                 "imaging.emitter_x_um: must lie strictly inside the selected branch"
             )
     cfg.analyze = typed.get("analyze", {})
-    if kind == "analyze":
-        mode = cfg.analyze.get("mode")
-        if mode not in ("single", "vtype"):
-            raise ConfigError("analyze.mode: must be single or vtype")
     return cfg
+
+
+def parse_sweep(text: str):
+    """Parse ``section.key=start:stop:count`` or ``section.key=v1,v2,...``
+    into the key and its float values; ``load_config`` checks each value."""
+    key, sep, spec = text.partition("=")
+    key = key.strip()
+    if not sep or not key or "." not in key:
+        raise ConfigError("sweep: expected section.key=start:stop:count or =v1,v2,...")
+    parts = spec.strip().split(":")
+    if len(parts) not in (1, 3):
+        raise ConfigError("sweep: range must be start:stop:count")
+    try:
+        if len(parts) == 1:
+            return key, [float(tok) for tok in parts[0].split(",")]
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from None
+    if count < 2:
+        raise ConfigError("sweep: count must be >= 2")
+    return key, np.linspace(start, stop, count).tolist()

@@ -150,9 +150,27 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
                      "--sweep", f"drive.omega0_mhz={values}"]) == 2
         assert not sweep.exists()
         assert "both write to drive-omega0_mhz=" in capsys.readouterr().err
+    # a bad last variant fails before the first one writes
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", "paper-fig3", "--out", str(sim)]) == 0
+    for command, config, field, values in (
+        ("analyze", "paper-fig4", "analyze.zero_pad", "4,0"),
+        ("imaging-demo", "imaging-default", "imaging.map_points", "501,1"),
+        ("esr", "paper-fig2", "esr.linewidth_fwhm_mhz", "0.5,-1"),
+        ("simulate", "paper-fig3", "drive.omega0_mhz", "22,-1"),
+        ("simulate", "paper-fig7", "drive.lambda_mhz", "14,-1"),
+        ("simulate", "paper-fig7", "manifolds.detunings_mhz", "1,-1"),
+    ):
+        args = [command, "--config", config, "--out", str(sweep),
+                "--sweep", f"{field}={values}"]
+        if command == "analyze":
+            args += ["--trace", str(sim / "trace.csv")]
+        assert main(args) == 2
+        assert not sweep.exists()
+        assert f"config error: {field}: " in capsys.readouterr().err
 
 
-def test_exit_code_2_on_malformed_trace(tmp_path):
+def test_exit_code_2_on_malformed_trace(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("# rabibeat-trace v1\ntime_us,signal\n0.0,1.0\nnope,2.0\n")
     code = main(
@@ -167,6 +185,21 @@ def test_exit_code_2_on_malformed_trace(tmp_path):
         ]
     )
     assert code == 2
+    assert "config error: analyze.trace: " in capsys.readouterr().err
+    # traces that parse but cannot be analyzed
+    times = np.linspace(0.0, 10.0, 2001)
+    for name, trace, cause in (
+        ("uneven", SampledTrace(times**2, np.sin(times)), "not uniformly sampled"),
+        ("short", SampledTrace(times[:4], np.sin(times[:4])), "at least 8 samples"),
+        ("flat", SampledTrace(times, np.full(times.size, 0.1)), "no spectral peak"),
+    ):
+        path = trace.to_csv(tmp_path / f"{name}.csv")
+        out = tmp_path / f"out-{name}"
+        assert main(["analyze", "--config", "paper-fig4", "--trace", str(path),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error: analyze.trace: " in err and cause in err
 
 
 def test_exit_code_1_on_runtime_failure(tmp_path, monkeypatch):

@@ -1,9 +1,10 @@
 import configparser
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from rabibeat.config import ConfigError, load_config, preset_names
+from rabibeat.config import SCHEMA, ConfigError, load_config, preset_names
 
 
 def write(tmp_path, text):
@@ -44,6 +45,12 @@ def test_preset_fields_are_typed():
 def test_unknown_config_name():
     with pytest.raises(ConfigError, match="neither a file nor a bundled preset"):
         load_config("does-not-exist")
+
+
+def test_directory_does_not_shadow_preset(tmp_path, monkeypatch):
+    (tmp_path / "paper-fig3").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert load_config("paper-fig3").kind == "rabi-single"
 
 
 def test_unknown_section_is_field_pathed(tmp_path):
@@ -118,6 +125,16 @@ def test_weights_must_sum_to_one(tmp_path):
         load_config(path)
 
 
+def test_sections_the_kind_does_not_use_are_not_built(tmp_path):
+    path = write(
+        tmp_path,
+        "[run]\nkind = analyze\n[analyze]\nmode = single\n"
+        "[manifolds]\nweights = equal\n[grid]\nt_end_us = 10.0\n",
+    )
+    cfg = load_config(path)
+    assert cfg.manifolds is None and cfg.grid is None
+
+
 def test_overrides_apply_before_validation():
     cfg = load_config("paper-fig3", overrides={"drive.omega0_mhz": "30.0"})
     assert cfg.drive["omega0_mhz"] == 30.0
@@ -141,7 +158,25 @@ def test_overrides_apply_before_validation():
          "manifolds.detunings_mhz: must be finite"),
         ("drift-demo", "drift.sigma_relative", "-inf",
          "drift.sigma_relative: must be finite"),
-        ("paper-fig3", "manifolds.weights", "nan,0.5,0.5", "manifolds: must be finite"),
+        ("paper-fig3", "manifolds.weights", "nan,0.5,0.5",
+         "manifolds.weights: must be finite"),
+        ("paper-fig3", "manifolds.weights", "0.5,0.25",
+         "manifolds.weights: 3 detunings but 2 weights"),
+        ("paper-fig4", "analyze.window", "blackman",
+         "analyze.window: must be one of rectangular, hann, got 'blackman'"),
+        ("paper-fig4", "analyze.zero_pad", "0", "analyze.zero_pad: must be >= 1, got 0"),
+        ("imaging-default", "imaging.map_points", "1",
+         "imaging.map_points: must be >= 2, got 1"),
+        ("paper-fig2", "esr.linewidth_fwhm_mhz", "-1",
+         "esr.linewidth_fwhm_mhz: must be > 0, got -1.0"),
+        ("paper-fig2", "esr.contrasts", "0.12,2,0.12",
+         r"esr.contrasts: must be in \(0, 1\], got 2.0"),
+        ("paper-fig2", "esr.contrasts", "0.12,0.12",
+         "esr.contrasts: 2 contrasts for 3 transitions"),
+        ("paper-fig3", "drive.omega0_mhz", "-1", "drive.omega0_mhz: must be > 0"),
+        ("paper-fig7", "drive.lambda_mhz", "0", "drive.lambda_mhz: must be > 0"),
+        ("paper-fig7", "manifolds.detunings_mhz", "0,-1",
+         "manifolds.detunings_mhz: half-splittings must be >= 0, got -1.0"),
     ],
 )
 def test_run_checks_name_the_field(tmp_path, preset, field, value, match):
@@ -157,3 +192,22 @@ def test_run_checks_name_the_field(tmp_path, preset, field, value, match):
             parser.write(fh)
     with pytest.raises(ConfigError, match=match):
         load_config(preset, overrides={} if value is None else {field: value})
+
+
+def test_readme_schema_table_matches_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section_text = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows, section = set(), None
+    for line in section_text.splitlines():
+        cells = [c.strip().replace("`", "") for c in line.strip("|").split("|")]
+        if not line.startswith("|") or cells[0] == "section" or "---" in cells[0]:
+            continue
+        section = cells[0] or section
+        rows.add((section, *cells[1:4]))
+    declared = {
+        (section, key, tag, ", ".join(allowed) if isinstance(allowed, tuple)
+         else allowed or "")
+        for section, keys in SCHEMA.items()
+        for key, (tag, _, allowed) in keys.items()
+    }
+    assert rows == declared
