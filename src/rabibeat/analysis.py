@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.ndimage
 import scipy.optimize
 import scipy.signal
 
+from .evolve import _BLOCK, _phasors
 from .spinmodel import detuning_from_beat
 from .traces import SampledTrace, write_columns
 
@@ -49,10 +51,12 @@ LINESHAPE_COLUMNS = "freq_MHz,signal"
 class Spectrum:
     """Single-sided magnitude spectrum on a uniform frequency grid.
 
-    ``freqs`` run from zero to the Nyquist frequency in MHz and
-    ``bin_width`` is their spacing, 1/(n_fft * dt) for an n_fft-point
-    (possibly zero-padded) transform.  Magnitudes are normalized so a unit
-    cosine contributes a peak magnitude of about one.
+    ``freqs`` run upward from zero in MHz, to the Nyquist frequency for a
+    spectrum from :func:`fft_spectrum`, and ``bin_width`` is their spacing,
+    1/(n_fft * dt) for an n_fft-point (possibly zero-padded) transform.
+    Magnitudes are normalized so a unit cosine contributes a peak magnitude
+    of about one.  ``analyze`` writes only the bins up to twice the base
+    frequency to ``spectrum.csv``.
     """
 
     freqs: np.ndarray
@@ -154,9 +158,11 @@ def fft_spectrum(
 ) -> Spectrum:
     """Magnitude spectrum of a mean-removed, windowed trace.
 
-    Requires a uniform grid and at least 8 samples.  ``zero_pad`` >= 1
-    multiplies the transform length for spectral interpolation; it refines
-    the frequency grid without adding information.
+    Requires a uniform grid and at least 8 samples.  ``zero_pad`` >= 1 is
+    a minimum padding factor: above 1 the transform length is
+    ``zero_pad * n`` rounded up to a 5-smooth length, where the FFT is
+    fast; at 1 it is the record's own length n.  Padding only interpolates
+    the spectrum, it adds no information.
     """
     _require_uniform(trace)
     if trace.n < 8:
@@ -165,7 +171,9 @@ def fft_spectrum(
         raise ValueError(f"zero_pad must be >= 1, got {zero_pad}")
     x = trace.values - trace.values.mean()
     w = _window_array(window, trace.n)
-    n_fft = int(zero_pad) * trace.n
+    n_fft = trace.n
+    if zero_pad > 1:
+        n_fft = scipy.fft.next_fast_len(int(zero_pad) * trace.n, real=True)
     mags = np.abs(np.fft.rfft(x * w, n=n_fft)) * (2.0 / w.sum())
     freqs = np.fft.rfftfreq(n_fft, d=trace.dt)
     return Spectrum(freqs, mags, window, float(freqs[1] - freqs[0]))
@@ -231,20 +239,30 @@ def refine_peak_frequency(
 
     Grid-free: accuracy is limited by spectral leakage, not bin width.
     ``half_width`` defaults to one raw resolution bandwidth 1/duration.
+    The times must be uniform in the sense of
+    :meth:`SampledTrace.is_uniform`.  The DTFT sum runs in the blocks of
+    the trace kernel (:mod:`rabibeat.evolve`): sample j = b * B + m is
+    taken as m mean steps after its block anchor times[b * B], so each
+    evaluation is anchor phasors . (blocks @ in-block phasors), not one
+    complex exponential per sample.
     """
-    times = np.asarray(times, dtype=float)
-    x = np.asarray(values, dtype=float)
-    x = x - x.mean()
-    w = _window_array(window, x.size)
-    xw = x * w
-    duration = times[-1] - times[0]
+    trace = SampledTrace(times, values)
+    _require_uniform(trace)
+    x = trace.values - trace.values.mean()
+    xw = x * _window_array(window, trace.n)
+    anchors = trace.times[::_BLOCK]
+    offsets = trace.dt * np.arange(_BLOCK)
+    blocks = np.zeros(anchors.size * _BLOCK, dtype=complex)
+    blocks[: trace.n] = xw
+    blocks = blocks.reshape(anchors.size, _BLOCK)
     if half_width is None:
-        half_width = 1.0 / duration
+        half_width = 1.0 / trace.duration
     lo = max(f_guess - half_width, 0.0)
     hi = f_guess + half_width
 
     def neg_mag(f):
-        return -abs(np.sum(xw * np.exp(-2j * np.pi * f * times)))
+        w = -2.0 * np.pi * f
+        return -abs(_phasors(w * anchors) @ (blocks @ _phasors(w * offsets)))
 
     res = scipy.optimize.minimize_scalar(
         neg_mag, bounds=(lo, hi), method="bounded",

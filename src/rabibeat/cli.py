@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    Spectrum,
     dominant_frequency,
     extract_beats,
     fft_spectrum,
@@ -30,6 +31,7 @@ from .evolve import (
     DecayModel,
     ManifoldSpec,
     apply_power_drift,
+    draw_power_factors,
     rabi_trace_incoherent,
     rabi_trace_vtype,
 )
@@ -162,8 +164,15 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     n_osc = report.base_frequency * effective_time
     res = resolution_estimate(report.base_frequency, max(n_osc, 1.0))
 
+    # every line the models produce lies below 1.3 x base, so the bins
+    # above 2 x base carry no signal and stay out of the artifact
+    top = 2.0 * report.base_frequency
+    band = max(2, int(np.searchsorted(spectrum.freqs, top, side="right")))
     out_dir.mkdir(parents=True, exist_ok=True)
-    spectrum.to_csv(out_dir / "spectrum.csv")
+    Spectrum(
+        spectrum.freqs[:band], spectrum.magnitudes[:band], spectrum.window,
+        spectrum.bin_width,
+    ).to_csv(out_dir / "spectrum.csv")
     write_json(
         out_dir / "report.json",
         {
@@ -327,13 +336,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_kind(cfg: RunConfig, command: str) -> None:
+def _check_run(cfg: RunConfig, command: str, seed: int) -> None:
+    """The checks that need the command or the seed, which ``load_config``
+    does not see: the run kind, and a drift's power-factor draw."""
     allowed = _COMMAND_KINDS[command]
     if cfg.kind not in allowed:
         raise ConfigError(
             f"run.kind: {cfg.kind!r} is not valid for {command} "
             f"(expected one of {', '.join(allowed)})"
         )
+    if cfg.kind == "drift":
+        try:
+            draw_power_factors(cfg.drift, cfg.n_sweeps, seed)
+        except ValueError as exc:
+            raise ConfigError(f"drift.sigma_relative: {exc} (seed {seed})") from None
 
 
 def _run(args, cfg: RunConfig, out_dir: Path, seed: int) -> None:
@@ -346,7 +362,7 @@ def _dispatch(args) -> int:
     out_dir = _resolve_out(args.out)
     if args.sweep is None:
         cfg = load_config(args.config)
-        _check_kind(cfg, args.command)
+        _check_run(cfg, args.command, args.seed)
         _run(args, cfg, out_dir, args.seed)
         print(f"{args.command}: wrote {out_dir}")
         return 0
@@ -364,7 +380,7 @@ def _dispatch(args) -> int:
         seen[name] = value
         # integral values without ".0", so int fields take them too
         cfg = load_config(args.config, overrides={key: repr(value).removesuffix(".0")})
-        _check_kind(cfg, args.command)
+        _check_run(cfg, args.command, child_seed)
         variants.append((cfg, out_dir / name, child_seed))
     with ThreadPoolExecutor(max_workers=min(8, len(variants))) as pool:
         list(pool.map(lambda item: _run(args, *item), variants))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import WINDOWS
 from .evolve import AMPLITUDE_MODES, DecayModel, DriftModel, ManifoldSpec, TimeGrid
-from .imaging import WaveguideGeometry
+from .imaging import WaveguideGeometry, rabi_at
 
 __all__ = [
     "ConfigError", "RunConfig", "load_config", "parse_sweep", "preset_names", "SCHEMA",
@@ -97,7 +97,8 @@ SCHEMA = {
     "analyze": {
         "mode": ("str", "beat inversion", ("single", "vtype")),
         "window": ("str", "FFT window, spectrum.csv only; beats use hann", WINDOWS),
-        "zero_pad": ("int", "FFT zero-padding factor; spectrum.csv only", ">= 1"),
+        "zero_pad": ("int", "minimum FFT zero-padding factor, rounded up to a "
+                     "5-smooth length; spectrum.csv only", ">= 1"),
         "trace": ("str", "input trace CSV path", None),
     },
 }
@@ -295,9 +296,21 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
         ))
         branch = im.setdefault("branch", "left")
         x, half = im["emitter_x_um"], geom.gap / 2.0
-        if not ((0 < x < half) if branch == "left" else (half < x < geom.gap)):
+        ends = (0.0, half) if branch == "left" else (half, geom.gap)
+        if not ends[0] < x < ends[1]:
             raise ConfigError(
                 "imaging.emitter_x_um: must lie strictly inside the selected branch"
+            )
+        # the trace must resolve every Rabi frequency the branch's map holds
+        top = float(np.max(rabi_at(geom, ends)))
+        grid = cfg.grid
+        nyquist = 0.5 * (grid.n_points - 1) / (grid.t_end - grid.t_start)
+        if not nyquist > top:
+            raise ConfigError(
+                f"grid.n_points: {grid.n_points} samples over "
+                f"{grid.t_end - grid.t_start:g} us reach a Nyquist frequency of "
+                f"{nyquist:.4g} MHz, not above the {branch} branch's highest "
+                f"Rabi frequency {top:.4g} MHz"
             )
     cfg.analyze = typed.get("analyze", {})
     return cfg

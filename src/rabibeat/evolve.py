@@ -27,6 +27,7 @@ __all__ = [
     "rabi_trace_incoherent",
     "rabi_trace_vtype",
     "apply_power_drift",
+    "draw_power_factors",
     "drift_relation",
 ]
 
@@ -221,6 +222,20 @@ class DriftModel:
         return factors
 
 
+def draw_power_factors(
+    drift: DriftModel, n_sweeps: int, seed: int | None = None
+) -> np.ndarray:
+    """Power factors of ``n_sweeps`` sweeps.  A gaussian drift draws them
+    from ``np.random.default_rng(seed)``, so it needs the seed; the CLI
+    draws each run's factors before any run writes."""
+    rng = None
+    if drift.kind == "gaussian":
+        if seed is None:
+            raise ValueError("gaussian drift requires an explicit seed")
+        rng = np.random.default_rng(seed)
+    return drift.power_factors(n_sweeps, rng)
+
+
 def propagate(h: np.ndarray, initial_state, grid) -> np.ndarray:
     """Populations of every level under exp(-i 2 pi H t).
 
@@ -387,12 +402,7 @@ def apply_power_drift(
     drift the output equals the undrifted trace exactly.
     ``seed`` is required for gaussian drift.
     """
-    rng = None
-    if drift.kind == "gaussian" and drift.sigma_relative > 0:
-        if seed is None:
-            raise ValueError("gaussian drift requires an explicit seed")
-        rng = np.random.default_rng(seed)
-    factors = drift.power_factors(n_sweeps, rng)
+    factors = draw_power_factors(drift, n_sweeps, seed)
     trace = rabi_trace_incoherent(
         omega0 * np.sqrt(factors), manifolds, grid, decay, amplitude_mode
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -51,43 +52,54 @@ def write_columns(path, header: str, columns: str, arrays, comments=None) -> Pat
 
 def read_columns(path, header: str, columns: str):
     """Parse a columns file into ``(arrays, comments)``: one float array
-    per column and the dict of ``# key: value`` lines.  Errors name the
-    file and line."""
+    per column and the dict of ``# key: value`` lines.  Blank lines,
+    comment lines and repeats of the column line may stand anywhere after
+    the header.  The data rows are joined and split once and converted by
+    one ``np.array`` call, which parses each field as ``float()`` does.
+    Errors name the file and line."""
     path = Path(path)
     raw = path.read_text(encoding="ascii").splitlines()
     if not raw or raw[0].strip() != header:
         raise ValueError(f"{path}:1: missing header {header!r}")
     width = columns.count(",") + 1
-    fields, linenos, comments = [], [], {}
-    for lineno, line in enumerate(raw[1:], start=2):
-        text = line.strip()
-        if text.startswith("#"):
-            key, sep, value = text[1:].partition(":")
-            if sep:
-                comments[key.strip()] = value.strip()
-            continue
-        if not text or text == columns:
-            continue
-        parts = text.split(",")
-        if len(parts) != width:
-            raise ValueError(
-                f"{path}:{lineno}: expected {width} comma-separated fields, "
-                f"got {line!r}"
-            )
-        fields += parts
-        linenos.append(lineno)
+    body = list(map(str.strip, raw[1:]))
+    skip = [i for i, text in enumerate(body) if not text or text[0] == "#"
+            or text == columns]
+    comments = {}
+    for i in skip:
+        key, sep, value = body[i][1:].partition(":")
+        if sep and body[i][0] == "#":
+            comments[key.strip()] = value.strip()
+    keep = np.ones(len(body), dtype=bool)
+    keep[skip] = False
+    rows = list(compress(body, keep))
+    linenos = np.flatnonzero(keep) + 2
+    block = "\n".join(rows)
+    # commas per row, in one pass: a comma's row is the count of line breaks before it
+    seps = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    seps = seps[(seps == ord(",")) | (seps == ord("\n"))]
+    row_of_comma = np.cumsum(seps == ord("\n"))[seps == ord(",")]
+    bad = np.flatnonzero(np.bincount(row_of_comma, minlength=len(rows)) != width - 1)
+    if bad.size:
+        lineno = linenos[bad[0]]
+        raise ValueError(
+            f"{path}:{lineno}: expected {width} comma-separated fields, "
+            f"got {raw[lineno - 1]!r}"
+        )
+    fields = block.replace("\n", ",").split(",") if rows else []
     try:
-        values = list(map(float, fields))
-    except ValueError as exc:
+        values = np.array(fields, dtype=float)
+    except ValueError:
         # rare path: find the offending field to report its line
         for i, text in enumerate(fields):
             try:
                 float(text)
-            except ValueError:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{linenos[i // width]}: {exc}") from None
-    if len(linenos) < 2:
+        raise
+    if len(rows) < 2:
         raise ValueError(f"{path}: fewer than two data rows")
-    return [np.array(values[i::width]) for i in range(width)], comments
+    return list(values.reshape(-1, width).T.copy()), comments
 
 
 def _jsonable(obj):

@@ -160,6 +160,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         ("simulate", "paper-fig3", "drive.omega0_mhz", "22,-1"),
         ("simulate", "paper-fig7", "drive.lambda_mhz", "14,-1"),
         ("simulate", "paper-fig7", "manifolds.detunings_mhz", "1,-1"),
+        ("imaging-demo", "imaging-default", "grid.n_points", "12001,101"),
+        # the 0.5 variant's derived seed draws a non-positive power factor
+        ("simulate", "drift-demo", "drift.sigma_relative", "8e-4,0.5"),
     ):
         args = [command, "--config", config, "--out", str(sweep),
                 "--sweep", f"{field}={values}"]
@@ -168,6 +171,18 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         assert main(args) == 2
         assert not sweep.exists()
         assert f"config error: {field}: " in capsys.readouterr().err
+    # a single run draws its power factors before it writes, too
+    drift = tmp_path / "drift.ini"
+    drift.write_text(
+        "[run]\nkind = drift\n[drive]\nomega0_mhz = 22.2\n[manifolds]\n"
+        "detunings_mhz = 0.0\n[grid]\nt_end_us = 10.0\nn_points = 1001\n"
+        "[drift]\nkind = gaussian\nsigma_relative = 1.0\nn_sweeps = 100\n"
+    )
+    single = tmp_path / "single"
+    assert main(["simulate", "--config", str(drift), "--out", str(single)]) == 2
+    assert not single.exists()
+    assert "config error: drift.sigma_relative: drawn power factors" in (
+        capsys.readouterr().err)
 
 
 def test_exit_code_2_on_malformed_trace(tmp_path, capsys):
@@ -248,6 +263,29 @@ def test_drift_trace_is_independent_of_blas_threads(tmp_path):
     assert len(traces) == 3
     for rel in traces:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+
+def test_analyze_is_independent_of_blas_threads(tmp_path):
+    # the DTFT refinement is a BLAS matrix-vector product; the artifacts of
+    # analyze must not depend on the thread count
+    src = str(Path(rabibeat.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs = []
+        for sim, ana in (("paper-fig3", "paper-fig4"), ("paper-fig7", "paper-fig8")):
+            trace = str(out / sim / "trace.csv")
+            runs += [["simulate", "--config", sim, "--out", str(out / sim)],
+                     ["analyze", "--config", ana, "--trace", trace, "--out", str(out / ana)]]
+        script = f"from rabibeat.cli import main\nfor a in {runs!r}: assert main(a) == 0"
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        outs.append(out)
+    for ana in ("paper-fig4", "paper-fig8"):
+        for name in ("report.json", "spectrum.csv"):
+            rel = Path(ana) / name
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
 
 def test_sweep_writes_variant_directories(tmp_path):

@@ -177,6 +177,11 @@ def test_overrides_apply_before_validation():
         ("paper-fig7", "drive.lambda_mhz", "0", "drive.lambda_mhz: must be > 0"),
         ("paper-fig7", "manifolds.detunings_mhz", "0,-1",
          "manifolds.detunings_mhz: half-splittings must be >= 0, got -1.0"),
+        ("imaging-default", "grid.n_points", "101",
+         "grid.n_points: 101 samples over 40 us reach a Nyquist frequency of "
+         "1.25 MHz, not above the left branch's highest Rabi frequency 48.01 MHz"),
+        ("imaging-default", "grid.t_end_us", "4000",
+         "grid.n_points: 12001 samples over 4000 us"),
     ],
 )
 def test_run_checks_name_the_field(tmp_path, preset, field, value, match):

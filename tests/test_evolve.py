@@ -158,6 +158,10 @@ def test_constant_drift_reproduces_undrifted_trace():
         22.2, ManifoldSpec.single(), grid, DriftModel(), n_sweeps=16
     )
     assert np.array_equal(plain.values, drifted.values)
+    # a gaussian drift of zero width draws unit factors
+    still = apply_power_drift(22.2, ManifoldSpec.single(), grid,
+                              DriftModel("gaussian"), n_sweeps=16, seed=1)
+    assert np.array_equal(plain.values, still.values)
 
 
 def per_sweep_reference(omega0, manifolds, times, decay, amplitude_mode, factors):
