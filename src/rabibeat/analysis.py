@@ -244,7 +244,8 @@ def refine_peak_frequency(
     the trace kernel (:mod:`rabibeat.evolve`): sample j = b * B + m is
     taken as m mean steps after its block anchor times[b * B], so each
     evaluation is anchor phasors . (blocks @ in-block phasors), not one
-    complex exponential per sample.
+    complex exponential per sample.  A bounded Brent search over the offset
+    from ``f_guess`` ends with one :func:`_parabola_step`.
     """
     trace = SampledTrace(times, values)
     _require_uniform(trace)
@@ -260,15 +261,34 @@ def refine_peak_frequency(
     lo = max(f_guess - half_width, 0.0)
     hi = f_guess + half_width
 
-    def neg_mag(f):
-        w = -2.0 * np.pi * f
+    def neg_mag(u):
+        w = -2.0 * np.pi * (f_guess + u)
         return -abs(_phasors(w * anchors) @ (blocks @ _phasors(w * offsets)))
 
+    # bounded Brent stops at sqrt(eps) * |x| + xatol / 3, so it searches the
+    # offset from f_guess: near x = f ~ 22 MHz the relative term alone would
+    # be ~3e-7 MHz and xatol would have no effect
     res = scipy.optimize.minimize_scalar(
-        neg_mag, bounds=(lo, hi), method="bounded",
+        neg_mag, bounds=(lo - f_guess, hi - f_guess), method="bounded",
         options={"xatol": 1e-10},
     )
-    return float(res.x)
+    return float(f_guess + _parabola_step(neg_mag, res.x, res.fun,
+                                          1e-3 / trace.duration))
+
+
+def _parabola_step(fun, x, fx, h):
+    """Vertex of the parabola through ``fun`` at x - h, x and x + h, when it
+    is a minimum within h of x; else x.
+
+    Within ~1e-9 MHz of a DTFT maximum the magnitude is flat to rounding,
+    so a bracketing search ends at a point rounding chose.  Over h = 1e-3 /
+    duration the magnitude falls ~1e-6 relative, far above rounding, and
+    the vertex through those points lands within ~1e-12 MHz of the maximum.
+    """
+    below, above = fun(x - h), fun(x + h)
+    curvature = below - 2.0 * fx + above
+    step = 0.5 * h * (below - above) / curvature if curvature > 0 else 0.0
+    return x + step if abs(step) <= h else x
 
 
 def dominant_frequency(trace: SampledTrace) -> float:

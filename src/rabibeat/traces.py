@@ -35,18 +35,104 @@ def format_float(x: float) -> str:
     return _FLOAT.format(x)
 
 
+# write_columns formats a value with decimal exponent e in [-_EMAX - 1, _EMAX]
+# itself; every other value goes through format_float.  In that range the
+# scale 10**(12 - e) is a normal double and |x| * 10**(12 - e) cannot overflow.
+_EMAX = 280
+_EXPONENTS = np.arange(-_EMAX - 1, _EMAX + 1, dtype=np.int64)
+# correctly rounded 10**(12 - e), indexed by e + _EMAX + 1
+_SCALE = np.array([float(f"1e{12 - e}") for e in _EXPONENTS.tolist()])
+# The scaled mantissa y = |x| * _SCALE[e] carries two roundings, of the scale
+# and of the product, so |y - |x| * 10**(12 - e)| <= 2**-52 * y < 2.3e-3 for
+# y < 1e13.  np.rint(y) is then the correctly rounded mantissa unless y lies
+# within that distance of a half-integer; _TIE_BAND covers the bound with a
+# margin, and values inside it go through format_float.
+_TIE_BAND = 4e-3
+# Each value is laid out in 24 bytes, read as six 4-byte words:
+#   [sign, lead digit, ".", NUL] [4 digits] [4 digits] [4 digits]
+#   ["e", exponent sign, hundreds digit, tens] [ones, NUL, NUL, separator]
+# with NUL for a '+' sign and for a hundreds digit of 0.  Tables hold the
+# text of a word (or of the 8-byte exponent) and are gathered by value.
+_SLOTS = 24
+# values formatted per numpy pass: the pass's temporaries stay in cache
+_CHUNK = 8192
+_U8 = np.uint8
+
+
+def _digit_text(values, width: int) -> np.ndarray:
+    """ASCII digits of ``values``, zero-padded to ``width``, one row each."""
+    places = np.int64(10) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (values[:, None] // places % 10).astype(_U8) + _U8(ord("0"))
+
+
+_GROUP = _digit_text(np.arange(10_000, dtype=np.int64), 4).view(np.uint32)[:, 0]
+_LEAD = np.zeros((2, 10, 4), dtype=_U8)
+_LEAD[1, :, 0] = ord("-")
+_LEAD[:, :, 1] = np.arange(10, dtype=_U8) + _U8(ord("0"))
+_LEAD[:, :, 2] = ord(".")
+_LEAD = _LEAD.view(np.uint32).reshape(20)
+_EXP = np.zeros((_EXPONENTS.size, 8), dtype=_U8)
+_EXP[:, 0] = ord("e")
+_EXP[:, 1] = np.where(_EXPONENTS < 0, _U8(ord("-")), _U8(ord("+")))
+_EXP[:, 2:5] = _digit_text(np.abs(_EXPONENTS), 3)
+_EXP[np.abs(_EXPONENTS) < 100, 2] = 0
+_EXP = _EXP.view(np.uint64)[:, 0]
+
+
+def _format_rows(values: np.ndarray) -> bytes:
+    """The bytes of ``"".join(",".join(map(format_float, row)) + "\\n" for
+    row in values)`` for a 2-D float array, computed as one numpy pass."""
+    x = values.ravel()
+    a = np.abs(x)
+    fast = (a >= float(f"1e-{_EMAX}")) & (a < float(f"1e{_EMAX}"))
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _SCALE[e + _EMAX + 1]
+    mantissa = np.rint(y)
+    # Next to a power of ten log10 can miss the decade by one; y then lies
+    # outside [1e12, 1e13) and the value falls back, as does a mantissa
+    # that rounds up to 1e13 and carries into the exponent.  (A computed
+    # y >= 1e12 whose exact value lies just below rounds to 1e12, which is
+    # the carried result of the decade below.)
+    slow = (~fast | (np.abs(y - mantissa) > 0.5 - _TIE_BAND)
+            | (y < 1e12) | (mantissa >= 1e13))
+    mantissa[slow] = 1e12
+    lead, rest = np.divmod(mantissa.astype(np.int64), np.int64(10**12))
+    high, rest = np.divmod(rest, np.int64(10**8))
+    mid, low = np.divmod(rest, np.int64(10**4))
+
+    buf = np.empty((x.size, _SLOTS), dtype=_U8)
+    words = buf.view(np.uint32)
+    words[:, 0] = _LEAD[np.signbit(x).astype(np.int64) * 10 + lead]
+    words[:, 1] = _GROUP[high]
+    words[:, 2] = _GROUP[mid]
+    words[:, 3] = _GROUP[low]
+    buf.view(np.uint64)[:, 2] = _EXP[e + _EMAX + 1]
+    buf[:, -1] = ord(",")
+    buf.reshape(values.shape + (_SLOTS,))[:, -1, -1] = ord("\n")
+    # format_float text is at most 20 bytes; NULs pad it to the slots
+    texts = b"".join(format_float(v).encode("ascii").ljust(_SLOTS - 1, b"\0")
+                     for v in x[slow].tolist())
+    buf[slow, :-1] = np.frombuffer(texts, dtype=_U8).reshape(-1, _SLOTS - 1)
+    return buf.tobytes().translate(None, b"\0")
+
+
 def meta_path_for(csv_path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
 
 
 def write_columns(path, header: str, columns: str, arrays, comments=None) -> Path:
     """Write equal-length ``arrays`` as the rows of a columns file, with
-    ``comments`` (a dict) as ``# key: value`` lines under the header."""
+    ``comments`` (a dict) as ``# key: value`` lines under the header.
+    Every value is written as :func:`format_float` writes it."""
     path = Path(path)
     lines = [header, *(f"# {k}: {v}" for k, v in (comments or {}).items()), columns]
-    lists = [np.asarray(a, dtype=float).tolist() for a in arrays]
-    lines += map(",".join([_FLOAT] * len(lists)).format, *lists)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = np.column_stack([np.asarray(a, dtype=np.float64) for a in arrays])
+    step = max(1, _CHUNK // rows.shape[1])
+    path.write_bytes(b"".join([
+        ("\n".join(lines) + "\n").encode("ascii"),
+        *(_format_rows(rows[i : i + step]) for i in range(0, len(rows), step)),
+    ]))
     return path
 
 

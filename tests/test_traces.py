@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rabibeat.config import load_config
 from rabibeat.evolve import rabi_trace_vtype
 from rabibeat.traces import (
     SampledTrace, TRACE_COLUMNS, TRACE_HEADER, format_float, read_columns,
+    write_columns,
 )
 
 
@@ -69,6 +71,42 @@ def test_from_csv_rejects_wrong_header(tmp_path):
 def test_format_float_is_reparse_exact_at_13_digits():
     for x in (0.0, 1.0, np.pi, 2.18e-3, 22.2):
         assert float(format_float(x)) == pytest.approx(x, rel=1e-12, abs=1e-300)
+
+
+def assert_rows_formatted_as_format_float(directory, rows):
+    rows = np.asarray(rows, dtype=float)
+    path = write_columns(directory / "rows.csv", "# rows", "x", rows.T)
+    written = path.read_bytes().decode("ascii").split("\n")
+    assert written[:2] == ["# rows", "x"] and written[-1] == ""
+    assert written[2:-1] == [",".join(map(format_float, row)) for row in rows.tolist()]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(st.floats(), min_size=width, max_size=width), min_size=1, max_size=40)))
+def test_write_columns_writes_every_double_as_format_float(tmp_path_factory, rows):
+    assert_rows_formatted_as_format_float(tmp_path_factory.mktemp("rows"), rows)
+
+
+def test_write_columns_is_exact_next_to_rounding_ties(tmp_path):
+    rng = np.random.default_rng(5)
+    mantissas = rng.integers(10**12, 10**13, size=400).tolist()
+    exponents = rng.integers(-300, 301, size=400).tolist()
+    # (k + 0.5) * 10**(e - 12): the 13-digit rounding of these is a tie
+    ties = [float(f"{k}5e{e - 13}") for k, e in zip(mantissas, exponents)]
+    ties += [float(f"{k}.5") for k in mantissas]  # exact ties
+    ties = np.array(ties + [9.9999999999995, 9.9999999999995e-5])
+    # values that round up into the next decade, and the decade edges
+    decades = np.array([1e-280, 1e-5, 1.0, 1e12, 1e13, 1e200, 1e279])
+    edges = [9.99999999999996e-5, 9.99999999999999e200, *decades,
+             *np.nextafter(decades, 0.0), *np.nextafter(decades, np.inf)]
+    values = np.concatenate([
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), edges,
+        [1e100, -1e-100, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+         1.7976931348623157e308, 1e-290, -1e290, np.nan, np.inf, -np.inf],
+    ])
+    values = np.concatenate([values, np.zeros(-values.size % 3)])
+    assert_rows_formatted_as_format_float(tmp_path, values.reshape(-1, 3))
 
 
 def fig7_trace_csv(tmp_path):
