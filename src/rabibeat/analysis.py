@@ -104,7 +104,6 @@ class Lineshape:
 class SpectralPeak:
     frequency: float
     magnitude: float
-    interpolated: bool
 
 
 @dataclass
@@ -179,31 +178,30 @@ def fft_spectrum(
     return Spectrum(freqs, mags, window, float(freqs[1] - freqs[0]))
 
 
-def _parabolic_refine(freqs, mags, i):
+def _parabolic_refine(freqs, mags, i) -> SpectralPeak:
     """Quadratic interpolation of a peak position through three bins."""
     if i <= 0 or i >= len(mags) - 1:
-        return float(freqs[i]), float(mags[i]), False
+        return SpectralPeak(float(freqs[i]), float(mags[i]))
     a, b, c = mags[i - 1], mags[i], mags[i + 1]
     denom = a - 2.0 * b + c
     if denom == 0:
-        return float(freqs[i]), float(b), False
+        return SpectralPeak(float(freqs[i]), float(b))
     shift = 0.5 * (a - c) / denom
     shift = float(np.clip(shift, -0.5, 0.5))
     df = freqs[1] - freqs[0]
-    return float(freqs[i] + shift * df), float(b - 0.25 * (a - c) * shift), True
+    return SpectralPeak(float(freqs[i] + shift * df), float(b - 0.25 * (a - c) * shift))
 
 
 def find_peaks(
     spectrum: Spectrum,
     min_height_rel: float = 0.1,
     min_separation: float = 0.0,
-    interpolate: bool = True,
 ) -> list:
     """Local maxima of a spectrum, sorted by frequency.
 
     ``min_height_rel`` is relative to the largest magnitude.  Peaks closer
     than ``min_separation`` (MHz) are pruned keeping the larger one.
-    Positions are refined by parabolic interpolation unless disabled.
+    Positions are refined by parabolic interpolation.
     """
     mags = spectrum.magnitudes
     if mags.size < 3 or mags.max() <= 0:
@@ -214,32 +212,19 @@ def find_peaks(
     idx, _ = scipy.signal.find_peaks(
         mags, height=min_height_rel * mags.max(), distance=distance
     )
-    peaks = []
-    for i in idx:
-        if interpolate:
-            f, m, ok = _parabolic_refine(spectrum.freqs, mags, int(i))
-            peaks.append(SpectralPeak(f, m, ok))
-        else:
-            peaks.append(
-                SpectralPeak(float(spectrum.freqs[i]), float(mags[i]), False)
-            )
+    peaks = [_parabolic_refine(spectrum.freqs, mags, int(i)) for i in idx]
     peaks.sort(key=lambda p: p.frequency)
     return peaks
 
 
 def refine_peak_frequency(
-    times: np.ndarray,
-    values: np.ndarray,
-    f_guess: float,
-    half_width: float | None = None,
-    window: str = "rectangular",
+    trace: SampledTrace, f_guess: float, window: str = "rectangular"
 ) -> float:
     """Refine a spectral peak position by maximizing the windowed DTFT
-    magnitude near ``f_guess``.
+    magnitude within one raw resolution bandwidth 1/duration of ``f_guess``.
 
     Grid-free: accuracy is limited by spectral leakage, not bin width.
-    ``half_width`` defaults to one raw resolution bandwidth 1/duration.
-    The times must be uniform in the sense of
+    The trace must be uniform in the sense of
     :meth:`SampledTrace.is_uniform`.  The DTFT sum runs in the blocks of
     the trace kernel (:mod:`rabibeat.evolve`): sample j = b * B + m is
     taken as m mean steps after its block anchor times[b * B], so each
@@ -247,7 +232,6 @@ def refine_peak_frequency(
     complex exponential per sample.  A bounded Brent search over the offset
     from ``f_guess`` ends with one :func:`_parabola_step`.
     """
-    trace = SampledTrace(times, values)
     _require_uniform(trace)
     x = trace.values - trace.values.mean()
     xw = x * _window_array(window, trace.n)
@@ -256,8 +240,7 @@ def refine_peak_frequency(
     blocks = np.zeros(anchors.size * _BLOCK, dtype=complex)
     blocks[: trace.n] = xw
     blocks = blocks.reshape(anchors.size, _BLOCK)
-    if half_width is None:
-        half_width = 1.0 / trace.duration
+    half_width = 1.0 / trace.duration
     lo = max(f_guess - half_width, 0.0)
     hi = f_guess + half_width
 
@@ -294,26 +277,27 @@ def _parabola_step(fun, x, fx, h):
 def dominant_frequency(trace: SampledTrace) -> float:
     """Frequency in MHz of a trace's strongest spectral line.
 
-    The argmax bin of a Hann-windowed, 4x zero-padded spectrum seeds a
-    grid-free :func:`refine_peak_frequency` with the same window.
+    The strongest bin of a Hann-windowed, 4x zero-padded spectrum seeds a
+    grid-free :func:`refine_peak_frequency` with the same window.  Bins
+    up to 2/duration, the half-width of the Hann main lobe, are skipped:
+    when the trace decays within a small part of the record the window
+    nearly hides the oscillation, and the lobe of the leftover mean there
+    can be the larger.
     """
     spectrum = fft_spectrum(trace, window="hann", zero_pad=4)
-    guess = spectrum.freqs[int(np.argmax(spectrum.magnitudes))]
-    return refine_peak_frequency(trace.times, trace.values, guess, window="hann")
+    above = spectrum.freqs > 2.0 / trace.duration
+    guess = spectrum.freqs[above][int(np.argmax(spectrum.magnitudes[above]))]
+    return refine_peak_frequency(trace, guess, window="hann")
 
 
-def analytic_envelope(
-    trace: SampledTrace,
-    band: tuple | None = None,
-    trim_periods: float = 1.5,
-):
+def analytic_envelope(trace: SampledTrace, band: tuple | None = None):
     """Magnitude of the analytic signal, optionally band-limited.
 
     ``band = (f_lo, f_hi)`` keeps only that part of the positive-frequency
     spectrum before the envelope is formed, which isolates one oscillation
     cluster (e.g. the base band of a V-configuration trace, excluding its
-    sub-harmonic).  Edges are trimmed by ``trim_periods`` carrier periods
-    to suppress end artifacts of the analytic-signal construction.
+    sub-harmonic).  Edges are trimmed by 1.5 carrier periods to suppress
+    end artifacts of the analytic-signal construction.
 
     Returns ``(times, envelope)`` trimmed consistently.
     """
@@ -342,7 +326,7 @@ def analytic_envelope(
         f_ref = float(freqs[pos][np.argmax(np.abs(spec[pos]))])
     trim = 0
     if f_ref > 0:
-        trim = int(math.ceil(trim_periods / (f_ref * trace.dt)))
+        trim = int(math.ceil(1.5 / (f_ref * trace.dt)))
     trim = min(trim, max((n - 16) // 2, 0))
     sl = slice(trim, n - trim if trim else n)
     return trace.times[sl], env[sl]
@@ -452,19 +436,14 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
     if not all_peaks:
         raise ValueError("no spectral peak: the trace does not oscillate")
     base_peak = max(all_peaks, key=lambda p: p.magnitude)
-    base = refine_peak_frequency(
-        trace.times, trace.values, base_peak.frequency, window="hann"
-    )
+    base = refine_peak_frequency(trace, base_peak.frequency, window="hann")
     duration = trace.duration
     f_min = 1.5 / duration
     f_max = 0.45 * base
     band = (0.7 * base, 1.3 * base)
     sub, env_peaks, decay_time = _envelope_beat_spectrum(trace, band, f_min, f_max)
     refined = [
-        refine_peak_frequency(
-            sub.times, sub.values, p.frequency, window="hann"
-        )
-        for p in env_peaks
+        refine_peak_frequency(sub, p.frequency, window="hann") for p in env_peaks
     ]
     # refinement can slide a marginal peak to the edge of its search
     # window; anything now outside the physical beat band is an artifact

@@ -26,12 +26,18 @@ from .analysis import (
     resolution_estimate,
     synthesize_esr,
 )
-from .config import ConfigError, RunConfig, load_config, parse_sweep, preset_names
+from .config import (
+    KINDS,
+    ConfigError,
+    RunConfig,
+    load_config,
+    parse_sweep,
+    preset_names,
+)
 from .evolve import (
     DecayModel,
     ManifoldSpec,
     apply_power_drift,
-    draw_power_factors,
     rabi_trace_incoherent,
     rabi_trace_vtype,
 )
@@ -52,14 +58,6 @@ UNITS = {
     "position": "um",
     "signal": "population",
 }
-
-_COMMAND_KINDS = {
-    "simulate": ("rabi-single", "rabi-vtype", "drift"),
-    "analyze": ("analyze",),
-    "esr": ("esr",),
-    "imaging-demo": ("imaging-demo",),
-}
-
 
 def _provenance(config_name, label: str, seed: int) -> dict:
     return {
@@ -117,7 +115,7 @@ def _simulate_trace(cfg: RunConfig, seed: int) -> SampledTrace:
             cfg.manifolds,
             cfg.grid,
             decay=cfg.decay,
-            amplitude_mode=cfg.drive.get("amplitude_mode", "exact"),
+            amplitude_mode=cfg.drive["amplitude_mode"],
         )
     if cfg.kind == "rabi-vtype":
         return rabi_trace_vtype(
@@ -130,7 +128,7 @@ def _simulate_trace(cfg: RunConfig, seed: int) -> SampledTrace:
         cfg.drift,
         cfg.n_sweeps,
         decay=cfg.decay,
-        amplitude_mode=cfg.drive.get("amplitude_mode", "exact"),
+        amplitude_mode=cfg.drive["amplitude_mode"],
         seed=seed,
     )
 
@@ -143,7 +141,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
 
 
 def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
-    trace_path = getattr(args, "trace", None) or cfg.analyze.get("trace")
+    trace_path = args.trace or cfg.analyze["trace"]
     if not trace_path:
         raise ConfigError("analyze.trace: required (or pass --trace)")
     # the trace is the one input that arrives at run time, so its checks
@@ -151,9 +149,7 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     try:
         trace = SampledTrace.from_csv(trace_path)
         spectrum = fft_spectrum(
-            trace,
-            window=cfg.analyze.get("window", "hann"),
-            zero_pad=cfg.analyze.get("zero_pad", 4),
+            trace, window=cfg.analyze["window"], zero_pad=cfg.analyze["zero_pad"]
         )
         report = extract_beats(trace, mode=cfg.analyze["mode"])
     except (OSError, ValueError) as exc:
@@ -220,9 +216,7 @@ def _cmd_imaging_demo(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     im = cfg.imaging
     geom = cfg.geometry
     x_true = im["emitter_x_um"]
-    fmap = FieldMap.from_model(
-        geom, n_points=im.get("map_points", 501), branch=im["branch"]
-    )
+    fmap = FieldMap.from_model(geom, n_points=im["map_points"], branch=im["branch"])
 
     t1 = im["t1_rho_us"]
     true_rabi = float(rabi_at(geom, x_true))
@@ -300,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
-        "simulate": "simulate a Rabi trace (kinds rabi-single, rabi-vtype, drift)",
+        "simulate": f"simulate a Rabi trace (kinds {', '.join(_kinds_of('simulate'))})",
         "analyze": "extract base, beats, and resolution from a trace CSV",
         "esr": "synthesize a continuous-wave resonance scan",
         "imaging-demo": "field map, forward trace, and localization round trip",
@@ -336,10 +330,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _kinds_of(command: str) -> list:
+    return [kind for kind, (runner, _) in KINDS.items() if runner == command]
+
+
 def _check_run(cfg: RunConfig, command: str, seed: int) -> None:
     """The checks that need the command or the seed, which ``load_config``
     does not see: the run kind, and a drift's power-factor draw."""
-    allowed = _COMMAND_KINDS[command]
+    allowed = _kinds_of(command)
     if cfg.kind not in allowed:
         raise ConfigError(
             f"run.kind: {cfg.kind!r} is not valid for {command} "
@@ -347,7 +345,7 @@ def _check_run(cfg: RunConfig, command: str, seed: int) -> None:
         )
     if cfg.kind == "drift":
         try:
-            draw_power_factors(cfg.drift, cfg.n_sweeps, seed)
+            cfg.drift.power_factors(cfg.n_sweeps, seed)
         except ValueError as exc:
             raise ConfigError(f"drift.sigma_relative: {exc} (seed {seed})") from None
 

@@ -1,8 +1,10 @@
 """Run configuration: INI parsing, schema validation, bundled presets.
 
 A run is described by one plain-text INI document with typed sections.
-SCHEMA declares each field once: its type and its allowed values (choices
-or a bound), and ``_typed`` is the one place that parses and checks a value.
+KINDS declares once which subcommand runs each kind and which sections it
+reads; SCHEMA declares each field once: its type, its allowed values
+(choices or a bound) and its default.  ``_typed`` is the one place that
+parses and checks a value.
 The library constructors built here (time grid, decay, drift, manifolds,
 waveguide) keep their own checks, and ``load_config`` adds the few checks
 that span fields.  Every message names the failing ``section.key``, and
@@ -24,7 +26,8 @@ from .evolve import AMPLITUDE_MODES, DecayModel, DriftModel, ManifoldSpec, TimeG
 from .imaging import WaveguideGeometry, rabi_at
 
 __all__ = [
-    "ConfigError", "RunConfig", "load_config", "parse_sweep", "preset_names", "SCHEMA",
+    "ConfigError", "KINDS", "RunConfig", "load_config", "parse_sweep", "preset_names",
+    "SCHEMA",
 ]
 
 
@@ -32,7 +35,27 @@ class ConfigError(ValueError):
     """Invalid run configuration; message names the offending field."""
 
 
-KINDS = ("rabi-single", "rabi-vtype", "esr", "drift", "imaging-demo", "analyze")
+_GRID = ["t_end_us", "n_points"]
+# kind -> (subcommand that runs it, {section the kind reads: keys it
+# requires}).  Every kind also reads [run]; overrides of a section the kind
+# does not read are rejected, and such a section in a file is ignored.
+KINDS = {
+    "rabi-single": ("simulate", {"drive": ["omega0_mhz"],
+                                 "manifolds": ["detunings_mhz"], "grid": _GRID,
+                                 "decay": []}),
+    "rabi-vtype": ("simulate", {"drive": ["lambda_mhz"],
+                                "manifolds": ["detunings_mhz"], "grid": _GRID,
+                                "decay": []}),
+    "esr": ("esr", {"esr": ["transitions_mhz", "contrasts", "linewidth_fwhm_mhz",
+                            "f_start_mhz", "f_stop_mhz", "n_points"]}),
+    "drift": ("simulate", {"drive": ["omega0_mhz"],
+                           "manifolds": ["detunings_mhz"], "grid": _GRID,
+                           "decay": [], "drift": ["kind", "n_sweeps"]}),
+    "imaging-demo": ("imaging-demo", {"imaging": ["gap_um", "drive_scale_mhz",
+                                                  "t1_rho_us", "emitter_x_um"],
+                                      "grid": _GRID}),
+    "analyze": ("analyze", {"analyze": ["mode"]}),
+}
 
 # Allowed-value rules a SCHEMA entry may name, keyed by the text its message
 # quotes.  A list value passes when every element does.
@@ -43,94 +66,89 @@ _RULES = {
     "in (0, 1]": lambda v: 0 < v <= 1,
 }
 
-# section -> key -> (type tag, description, allowed).  Types: float, int,
-# str, floats (comma-separated list), weights ("equal" or floats).  Allowed
-# is None, a tuple of choices, or a _RULES key.  Unknown sections or keys
-# are rejected.
+# section -> key -> (type tag, description, allowed, default).  Types:
+# float, int, str, floats (comma-separated list), weights ("equal" or
+# floats).  Allowed is None, a tuple of choices, or a _RULES key.  The
+# default is a typed value, None for unset; load_config fills it into
+# every section the kind reads.  Unknown sections or keys are rejected.
 SCHEMA = {
     "run": {
-        "kind": ("str", "run type; decides the required fields", KINDS),
-        "label": ("str", "free-form run label recorded in outputs", None),
+        "kind": ("str", "run type; decides the sections read and the fields "
+                 "required", tuple(KINDS), None),
+        "label": ("str", "free-form run label recorded in outputs; the kind when "
+                  "unset", None, None),
     },
     "drive": {
-        "omega0_mhz": ("float", "resonant Rabi frequency, MHz (single/drift)", "> 0"),
-        "lambda_mhz": ("float", "branch coupling, MHz (vtype)", "> 0"),
-        "amplitude_mode": ("str", "detuned amplitude model", AMPLITUDE_MODES),
+        "omega0_mhz": ("float", "resonant Rabi frequency, MHz (single/drift)", "> 0",
+                       None),
+        "lambda_mhz": ("float", "branch coupling, MHz (vtype)", "> 0", None),
+        "amplitude_mode": ("str", "detuned amplitude model", AMPLITUDE_MODES, "exact"),
     },
     "manifolds": {
-        "detunings_mhz": ("floats", "detunings or half-splittings, MHz", None),
-        "weights": ("weights", "manifold weights summing to 1", None),
+        "detunings_mhz": ("floats", "detunings or half-splittings, MHz", None, None),
+        "weights": ("weights", "manifold weights summing to 1", None, None),
     },
     "grid": {
-        "t_start_us": ("float", "first sample time, us", None),
-        "t_end_us": ("float", "last sample time, us", None),
-        "n_points": ("int", "number of samples", None),
+        "t_start_us": ("float", "first sample time, us", None, 0.0),
+        "t_end_us": ("float", "last sample time, us", None, None),
+        "n_points": ("int", "number of samples", None, None),
     },
     "decay": {
-        "kind": ("str", "none or exponential", None),
-        "t1_rho_us": ("float", "envelope time constant, us", None),
+        "kind": ("str", "none or exponential", None, "none"),
+        "t1_rho_us": ("float", "envelope time constant, us", None, None),
     },
     "drift": {
-        "kind": ("str", "constant, linear, or gaussian", None),
-        "total_relative_change": ("float", "linear ramp of P/P0 - 1", None),
-        "sigma_relative": ("float", "gaussian sigma of P/P0", None),
-        "n_sweeps": ("int", "averaged sweeps per acquisition", ">= 1"),
+        "kind": ("str", "constant, linear, or gaussian", None, None),
+        "total_relative_change": ("float", "linear ramp of P/P0 - 1", None, 0.0),
+        "sigma_relative": ("float", "gaussian sigma of P/P0", None, 0.0),
+        "n_sweeps": ("int", "averaged sweeps per acquisition", ">= 1", None),
     },
     "esr": {
-        "transitions_mhz": ("floats", "dip positions, MHz", None),
-        "contrasts": ("floats", "dip contrasts, one per transition", "in (0, 1]"),
-        "linewidth_fwhm_mhz": ("float", "Lorentzian FWHM, MHz", "> 0"),
-        "f_start_mhz": ("float", "scan start, MHz", None),
-        "f_stop_mhz": ("float", "scan stop, MHz", None),
-        "n_points": ("int", "scan points", ">= 2"),
+        "transitions_mhz": ("floats", "dip positions, MHz", None, None),
+        "contrasts": ("floats", "dip contrasts, one per transition", "in (0, 1]", None),
+        "linewidth_fwhm_mhz": ("float", "Lorentzian FWHM, MHz", "> 0", None),
+        "f_start_mhz": ("float", "scan start, MHz", None, None),
+        "f_stop_mhz": ("float", "scan stop, MHz", None, None),
+        "n_points": ("int", "scan points", ">= 2", None),
     },
     "imaging": {
-        "gap_um": ("float", "waveguide gap, um", None),
-        "center_width_um": ("float", "strip width at the taper, um", None),
-        "edge_cutoff_um": ("float", "edge softening length, um", None),
-        "drive_scale_mhz": ("float", "Rabi frequency at gap midpoint, MHz", None),
-        "t1_rho_us": ("float", "envelope time constant, us", "> 0"),
-        "emitter_x_um": ("float", "true emitter position, um", None),
-        "map_points": ("int", "field map tabulation points", ">= 2"),
-        "branch": ("str", "monotone half of the gap", ("left", "right")),
+        "gap_um": ("float", "waveguide gap, um", None, None),
+        "center_width_um": ("float", "strip width at the taper, um", None, 10.0),
+        "edge_cutoff_um": ("float", "edge softening length, um", None, 0.5),
+        "drive_scale_mhz": ("float", "Rabi frequency at gap midpoint, MHz", None, None),
+        "t1_rho_us": ("float", "envelope time constant, us", "> 0", None),
+        "emitter_x_um": ("float", "true emitter position, um", None, None),
+        "map_points": ("int", "field map tabulation points", ">= 2", 501),
+        "branch": ("str", "monotone half of the gap", ("left", "right"), "left"),
     },
     "analyze": {
-        "mode": ("str", "beat inversion", ("single", "vtype")),
-        "window": ("str", "FFT window, spectrum.csv only; beats use hann", WINDOWS),
+        "mode": ("str", "beat inversion", ("single", "vtype"), None),
+        "window": ("str", "FFT window, spectrum.csv only; beats use hann", WINDOWS,
+                   "hann"),
         "zero_pad": ("int", "minimum FFT zero-padding factor, rounded up to a "
-                     "5-smooth length; spectrum.csv only", ">= 1"),
-        "trace": ("str", "input trace CSV path", None),
+                     "5-smooth length; spectrum.csv only", ">= 1", 4),
+        "trace": ("str", "input trace CSV path", None, None),
     },
-}
-
-_REQUIRED = {
-    "rabi-single": {"drive": ["omega0_mhz"], "manifolds": ["detunings_mhz"],
-                    "grid": ["t_end_us", "n_points"]},
-    "rabi-vtype": {"drive": ["lambda_mhz"], "manifolds": ["detunings_mhz"],
-                   "grid": ["t_end_us", "n_points"]},
-    "drift": {"drive": ["omega0_mhz"], "manifolds": ["detunings_mhz"],
-              "grid": ["t_end_us", "n_points"], "drift": ["kind", "n_sweeps"]},
-    "esr": {"esr": ["transitions_mhz", "contrasts", "linewidth_fwhm_mhz",
-                    "f_start_mhz", "f_stop_mhz", "n_points"]},
-    "imaging-demo": {"imaging": ["gap_um", "drive_scale_mhz", "t1_rho_us",
-                                 "emitter_x_um"],
-                     "grid": ["t_end_us", "n_points"]},
-    "analyze": {"analyze": ["mode"]},
 }
 
 
 @dataclass
 class RunConfig:
-    """Validated run description, independent of where it was loaded from."""
+    """Validated run description, independent of where it was loaded from.
+
+    Only the sections the kind reads are filled in: the dict fields hold
+    their typed fields, defaults included, and the model fields are built
+    from them.  The others stay empty or None.
+    """
 
     kind: str
     label: str
     drive: dict = field(default_factory=dict)
     manifolds: ManifoldSpec | None = None
     grid: TimeGrid | None = None
-    decay: DecayModel = DecayModel()
+    decay: DecayModel | None = None
     drift: DriftModel | None = None
-    n_sweeps: int = 1
+    n_sweeps: int | None = None
     esr: dict = field(default_factory=dict)
     imaging: dict = field(default_factory=dict)
     geometry: WaveguideGeometry | None = None
@@ -158,7 +176,7 @@ def _resolve_source(name_or_path) -> str:
 
 def _typed(section: str, key: str, raw: str):
     """Parse one raw value by its SCHEMA type and check its allowed values."""
-    tag, _, allowed = SCHEMA[section][key]
+    tag, _, allowed, _ = SCHEMA[section][key]
     text = raw.strip()
     if tag == "weights" and text == "equal":
         return None
@@ -183,7 +201,7 @@ def _typed(section: str, key: str, raw: str):
     return value
 
 
-# [imaging] key -> WaveguideGeometry field; absent keys take its defaults
+# [imaging] key -> WaveguideGeometry field
 _GEOMETRY_FIELDS = {"gap_um": "gap", "center_width_um": "center_width",
                     "drive_scale_mhz": "drive_scale", "edge_cutoff_um": "edge_cutoff"}
 
@@ -201,13 +219,12 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
 
-    data: dict = {}
+    data: dict = {section: {} for section in SCHEMA}
     for section in parser.sections():
         if section not in SCHEMA:
             raise ConfigError(
                 f"{section}: unknown section (known: {', '.join(SCHEMA)})"
             )
-        data[section] = {}
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ConfigError(
@@ -221,19 +238,29 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
         section, key = dotted.split(".", 1)
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"{dotted}: unknown config field")
-        data.setdefault(section, {})[key] = str(value)
+        data[section][key] = str(value)
 
-    if "run" not in data or "kind" not in data["run"]:
+    if "kind" not in data["run"]:
         raise ConfigError("run.kind: required")
     kind = _typed("run", "kind", data["run"]["kind"])
-    for section, keys in _REQUIRED[kind].items():
+    reads = {"run": [], **KINDS[kind][1]}
+    # a sweep over a section the kind ignores would write equal variants
+    for dotted in overrides or {}:
+        section = dotted.split(".", 1)[0]
+        if section not in reads:
+            raise ConfigError(f"{dotted}: kind {kind} does not read [{section}]")
+    for section, keys in reads.items():
         for key in keys:
-            if key not in data.get(section, {}):
+            if key not in data[section]:
                 raise ConfigError(f"{section}.{key}: required for kind {kind}")
 
     typed = {
-        section: {key: _typed(section, key, raw) for key, raw in entries.items()}
-        for section, entries in data.items()
+        section: {
+            key: _typed(section, key, data[section][key])
+            if key in data[section] else default
+            for key, (_, _, _, default) in SCHEMA[section].items()
+        }
+        for section in reads
     }
 
     def build(section, factory):
@@ -242,21 +269,21 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
 
-    cfg = RunConfig(kind=kind, label=typed["run"].get("label", kind))
-    # only the kinds that use a grid or a mixture build one; in another kind
-    # these sections may be partial, since no key in them is required
-    if "grid" in _REQUIRED[kind]:
+    label = typed["run"]["label"]
+    cfg = RunConfig(
+        kind=kind, label=kind if label is None else label,
+        **{s: typed[s] for s in ("drive", "esr", "imaging", "analyze") if s in typed},
+    )
+    if "grid" in typed:
         g = typed["grid"]
         cfg.grid = build(
-            "grid",
-            lambda: TimeGrid(g.get("t_start_us", 0.0), g["t_end_us"], g["n_points"]),
+            "grid", lambda: TimeGrid(g["t_start_us"], g["t_end_us"], g["n_points"])
         )
-    if "manifolds" in _REQUIRED[kind]:
+    if "manifolds" in typed:
         m = typed["manifolds"]
-        weights = m.get("weights")
         cfg.manifolds = build(
-            "manifolds" if weights is None else "manifolds.weights",
-            lambda: ManifoldSpec(tuple(m["detunings_mhz"]), weights),
+            "manifolds" if m["weights"] is None else "manifolds.weights",
+            lambda: ManifoldSpec(tuple(m["detunings_mhz"]), m["weights"]),
         )
         if kind == "rabi-vtype" and min(cfg.manifolds.detunings) < 0:
             raise ConfigError(
@@ -265,23 +292,15 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
             )
     if "decay" in typed:
         d = typed["decay"]
-        cfg.decay = build(
-            "decay", lambda: DecayModel(d.get("kind", "none"), d.get("t1_rho_us"))
-        )
+        cfg.decay = build("decay", lambda: DecayModel(d["kind"], d["t1_rho_us"]))
     if "drift" in typed:
         d = typed["drift"]
-        cfg.drift = build(
-            "drift",
-            lambda: DriftModel(
-                d.get("kind", "constant"),
-                d.get("total_relative_change", 0.0),
-                d.get("sigma_relative", 0.0),
-            ),
-        )
-        cfg.n_sweeps = d.get("n_sweeps", 1)
-    cfg.drive = typed.get("drive", {})
-    cfg.esr = e = typed.get("esr", {})
+        cfg.drift = build("drift", lambda: DriftModel(
+            d["kind"], d["total_relative_change"], d["sigma_relative"]
+        ))
+        cfg.n_sweeps = d["n_sweeps"]
     if kind == "esr":
+        e = cfg.esr
         if not e["f_stop_mhz"] > e["f_start_mhz"]:
             raise ConfigError("esr.f_stop_mhz: must exceed esr.f_start_mhz")
         if len(e["contrasts"]) != len(e["transitions_mhz"]):
@@ -289,12 +308,12 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
                 f"esr.contrasts: {len(e['contrasts'])} contrasts for "
                 f"{len(e['transitions_mhz'])} transitions"
             )
-    cfg.imaging = im = typed.get("imaging", {})
     if kind == "imaging-demo":
+        im = cfg.imaging
         cfg.geometry = geom = build("imaging", lambda: WaveguideGeometry(
-            **{attr: im[key] for key, attr in _GEOMETRY_FIELDS.items() if key in im}
+            **{attr: im[key] for key, attr in _GEOMETRY_FIELDS.items()}
         ))
-        branch = im.setdefault("branch", "left")
+        branch = im["branch"]
         x, half = im["emitter_x_um"], geom.gap / 2.0
         ends = (0.0, half) if branch == "left" else (half, geom.gap)
         if not ends[0] < x < ends[1]:
@@ -312,7 +331,6 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
                 f"{nyquist:.4g} MHz, not above the {branch} branch's highest "
                 f"Rabi frequency {top:.4g} MHz"
             )
-    cfg.analyze = typed.get("analyze", {})
     return cfg
 
 

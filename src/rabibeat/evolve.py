@@ -27,7 +27,6 @@ __all__ = [
     "rabi_trace_incoherent",
     "rabi_trace_vtype",
     "apply_power_drift",
-    "draw_power_factors",
     "drift_relation",
 ]
 
@@ -203,7 +202,10 @@ class DriftModel:
         if self.kind == "gaussian" and self.sigma_relative < 0:
             raise ValueError("sigma_relative must be non-negative")
 
-    def power_factors(self, n_sweeps: int, rng=None) -> np.ndarray:
+    def power_factors(self, n_sweeps: int, seed: int | None = None) -> np.ndarray:
+        """P/P0 of each of ``n_sweeps`` sweeps.  A gaussian drift draws them
+        from ``np.random.default_rng(seed)``, so it needs the seed; the CLI
+        draws each run's factors before any run writes."""
         if n_sweeps < 1:
             raise ValueError(f"n_sweeps must be positive, got {n_sweeps}")
         if self.kind == "constant":
@@ -211,29 +213,16 @@ class DriftModel:
         if self.kind == "linear":
             ramp = np.linspace(0.0, 1.0, n_sweeps)
             return 1.0 + self.total_relative_change * ramp
-        if rng is None:
-            raise ValueError("gaussian drift requires a seeded rng")
-        factors = 1.0 + self.sigma_relative * rng.standard_normal(n_sweeps)
+        if seed is None:
+            raise ValueError("gaussian drift requires an explicit seed")
+        draws = np.random.default_rng(seed).standard_normal(n_sweeps)
+        factors = 1.0 + self.sigma_relative * draws
         if np.any(factors <= 0):
             raise ValueError(
                 "drawn power factors are not all positive; "
                 "sigma_relative is too large for this model"
             )
         return factors
-
-
-def draw_power_factors(
-    drift: DriftModel, n_sweeps: int, seed: int | None = None
-) -> np.ndarray:
-    """Power factors of ``n_sweeps`` sweeps.  A gaussian drift draws them
-    from ``np.random.default_rng(seed)``, so it needs the seed; the CLI
-    draws each run's factors before any run writes."""
-    rng = None
-    if drift.kind == "gaussian":
-        if seed is None:
-            raise ValueError("gaussian drift requires an explicit seed")
-        rng = np.random.default_rng(seed)
-    return drift.power_factors(n_sweeps, rng)
 
 
 def propagate(h: np.ndarray, initial_state, grid) -> np.ndarray:
@@ -402,7 +391,7 @@ def apply_power_drift(
     drift the output equals the undrifted trace exactly.
     ``seed`` is required for gaussian drift.
     """
-    factors = draw_power_factors(drift, n_sweeps, seed)
+    factors = drift.power_factors(n_sweeps, seed)
     trace = rabi_trace_incoherent(
         omega0 * np.sqrt(factors), manifolds, grid, decay, amplitude_mode
     )

@@ -204,20 +204,20 @@ def vtype_population(coupling: float, half_splitting: float, t) -> np.ndarray:
     return out
 
 
-def require_hermitian(h: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def require_hermitian(h: np.ndarray) -> np.ndarray:
     """Validate Hermiticity of a square matrix and return it as complex.
 
     The largest absolute deviation from the conjugate transpose must not
-    exceed ``rtol`` times the largest matrix element magnitude.
+    exceed 1e-12 times the largest matrix element magnitude (at least 1).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     scale = max(np.abs(h).max(), 1.0)
     dev = np.abs(h - h.conj().T).max()
-    if dev > rtol * scale:
+    if dev > 1e-12 * scale:
         raise ValueError(
             f"matrix is not Hermitian: max deviation {dev:.3e} exceeds "
-            f"{rtol:.1e} * {scale:.3e}"
+            f"1.0e-12 * {scale:.3e}"
         )
     return h

@@ -257,9 +257,10 @@ class SampledTrace:
         """Mean sample spacing in microseconds."""
         return self.duration / (self.n - 1)
 
-    def is_uniform(self, rtol: float = 1e-6) -> bool:
+    def is_uniform(self) -> bool:
+        """Every step equals the first to 1e-6 relative."""
         steps = np.diff(self.times)
-        return bool(np.all(np.abs(steps - steps[0]) <= rtol * abs(steps[0])))
+        return bool(np.all(np.abs(steps - steps[0]) <= 1e-6 * abs(steps[0])))
 
     def to_csv(self, path) -> Path:
         return write_columns(

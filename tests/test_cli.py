@@ -104,6 +104,23 @@ def test_imaging_demo_report(tmp_path):
     assert fieldmap_lines[0] == "# rabibeat-fieldmap v1"
 
 
+def test_imaging_demo_recovers_a_short_lived_oscillation(tmp_path, capsys):
+    # at t1 = 0.3 us of a 40 us record the Hann window nearly hides the
+    # oscillation; the frequency guess must still come from its line
+    out = tmp_path / "short"
+    assert main(["imaging-demo", "--config", "imaging-default", "--out", str(out),
+                 "--sweep", "imaging.t1_rho_us=0.3"]) == 0
+    report = read_json(out / "imaging-t1_rho_us=0.3" / "report.json")
+    assert 1e3 * report["error_um"] <= report["budget"]["delta_x_nm"]
+    # far shorter, no line is left to find, and the failure names the
+    # frequency it measured instead of a non-positive one
+    assert main(["imaging-demo", "--config", "imaging-default", "--out", str(out),
+                 "--sweep", "imaging.t1_rho_us=0.02"]) == 1
+    err = capsys.readouterr().err
+    assert "outside the map range" in err
+    assert "base_rabi must be positive" not in err
+
+
 def test_rabibeat_out_env_var(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("RABIBEAT_OUT", str(target))
@@ -163,6 +180,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         ("imaging-demo", "imaging-default", "grid.n_points", "12001,101"),
         # the 0.5 variant's derived seed draws a non-positive power factor
         ("simulate", "drift-demo", "drift.sigma_relative", "8e-4,0.5"),
+        # sections the kind does not read: every variant would be the same
+        ("simulate", "paper-fig3", "drift.n_sweeps", "1,2"),
+        ("imaging-demo", "imaging-default", "decay.t1_rho_us", "1,2"),
     ):
         args = [command, "--config", config, "--out", str(sweep),
                 "--sweep", f"{field}={values}"]

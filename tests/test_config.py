@@ -1,10 +1,14 @@
 import configparser
+import re
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from rabibeat.config import SCHEMA, ConfigError, load_config, preset_names
+from rabibeat.config import (
+    KINDS, SCHEMA, ConfigError, _typed, load_config, preset_names,
+)
+from rabibeat.evolve import DecayModel
 
 
 def write(tmp_path, text):
@@ -133,6 +137,23 @@ def test_sections_the_kind_does_not_use_are_not_built(tmp_path):
     )
     cfg = load_config(path)
     assert cfg.manifolds is None and cfg.grid is None
+    # a stray section is not built, so its own checks do not apply
+    path = write(
+        tmp_path,
+        "[run]\nkind = esr\n[esr]\ntransitions_mhz = 0.0\ncontrasts = 0.1\n"
+        "linewidth_fwhm_mhz = 0.8\nf_start_mhz = -1.0\nf_stop_mhz = 1.0\n"
+        "n_points = 101\n[decay]\nkind = exponential\n",
+    )
+    assert load_config(path).decay is None
+    path = write(
+        tmp_path,
+        "[run]\nkind = rabi-single\n[drive]\nomega0_mhz = 22.2\n"
+        "[manifolds]\ndetunings_mhz = 0.0\n[grid]\nt_end_us = 10.0\n"
+        "n_points = 101\n[drift]\nkind = linear\nn_sweeps = 3\n",
+    )
+    cfg = load_config(path)
+    assert cfg.drift is None and cfg.n_sweeps is None
+    assert cfg.decay == DecayModel()
 
 
 def test_overrides_apply_before_validation():
@@ -182,6 +203,10 @@ def test_overrides_apply_before_validation():
          "1.25 MHz, not above the left branch's highest Rabi frequency 48.01 MHz"),
         ("imaging-default", "grid.t_end_us", "4000",
          "grid.n_points: 12001 samples over 4000 us"),
+        ("paper-fig3", "drift.n_sweeps", "2",
+         r"drift.n_sweeps: kind rabi-single does not read \[drift\]"),
+        ("imaging-default", "decay.t1_rho_us", "1",
+         r"decay.t1_rho_us: kind imaging-demo does not read \[decay\]"),
     ],
 )
 def test_run_checks_name_the_field(tmp_path, preset, field, value, match):
@@ -199,20 +224,42 @@ def test_run_checks_name_the_field(tmp_path, preset, field, value, match):
         load_config(preset, overrides={} if value is None else {field: value})
 
 
-def test_readme_schema_table_matches_schema():
+def readme_configuration():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    section_text = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_schema_table_matches_schema():
     rows, section = set(), None
-    for line in section_text.splitlines():
+    for line in readme_configuration().splitlines():
         cells = [c.strip().replace("`", "") for c in line.strip("|").split("|")]
         if not line.startswith("|") or cells[0] == "section" or "---" in cells[0]:
             continue
         section = cells[0] or section
-        rows.add((section, *cells[1:4]))
+        rows.add((section, *cells[1:5]))
     declared = {
         (section, key, tag, ", ".join(allowed) if isinstance(allowed, tuple)
-         else allowed or "")
+         else allowed or "", "" if default is None else str(default))
         for section, keys in SCHEMA.items()
-        for key, (tag, _, allowed) in keys.items()
+        for key, (tag, _, allowed, default) in keys.items()
     }
     assert rows == declared
+
+
+def test_readme_kind_list_matches_kinds():
+    text = readme_configuration().split("fields it requires:\n\n", 1)[1]
+    listed = {}
+    for item in text.split("\n\n", 1)[0].split("\n- "):
+        names, reads = item.split(":", 1)
+        kinds, command = names.split("(")
+        for kind in re.findall(r"`([\w-]+)`", kinds):
+            listed[kind] = (command.strip("`) "), re.findall(r"`\[(\w+)\]`", reads))
+    assert listed == {kind: (command, list(reads))
+                      for kind, (command, reads) in KINDS.items()}
+
+
+def test_defaults_pass_their_own_field_checks():
+    for section, keys in SCHEMA.items():
+        for key, (_, _, _, default) in keys.items():
+            if default is not None:
+                assert _typed(section, key, str(default)) == default

@@ -147,8 +147,11 @@ def test_drift_model_factors():
     ramp = DriftModel("linear", total_relative_change=0.01).power_factors(5)
     assert ramp[0] == pytest.approx(1.0)
     assert ramp[-1] == pytest.approx(1.01)
-    with pytest.raises(ValueError):
-        DriftModel("gaussian", sigma_relative=1e-3).power_factors(5)
+    gaussian = DriftModel("gaussian", sigma_relative=1e-3)
+    assert np.array_equal(gaussian.power_factors(5, seed=3),
+                          1.0 + 1e-3 * np.random.default_rng(3).standard_normal(5))
+    with pytest.raises(ValueError, match="requires an explicit seed"):
+        gaussian.power_factors(5)
 
 
 def test_constant_drift_reproduces_undrifted_trace():
@@ -194,7 +197,7 @@ def test_drift_kernel_matches_per_sweep_loop(drift, detunings, decay, amplitude_
     manifolds = ManifoldSpec(detunings)
     trace = apply_power_drift(22.2, manifolds, grid, drift, n_sweeps, decay,
                               amplitude_mode, seed=3)
-    factors = drift.power_factors(n_sweeps, np.random.default_rng(3))
+    factors = drift.power_factors(n_sweeps, seed=3)
     expected = per_sweep_reference(22.2, manifolds, grid.times, decay,
                                    amplitude_mode, factors)
     assert np.max(np.abs(trace.values - expected)) <= 1e-12
