@@ -5,7 +5,6 @@ Conventions: frequencies in cyclic MHz, times in microseconds.  Factors of
 2*pi live inside propagation and trig code only.
 """
 from .spinmodel import (
-    DriveParams,
     rabi_frequency,
     beat_shift,
     detuning_from_beat,

@@ -59,15 +59,6 @@ UNITS = {
     "signal": "population",
 }
 
-def _provenance(config_name, label: str, seed: int) -> dict:
-    return {
-        "tool": f"rabibeat {__version__}",
-        "config": str(config_name),
-        "label": label,
-        "seed": int(seed),
-    }
-
-
 # gnuplot stub per command: (x label, y label, plotted CSV, extra lines)
 _PLOTS = {
     "simulate": ("time (us)", "population", "trace.csv", []),
@@ -77,8 +68,25 @@ _PLOTS = {
 }
 
 
-def _write_plot(out_dir: Path, command: str) -> None:
-    xlabel, ylabel, csv, extra = _PLOTS[command]
+def _write(out_dir: Path, args, cfg: RunConfig, seed: int, artifacts: dict) -> None:
+    """Write one run's ``{file name: artifact}`` into ``out_dir``: a dict as
+    JSON, with ``UNITS`` unless it has its own units and with the run's
+    provenance; anything else through its ``to_csv``; and then the
+    command's gnuplot stub."""
+    provenance = {
+        "tool": f"rabibeat {__version__}",
+        "config": str(args.config),
+        "label": cfg.label,
+        "seed": int(seed),
+    }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, artifact in artifacts.items():
+        if isinstance(artifact, dict):
+            write_json(out_dir / name,
+                       {"units": UNITS, **artifact, "provenance": provenance})
+        else:
+            artifact.to_csv(out_dir / name)
+    xlabel, ylabel, csv, extra = _PLOTS[args.command]
     lines = [
         "# gnuplot stub; run: gnuplot -p plot.gp",
         'set datafile separator ","',
@@ -133,14 +141,12 @@ def _simulate_trace(cfg: RunConfig, seed: int) -> SampledTrace:
     )
 
 
-def _cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
+def _cmd_simulate(cfg: RunConfig, seed: int, args) -> dict:
     trace = _simulate_trace(cfg, seed)
-    trace.meta["provenance"] = _provenance(args.config, cfg.label, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace.save(out_dir / "trace.csv")
+    return {"trace.csv": trace, "trace.meta.json": trace.meta}
 
 
-def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
+def _cmd_analyze(cfg: RunConfig, seed: int, args) -> dict:
     trace_path = args.trace or cfg.analyze["trace"]
     if not trace_path:
         raise ConfigError("analyze.trace: required (or pass --trace)")
@@ -164,14 +170,12 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     # above 2 x base carry no signal and stay out of the artifact
     top = 2.0 * report.base_frequency
     band = max(2, int(np.searchsorted(spectrum.freqs, top, side="right")))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    Spectrum(
-        spectrum.freqs[:band], spectrum.magnitudes[:band], spectrum.window,
-        spectrum.bin_width,
-    ).to_csv(out_dir / "spectrum.csv")
-    write_json(
-        out_dir / "report.json",
-        {
+    return {
+        "spectrum.csv": Spectrum(
+            spectrum.freqs[:band], spectrum.magnitudes[:band], spectrum.window,
+            spectrum.bin_width,
+        ),
+        "report.json": {
             "mode": report.mode,
             "base_frequency_MHz": report.base_frequency,
             "beat_frequencies_MHz": list(report.beat_frequencies),
@@ -183,36 +187,30 @@ def _cmd_analyze(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
                 "delta_angular_rad_per_us": res.delta_angular,
             },
             "diagnostics": report.diagnostics,
-            "units": UNITS,
-            "provenance": _provenance(args.config, cfg.label, seed),
         },
-    )
+    }
 
 
-def _cmd_esr(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
+def _cmd_esr(cfg: RunConfig, seed: int, args) -> dict:
     e = cfg.esr
     grid = np.linspace(e["f_start_mhz"], e["f_stop_mhz"], e["n_points"])
     shape = synthesize_esr(
         e["transitions_mhz"], e["contrasts"], e["linewidth_fwhm_mhz"], grid
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    shape.to_csv(out_dir / "esr.csv")
-    write_json(
-        out_dir / "esr.meta.json",
-        {
-            "units": UNITS,
+    return {
+        "esr.csv": shape,
+        "esr.meta.json": {
             "drive": {
                 "transitions_MHz": list(e["transitions_mhz"]),
                 "contrasts": list(e["contrasts"]),
                 "linewidth_fwhm_MHz": e["linewidth_fwhm_mhz"],
             },
             "decay": {"kind": "none"},
-            "provenance": _provenance(args.config, cfg.label, seed),
         },
-    )
+    }
 
 
-def _cmd_imaging_demo(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
+def _cmd_imaging_demo(cfg: RunConfig, seed: int, args) -> dict:
     im = cfg.imaging
     geom = cfg.geometry
     x_true = im["emitter_x_um"]
@@ -231,13 +229,11 @@ def _cmd_imaging_demo(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
     res = resolution_estimate(measured, budget.n_oscillations)
     loc = position_from_rabi(measured, fmap, resolvable_mhz=res.delta_cyclic)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fmap.to_csv(out_dir / "fieldmap.csv")
-    trace.meta["provenance"] = _provenance(args.config, cfg.label, seed)
-    trace.save(out_dir / "trace.csv")
-    write_json(
-        out_dir / "report.json",
-        {
+    return {
+        "fieldmap.csv": fmap,
+        "trace.csv": trace,
+        "trace.meta.json": trace.meta,
+        "report.json": {
             "true": {"position_um": x_true, "rabi_MHz": true_rabi},
             "recovered": {
                 "position_um": loc.position,
@@ -269,10 +265,8 @@ def _cmd_imaging_demo(cfg: RunConfig, out_dir: Path, seed: int, args) -> None:
                     "delta_x_nm": resolution_from_count(10.0, 2880.0 * 1000.0),
                 },
             },
-            "units": UNITS,
-            "provenance": _provenance(args.config, cfg.label, seed),
         },
-    )
+    }
 
 
 _RUNNERS = {
@@ -350,18 +344,13 @@ def _check_run(cfg: RunConfig, command: str, seed: int) -> None:
             raise ConfigError(f"drift.sigma_relative: {exc} (seed {seed})") from None
 
 
-def _run(args, cfg: RunConfig, out_dir: Path, seed: int) -> None:
-    """Run one config and write the command's plot stub beside it."""
-    _RUNNERS[args.command](cfg, out_dir, seed, args)
-    _write_plot(out_dir, args.command)
-
-
 def _dispatch(args) -> int:
     out_dir = _resolve_out(args.out)
     if args.sweep is None:
         cfg = load_config(args.config)
         _check_run(cfg, args.command, args.seed)
-        _run(args, cfg, out_dir, args.seed)
+        _write(out_dir, args, cfg, args.seed,
+               _RUNNERS[args.command](cfg, args.seed, args))
         print(f"{args.command}: wrote {out_dir}")
         return 0
 
@@ -380,8 +369,12 @@ def _dispatch(args) -> int:
         cfg = load_config(args.config, overrides={key: repr(value).removesuffix(".0")})
         _check_run(cfg, args.command, child_seed)
         variants.append((cfg, out_dir / name, child_seed))
+    # every variant computes before any writes, so a failing one leaves nothing
+    run = _RUNNERS[args.command]
     with ThreadPoolExecutor(max_workers=min(8, len(variants))) as pool:
-        list(pool.map(lambda item: _run(args, *item), variants))
+        results = list(pool.map(lambda v: run(v[0], v[2], args), variants))
+    for (cfg, sub, child_seed), artifacts in zip(variants, results):
+        _write(sub, args, cfg, child_seed, artifacts)
     write_json(
         out_dir / "sweep.json",
         {

@@ -54,17 +54,10 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_points)
 
-
-def _grid_times(grid) -> np.ndarray:
-    """Accept a TimeGrid or an explicit sample-time array."""
-    if isinstance(grid, TimeGrid):
-        return grid.times
-    times = np.asarray(grid, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("explicit time grids need at least two samples")
-    if not np.all(np.diff(times) > 0):
-        raise ValueError("time grid must be strictly increasing")
-    return times
+    @property
+    def step(self) -> float:
+        """Spacing of ``times``, which start and end exactly on the ends."""
+        return (self.t_end - self.t_start) / (self.n_points - 1)
 
 
 # The trace kernel splits the grid into blocks of _BLOCK samples and feeds
@@ -72,16 +65,6 @@ def _grid_times(grid) -> np.ndarray:
 # scratch matrices depends on the grid length, not on the number of sweeps.
 _BLOCK = 64
 _CHUNK = 256
-
-
-def _even_times(grid) -> tuple:
-    """Sample times of an evenly spaced grid, and their spacing."""
-    times = _grid_times(grid)
-    step = (times[-1] - times[0]) / (times.size - 1)
-    even = times[0] + step * np.arange(times.size)
-    if np.max(np.abs(times - even)) > 8 * np.spacing(np.max(np.abs(times))):
-        raise ValueError("time grid must be evenly spaced")
-    return times, step
 
 
 def _cosine_sum(freqs, coeffs, times, step) -> np.ndarray:
@@ -225,12 +208,12 @@ class DriftModel:
         return factors
 
 
-def propagate(h: np.ndarray, initial_state, grid) -> np.ndarray:
+def propagate(h: np.ndarray, initial_state, grid: TimeGrid) -> np.ndarray:
     """Populations of every level under exp(-i 2 pi H t).
 
     ``h`` must be Hermitian (checked to 1e-12 relative) with entries in
-    cyclic MHz; ``initial_state`` a normalized complex vector; ``grid`` a
-    TimeGrid or array of times in microseconds.  Returns an array of shape
+    cyclic MHz; ``initial_state`` a normalized complex vector; ``grid`` the
+    TimeGrid of sample times in microseconds.  Returns an array of shape
     (n_times, dim) whose rows sum to one to rounding accuracy.
     """
     h = require_hermitian(h)
@@ -242,7 +225,7 @@ def propagate(h: np.ndarray, initial_state, grid) -> np.ndarray:
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state is not normalized: |psi| = {norm!r}")
-    times = _grid_times(grid)
+    times = grid.times
     evals, evecs = np.linalg.eigh(h)
     coeff = evecs.conj().T @ psi
     phases = np.exp(-2j * np.pi * np.outer(times, evals))
@@ -299,7 +282,7 @@ def _incoherent_meta(omega0, manifolds, decay, amplitude_mode) -> dict:
 def rabi_trace_incoherent(
     omega0,
     manifolds: ManifoldSpec,
-    grid,
+    grid: TimeGrid,
     decay: DecayModel = DecayModel(),
     amplitude_mode: str = "exact",
 ) -> SampledTrace:
@@ -314,20 +297,19 @@ def rabi_trace_incoherent(
 
     ``omega0`` is one drive or a 1-D array of drives, one per sweep; the
     trace is then the mean over the sweeps.  Equal drives are merged first,
-    so repeating one drive returns its single-drive trace exactly.  ``grid``
-    must be evenly spaced.
+    so repeating one drive returns its single-drive trace exactly.
     """
     _check_amplitude_mode(amplitude_mode)
     if np.ndim(omega0) > 1 or np.size(omega0) == 0:
         raise ValueError("omega0 must be a scalar or a non-empty 1-D array")
-    times, step = _even_times(grid)
+    times = grid.times
     drives, counts = np.unique(np.asarray(omega0, dtype=float), return_counts=True)
     drives = drives[:, None]
     om = rabi_frequency(drives, np.asarray(manifolds.detunings))
     amp = (drives / om) ** 2 if amplitude_mode == "exact" else 1.0
     coeffs = (counts / counts.sum())[:, None] * np.asarray(manifolds.weights)
     coeffs = (coeffs * amp / 2.0).ravel()
-    osc = _cosine_sum(om.ravel(), coeffs, times, step)
+    osc = _cosine_sum(om.ravel(), coeffs, times, grid.step)
     values = coeffs.sum() - osc * decay.envelope(times)
     return SampledTrace(
         times, values, _incoherent_meta(omega0, manifolds, decay, amplitude_mode)
@@ -337,7 +319,7 @@ def rabi_trace_incoherent(
 def rabi_trace_vtype(
     coupling: float,
     manifolds: ManifoldSpec,
-    grid,
+    grid: TimeGrid,
     decay: DecayModel = DecayModel(),
 ) -> SampledTrace:
     """Weighted incoherent sum of V-configuration population signals.
@@ -347,18 +329,16 @@ def rabi_trace_vtype(
     twice its eigenfrequency, with a sub-harmonic line at the
     eigenfrequency itself whenever the half-splitting is nonzero.
     """
-    if not coupling > 0:
-        raise ValueError(f"coupling must be positive, got {coupling}")
-    times = _grid_times(grid)
+    times = grid.times
     env = decay.envelope(times)
     total = np.zeros_like(times)
     for half, weight in manifolds:
-        if half < 0:
-            raise ValueError(f"half-splittings must be non-negative, got {half}")
+        # vtype_population checks coupling > 0 and half >= 0; it goes first
+        # because om2 below is zero for a zero coupling and splitting
+        population = vtype_population(coupling, half, times)
         om2 = 2.0 * coupling**2 + half**2
         dc = (half**4 + 2.0 * coupling**4) / om2**2
-        osc = vtype_population(coupling, half, times) - dc
-        total += weight * (dc + osc * env)
+        total += weight * (dc + (population - dc) * env)
     meta = {
         "units": {"time": "us", "frequency": "MHz"},
         "drive": {
@@ -375,7 +355,7 @@ def rabi_trace_vtype(
 def apply_power_drift(
     omega0: float,
     manifolds: ManifoldSpec,
-    grid,
+    grid: TimeGrid,
     drift: DriftModel,
     n_sweeps: int,
     decay: DecayModel = DecayModel(),

@@ -18,13 +18,10 @@ equals the stated Rabi frequency directly.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DriveParams",
     "rabi_frequency",
     "beat_shift",
     "detuning_from_beat",
@@ -35,53 +32,6 @@ __all__ = [
 ]
 
 SQRT2 = float(np.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class DriveParams:
-    """Microwave drive applied to the two upper branches.
-
-    Parameters
-    ----------
-    coupling : float
-        Drive matrix element between the lower state and either upper
-        branch, in MHz.  Must be positive.  Both branches are assumed to
-        couple with equal strength.
-    carrier_freq : float
-        Microwave carrier frequency in MHz.  Used for rotating-wave
-        bookkeeping only; the rotating-frame Hamiltonian depends on the
-        offsets, not on the carrier itself.
-    detuning : float
-        Offset of the carrier from the midpoint of the two upper levels,
-        in MHz.
-    half_splitting : float
-        Half the energy splitting between the two upper levels, in MHz.
-        Must be non-negative.
-    """
-
-    coupling: float
-    carrier_freq: float = 2880.0
-    detuning: float = 0.0
-    half_splitting: float = 0.0
-
-    def __post_init__(self):
-        if not self.coupling > 0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
-        if not self.carrier_freq > 0:
-            raise ValueError(
-                f"carrier_freq must be positive, got {self.carrier_freq}"
-            )
-        if self.half_splitting < 0:
-            raise ValueError(
-                f"half_splitting must be non-negative, got {self.half_splitting}"
-            )
-        if self.coupling > 0.1 * self.carrier_freq:
-            warnings.warn(
-                "coupling exceeds 10% of the carrier frequency; the "
-                "rotating-wave approximation is questionable",
-                UserWarning,
-                stacklevel=2,
-            )
 
 
 def rabi_frequency(omega0, delta):
@@ -137,11 +87,16 @@ def detuning_from_beat(beat: float, base: float, mode: str = "single") -> float:
     return math.sqrt(beat * (beat + 2.0 * base)) / _beat_order(mode)
 
 
-def build_rot_frame_h(drive: DriveParams) -> np.ndarray:
+def build_rot_frame_h(
+    coupling: float, half_splitting: float, detuning: float = 0.0
+) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven three-level V system.
 
-    Basis ordering is (lower state, lower branch, upper branch).  Entries
-    are cyclic MHz:
+    ``coupling`` is the drive matrix element between the lower state and
+    either upper branch (equal for both, positive), ``half_splitting`` half
+    the splitting of the two upper levels (non-negative) and ``detuning``
+    the offset of the carrier from their midpoint.  Basis ordering is
+    (lower state, lower branch, upper branch).  Entries are cyclic MHz:
 
         [[0,        c,          c        ],
          [c,  detuning - h,     0        ],
@@ -149,14 +104,17 @@ def build_rot_frame_h(drive: DriveParams) -> np.ndarray:
 
     with ``c = coupling`` and ``h = half_splitting``.
     """
-    lam = drive.coupling
-    mid = drive.detuning
-    half = drive.half_splitting
+    if not coupling > 0:
+        raise ValueError(f"coupling must be positive, got {coupling}")
+    if half_splitting < 0:
+        raise ValueError(
+            f"half_splitting must be non-negative, got {half_splitting}"
+        )
     return np.array(
         [
-            [0.0, lam, lam],
-            [lam, mid - half, 0.0],
-            [lam, 0.0, mid + half],
+            [0.0, coupling, coupling],
+            [coupling, detuning - half_splitting, 0.0],
+            [coupling, 0.0, detuning + half_splitting],
         ],
         dtype=complex,
     )

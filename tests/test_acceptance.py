@@ -41,7 +41,6 @@ from rabibeat.imaging import (
     resolution_from_count,
 )
 from rabibeat.spinmodel import (
-    DriveParams,
     build_rot_frame_h,
     vtype_eigenfrequency,
     vtype_population,
@@ -75,9 +74,7 @@ def test_criterion_02_vtype_closed_form_and_eigenvalues():
     worst_eig = 0.0
     for coupling in (5.0, 15.0, 14.849242404917497):
         for half in (0.0, 2.0, 2.18, 4.36):
-            h = build_rot_frame_h(
-                DriveParams(coupling=coupling, half_splitting=half)
-            )
+            h = build_rot_frame_h(coupling, half)
             pops = propagate(h, np.array([1.0, 0.0, 0.0]), grid)
             expected = vtype_population(coupling, half, grid.times)
             worst_pop = max(

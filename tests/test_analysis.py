@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -301,3 +303,17 @@ def test_lineshape_csv_header(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# rabibeat-esr v1"
     assert lines[1] == "freq_MHz,signal"
+
+
+def test_readme_library_use_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    report = namespace["report"]
+    # the values its comments promise
+    assert report.base_frequency == pytest.approx(22.2, rel=1e-3)
+    assert report.recovered_detunings == pytest.approx([2.18, 4.36], abs=0.01)
+    assert report.decay_time == pytest.approx(26.0, abs=1.0)
+    assert "ResolutionEstimate" in capsys.readouterr().out

@@ -359,6 +359,17 @@ def test_sweep_range_expansion(tmp_path):
         assert len(rows) == n_points
 
 
+def test_sweep_with_a_failing_variant_writes_nothing(tmp_path, capsys):
+    # at t1_rho = 0.02 us the oscillation is gone within a few samples, so
+    # that variant measures a Rabi frequency outside the field map, which
+    # only running it shows; the t1_rho = 25 us variant succeeds
+    out = tmp_path / "sweep"
+    assert main(["imaging-demo", "--config", "imaging-default", "--out", str(out),
+                 "--sweep", "imaging.t1_rho_us=0.02,25"]) == 1
+    assert "outside the map range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_malformed_spec(tmp_path):
     code = main(
         [

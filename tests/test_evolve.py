@@ -16,7 +16,7 @@ from rabibeat.evolve import (
     two_level_hamiltonian,
     two_level_population,
 )
-from rabibeat.spinmodel import DriveParams, build_rot_frame_h, vtype_population
+from rabibeat.spinmodel import build_rot_frame_h, vtype_population
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -26,6 +26,7 @@ def test_time_grid_basics():
     assert grid.times[0] == 0.0
     assert grid.times[-1] == 10.0
     assert grid.times.size == 11
+    assert grid.step == 1.0
     with pytest.raises(ValueError):
         TimeGrid(5.0, 5.0, 10)
     with pytest.raises(ValueError):
@@ -86,7 +87,7 @@ def test_propagate_matches_two_level_closed_form():
 
 def test_propagate_matches_vtype_closed_form():
     grid = TimeGrid(0.0, 5.0, 801)
-    h = build_rot_frame_h(DriveParams(coupling=15.0, half_splitting=2.0))
+    h = build_rot_frame_h(15.0, 2.0)
     pops = propagate(h, np.array([1.0, 0.0, 0.0]), grid)
     expected = vtype_population(15.0, 2.0, grid.times)
     assert np.max(np.abs(pops[:, 0] - expected)) < 1e-12
@@ -126,6 +127,16 @@ def test_vtype_trace_single_manifold_matches_population():
     grid = TimeGrid(0.0, 2.0, 801)
     trace = rabi_trace_vtype(15.0, ManifoldSpec.single(2.0), grid)
     assert np.allclose(trace.values, vtype_population(15.0, 2.0, grid.times), atol=1e-12)
+
+
+@pytest.mark.parametrize("coupling, halves, match", [
+    (0.0, (0.0,), "coupling must be positive"),
+    (-15.0, (2.0,), "coupling must be positive"),
+    (15.0, (2.0, -0.5), "half_splitting must be non-negative"),
+])
+def test_vtype_trace_rejects_bad_drive(coupling, halves, match):
+    with pytest.raises(ValueError, match=match):
+        rabi_trace_vtype(coupling, ManifoldSpec(halves), TimeGrid(0.0, 1.0, 101))
 
 
 def test_amplitude_mode_changes_weighting():
@@ -201,17 +212,6 @@ def test_drift_kernel_matches_per_sweep_loop(drift, detunings, decay, amplitude_
     expected = per_sweep_reference(22.2, manifolds, grid.times, decay,
                                    amplitude_mode, factors)
     assert np.max(np.abs(trace.values - expected)) <= 1e-12
-
-
-def test_kernel_needs_an_evenly_spaced_grid():
-    grid = TimeGrid(0.0, 10.0, 1001)
-    times = grid.times
-    explicit = rabi_trace_incoherent(22.2, ManifoldSpec.single(), times)
-    gridded = rabi_trace_incoherent(22.2, ManifoldSpec.single(), grid)
-    assert np.array_equal(explicit.values, gridded.values)
-    times[500] += 1e-3
-    with pytest.raises(ValueError, match="evenly spaced"):
-        rabi_trace_incoherent(22.2, ManifoldSpec.single(), times)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])

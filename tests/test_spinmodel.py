@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rabibeat.spinmodel import (
-    DriveParams,
     beat_shift,
     build_rot_frame_h,
     detuning_from_beat,
@@ -108,7 +107,7 @@ def test_beat_relation_rejects_bad_arguments():
 
 
 def test_build_rot_frame_h_layout():
-    h = build_rot_frame_h(DriveParams(coupling=3.0, detuning=1.0, half_splitting=2.0))
+    h = build_rot_frame_h(3.0, 2.0, detuning=1.0)
     require_hermitian(h)
     assert h[0, 1] == h[0, 2] == 3.0
     assert h[1, 1] == pytest.approx(-1.0)
@@ -121,7 +120,7 @@ def test_build_rot_frame_h_layout():
     half=st.floats(0.0, 20.0, **finite),
 )
 def test_vtype_eigenvalues_closed_form(coupling, half):
-    h = build_rot_frame_h(DriveParams(coupling=coupling, half_splitting=half))
+    h = build_rot_frame_h(coupling, half)
     evals = np.sort(np.linalg.eigvalsh(h))
     f = vtype_eigenfrequency(coupling, half)
     assert evals[1] == pytest.approx(0.0, abs=1e-10 * f)
@@ -157,8 +156,8 @@ def test_require_hermitian_rejects_asymmetric():
         require_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_drive_params_validation():
-    with pytest.raises(ValueError):
-        DriveParams(coupling=0.0)
-    with pytest.raises(ValueError):
-        DriveParams(coupling=1.0, half_splitting=-0.1)
+def test_build_rot_frame_h_validation():
+    with pytest.raises(ValueError, match="coupling must be positive"):
+        build_rot_frame_h(0.0, 0.0)
+    with pytest.raises(ValueError, match="half_splitting must be non-negative"):
+        build_rot_frame_h(1.0, -0.1)
