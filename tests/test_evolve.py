@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rabibeat import evolve
 from rabibeat.evolve import (
@@ -212,6 +214,50 @@ def test_drift_kernel_matches_per_sweep_loop(drift, detunings, decay, amplitude_
     expected = per_sweep_reference(22.2, manifolds, grid.times, decay,
                                    amplitude_mode, factors)
     assert np.max(np.abs(trace.values - expected)) <= 1e-12
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(2, 5000),
+    t_start=st.floats(0.0, 150.0),
+    duration=st.floats(0.01, 50.0),
+    k=st.integers(1, 600),
+    band=st.tuples(st.floats(0.1, 60.0), st.floats(0.1, 60.0)).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, t_start=0.0, duration=1.0, k=1, band=[0.1, 0.1], seed=0)
+@example(n=63, t_start=150.0, duration=0.5, k=256, band=[0.1, 60.0], seed=1)
+@example(n=4097, t_start=33.3, duration=50.0, k=257, band=[22.2, 22.3], seed=2)
+@example(n=5000, t_start=150.0, duration=50.0, k=600, band=[59.9, 60.0], seed=3)
+def test_cosine_sum_matches_direct_cosines(n, t_start, duration, k, band, seed):
+    # under one block, 65 and 79 blocks, and up to three oscillator chunks;
+    # a narrow band of positive coefficients adds the rounding coherently
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(*band, k)
+    coeffs = rng.uniform(0.0, 1.0, k)
+    grid = TimeGrid(t_start, t_start + duration, n)
+    phase = np.outer(grid.times, 2.0 * np.pi * freqs)
+    expected = np.cos(phase) @ coeffs
+    # the rounding of the largest phase, and of the unit-size phasor products
+    # when every phase is small, carried by every coefficient
+    bound = 8 * np.finfo(float).eps * (1.0 + np.abs(phase).max()) * coeffs.sum()
+    assert np.max(np.abs(evolve._cosine_sum(freqs, coeffs, grid) - expected)) <= bound
+
+
+def test_kernel_scratch_does_not_grow_with_sweeps():
+    grid = TimeGrid(0.0, 60.0, 24001)
+    manifolds = ManifoldSpec((0.0, 2.18))
+    drift = DriftModel("linear", total_relative_change=0.02)
+
+    def peak(n_sweeps):
+        tracemalloc.start()
+        try:
+            apply_power_drift(22.2, manifolds, grid, drift, n_sweeps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) <= 2 * peak(128)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
