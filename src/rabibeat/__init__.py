@@ -6,25 +6,17 @@ Conventions: frequencies in cyclic MHz, times in microseconds.  Factors of
 """
 from .spinmodel import (
     rabi_frequency,
-    beat_shift,
     detuning_from_beat,
-    build_rot_frame_h,
-    vtype_eigenfrequency,
     vtype_population,
-    require_hermitian,
 )
 from .evolve import (
     TimeGrid,
     DecayModel,
     ManifoldSpec,
     DriftModel,
-    propagate,
-    two_level_hamiltonian,
-    two_level_population,
     rabi_trace_incoherent,
     rabi_trace_vtype,
     apply_power_drift,
-    drift_relation,
 )
 from .traces import SampledTrace
 from .analysis import (

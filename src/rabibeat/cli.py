@@ -48,7 +48,7 @@ from .imaging import (
     resolution_budget,
     resolution_from_count,
 )
-from .traces import SampledTrace, write_json
+from .traces import SampledTrace, meta_path_for, write_json
 
 __all__ = ["main"]
 
@@ -160,6 +160,15 @@ def _cmd_analyze(cfg: RunConfig, seed: int, args) -> dict:
         report = extract_beats(trace, mode=cfg.analyze["mode"])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"analyze.trace: {exc}") from None
+    # a sidecar that names the simulated kind fixes the beat inversion
+    mode = cfg.analyze["mode"]
+    drive = trace.meta.get("drive") if isinstance(trace.meta, dict) else None
+    kind = drive.get("kind") if isinstance(drive, dict) else None
+    if kind in ("rabi-single", "rabi-vtype") and kind != f"rabi-{mode}":
+        raise ConfigError(
+            f"analyze.mode: {mode} does not fit the trace's drive kind {kind} "
+            f"({meta_path_for(trace_path)})"
+        )
 
     decay_time = report.decay_time
     effective_time = decay_time if math.isfinite(decay_time) else trace.duration

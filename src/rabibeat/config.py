@@ -61,6 +61,7 @@ KINDS = {
 # quotes.  A list value passes when every element does.
 _RULES = {
     "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     ">= 2": lambda v: v >= 2,
     "in (0, 1]": lambda v: 0 < v <= 1,
@@ -89,7 +90,7 @@ SCHEMA = {
         "weights": ("weights", "manifold weights summing to 1", None, None),
     },
     "grid": {
-        "t_start_us": ("float", "first sample time, us", None, 0.0),
+        "t_start_us": ("float", "first sample time, us", ">= 0", 0.0),
         "t_end_us": ("float", "last sample time, us", None, None),
         "n_points": ("int", "number of samples", None, None),
     },

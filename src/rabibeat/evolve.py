@@ -1,11 +1,13 @@
-"""Time evolution: exact propagation, manifold-averaged Rabi traces,
-decay envelopes, and slow drive-power drift.
+"""Time evolution: manifold-averaged Rabi traces, decay envelopes, and
+slow drive-power drift.
 
-Propagation uses the spectral decomposition of the (time-independent)
-rotating-frame Hamiltonian, so there is no step-size error; unitarity holds
-to rounding.  Decoherence enters only as a phenomenological envelope that
-multiplies the oscillating part of a signal about its mean, and hyperfine
-structure enters as an incoherent average over fixed-detuning manifolds.
+The traces are closed forms: each manifold contributes the detuned
+two-level population, or the V-configuration population, that exact
+propagation under its time-independent rotating-frame Hamiltonian gives,
+so there is no step-size error.  Decoherence enters only as a
+phenomenological envelope that multiplies the oscillating part of a signal
+about its mean, and hyperfine structure enters as an incoherent average
+over fixed-detuning manifolds.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinmodel import rabi_frequency, require_hermitian, vtype_population
+from .spinmodel import rabi_frequency, vtype_population
 from .traces import SampledTrace
 
 __all__ = [
@@ -22,13 +24,9 @@ __all__ = [
     "DecayModel",
     "ManifoldSpec",
     "DriftModel",
-    "propagate",
-    "two_level_hamiltonian",
-    "two_level_population",
     "rabi_trace_incoherent",
     "rabi_trace_vtype",
     "apply_power_drift",
-    "drift_relation",
 ]
 
 AMPLITUDE_MODES = ("exact", "equal_cosine")
@@ -239,56 +237,6 @@ class DriftModel:
         return factors
 
 
-def propagate(h: np.ndarray, initial_state, grid: TimeGrid) -> np.ndarray:
-    """Populations of every level under exp(-i 2 pi H t).
-
-    ``h`` must be Hermitian (checked to 1e-12 relative) with entries in
-    cyclic MHz; ``initial_state`` a normalized complex vector; ``grid`` the
-    TimeGrid of sample times in microseconds.  Returns an array of shape
-    (n_times, dim) whose rows sum to one to rounding accuracy.
-    """
-    h = require_hermitian(h)
-    psi = np.asarray(initial_state, dtype=complex).ravel()
-    if psi.size != h.shape[0]:
-        raise ValueError(
-            f"state dimension {psi.size} does not match matrix {h.shape[0]}"
-        )
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"initial state is not normalized: |psi| = {norm!r}")
-    times = grid.times
-    evals, evecs = np.linalg.eigh(h)
-    coeff = evecs.conj().T @ psi
-    phases = np.exp(-2j * np.pi * np.outer(times, evals))
-    amplitudes = (phases * coeff) @ evecs.T
-    return np.abs(amplitudes) ** 2
-
-
-def two_level_hamiltonian(omega0: float, delta: float) -> np.ndarray:
-    """Rotating-frame two-level Hamiltonian [[0, omega0/2], [omega0/2, delta]].
-
-    Level 0 is the driven lower state; ``delta`` is the drive detuning from
-    the transition, cyclic MHz.  Its propagated excited-state population is
-    the detuned Rabi formula implemented by :func:`two_level_population`.
-    """
-    if not omega0 > 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
-    return np.array(
-        [[0.0, omega0 / 2.0], [omega0 / 2.0, delta]], dtype=complex
-    )
-
-
-def two_level_population(omega0: float, delta: float, t) -> np.ndarray:
-    """Excited-state population (omega0^2/omega^2) sin^2(pi omega t).
-
-    ``omega = rabi_frequency(omega0, delta)``.  Times in microseconds.
-    """
-    t = np.asarray(t, dtype=float)
-    om = rabi_frequency(omega0, delta)
-    amp = (omega0 / om) ** 2
-    return amp * np.sin(np.pi * om * t) ** 2
-
-
 def _check_amplitude_mode(mode: str):
     if mode not in AMPLITUDE_MODES:
         raise ValueError(
@@ -416,11 +364,3 @@ def apply_power_drift(
     }
     return trace
 
-
-def drift_relation(rel_power_change) -> np.ndarray:
-    """First-order fractional period change -x/2 for a relative power
-    change x.  The period scales as 1/sqrt(power)."""
-    x = np.asarray(rel_power_change, dtype=float)
-    if np.any(np.abs(x) >= 1):
-        raise ValueError("relative power change must satisfy |x| < 1")
-    return -0.5 * x

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traces import read_columns, write_columns
+from .traces import write_columns
 
 __all__ = [
     "WaveguideGeometry",
@@ -158,11 +158,6 @@ class FieldMap:
             path, FIELDMAP_HEADER, FIELDMAP_COLUMNS, (self.positions, self.rabi),
             {"model": self.meta.get("model", "measured")},
         )
-
-    @classmethod
-    def from_csv(cls, path) -> "FieldMap":
-        (pos, rabi), comments = read_columns(path, FIELDMAP_HEADER, FIELDMAP_COLUMNS)
-        return cls(pos, rabi, comments)
 
 
 def oscillation_count(base_rabi: float, t1_rho: float) -> float:

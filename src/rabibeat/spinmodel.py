@@ -1,19 +1,20 @@
 """Ground-state spin model of a driven S=1 defect center.
 
-Closed-form expressions for detuned Rabi oscillations, the beat-shift
-relation and its exact inverse, and the rotating-frame Hamiltonian for
-simultaneous driving of both upper branches (V configuration).
+Closed forms used by the trace kernels and the beat analysis: the
+generalized Rabi frequency of a detuned two-level drive, the lower-state
+population of the V configuration (both upper branches driven at once from
+their midpoint), and the exact inverse of the beat-shift relation.
 
 Unit conventions, used package-wide:
 
 * frequencies, couplings, splittings: cyclic MHz
 * times: microseconds
 
-All trigonometric and propagation code converts to angular frequency
-(factor 2*pi) internally; public values never carry the 2*pi.  Under this
-convention the resonant two-level population signal is sin^2(pi*omega0*t),
-so the fitted or FFT-extracted oscillation frequency of a population trace
-equals the stated Rabi frequency directly.
+All trigonometric code converts to angular frequency (factor 2*pi)
+internally; public values never carry the 2*pi.  Under this convention the
+resonant two-level population signal is sin^2(pi*omega0*t), so the fitted
+or FFT-extracted oscillation frequency of a population trace equals the
+stated Rabi frequency directly.
 """
 from __future__ import annotations
 
@@ -23,15 +24,9 @@ import numpy as np
 
 __all__ = [
     "rabi_frequency",
-    "beat_shift",
     "detuning_from_beat",
-    "build_rot_frame_h",
-    "vtype_eigenfrequency",
     "vtype_population",
-    "require_hermitian",
 ]
-
-SQRT2 = float(np.sqrt(2.0))
 
 
 def rabi_frequency(omega0, delta):
@@ -56,79 +51,16 @@ def _beat_order(mode: str) -> int:
     return 1 if mode == "single" else 2
 
 
-def beat_shift(base: float, delta: float, mode: str = "single") -> float:
-    """Shift hypot(base, k*delta) - base of a detuned line, in MHz.
-
-    ``"single"`` (k = 1): ``base`` is the resonant Rabi frequency and
-    ``delta`` the drive detuning, so the line is
-    ``rabi_frequency(base, delta)``.  ``"vtype"`` (k = 2): ``base`` is the
-    unsplit V base frequency 2*sqrt(2)*coupling and ``delta`` the
-    half-splitting, so the line is twice ``vtype_eigenfrequency``.  The
-    shift is computed as (k delta)^2 / (hypot(base, k delta) + base), which
-    does not cancel for small delta.
-    """
-    k = _beat_order(mode)
-    if not base > 0:
-        raise ValueError(f"base must be positive, got {base}")
-    kd = k * delta
-    return kd * kd / (math.hypot(base, kd) + base)
-
-
 def detuning_from_beat(beat: float, base: float, mode: str = "single") -> float:
-    """Exact inverse of :func:`beat_shift`, in MHz.
-
-    delta = sqrt(beat * (beat + 2 base)) / k, with k = 1 for ``"single"``
-    and k = 2 for ``"vtype"``.
+    """Detuning delta whose line hypot(base, k delta) sits ``beat`` above
+    ``base``, in MHz: exactly delta = sqrt(beat * (beat + 2 base)) / k,
+    with k = 1 for ``"single"`` and k = 2 for ``"vtype"``.
     """
     if beat < 0:
         raise ValueError(f"beat must be non-negative, got {beat}")
     if not base > 0:
         raise ValueError(f"base must be positive, got {base}")
     return math.sqrt(beat * (beat + 2.0 * base)) / _beat_order(mode)
-
-
-def build_rot_frame_h(
-    coupling: float, half_splitting: float, detuning: float = 0.0
-) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the driven three-level V system.
-
-    ``coupling`` is the drive matrix element between the lower state and
-    either upper branch (equal for both, positive), ``half_splitting`` half
-    the splitting of the two upper levels (non-negative) and ``detuning``
-    the offset of the carrier from their midpoint.  Basis ordering is
-    (lower state, lower branch, upper branch).  Entries are cyclic MHz:
-
-        [[0,        c,          c        ],
-         [c,  detuning - h,     0        ],
-         [c,        0,    detuning + h   ]]
-
-    with ``c = coupling`` and ``h = half_splitting``.
-    """
-    if not coupling > 0:
-        raise ValueError(f"coupling must be positive, got {coupling}")
-    if half_splitting < 0:
-        raise ValueError(
-            f"half_splitting must be non-negative, got {half_splitting}"
-        )
-    return np.array(
-        [
-            [0.0, coupling, coupling],
-            [coupling, detuning - half_splitting, 0.0],
-            [coupling, 0.0, detuning + half_splitting],
-        ],
-        dtype=complex,
-    )
-
-
-def vtype_eigenfrequency(coupling: float, half_splitting: float) -> float:
-    """Nonzero eigenfrequency sqrt(2*coupling^2 + half_splitting^2), MHz.
-
-    Eigenvalues of the midpoint-resonant V Hamiltonian are {0, +/- this}.
-    The population signal oscillates at twice this value.
-    """
-    if not coupling > 0:
-        raise ValueError(f"coupling must be positive, got {coupling}")
-    return float(np.hypot(SQRT2 * coupling, half_splitting))
 
 
 def vtype_population(coupling: float, half_splitting: float, t) -> np.ndarray:
@@ -139,7 +71,8 @@ def vtype_population(coupling: float, half_splitting: float, t) -> np.ndarray:
         p0(t) = (d^2 + 2 c^2 cos(2 pi f t))^2 / (2 c^2 + d^2)^2
 
     with ``c = coupling``, ``d = half_splitting`` and
-    ``f = vtype_eigenfrequency(c, d)``.  Times in microseconds; ``t`` may be
+    ``f = sqrt(2 c^2 + d^2)``, the nonzero eigenfrequency of the V
+    Hamiltonian.  Times in microseconds; ``t`` may be
     a scalar or array and must be non-negative.
 
     The dominant spectral line of this signal sits at ``2*f`` and, for
@@ -161,21 +94,3 @@ def vtype_population(coupling: float, half_splitting: float, t) -> np.ndarray:
     out = (half_splitting**2 + two_c2 * osc) ** 2 / om2**2
     return out
 
-
-def require_hermitian(h: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity of a square matrix and return it as complex.
-
-    The largest absolute deviation from the conjugate transpose must not
-    exceed 1e-12 times the largest matrix element magnitude (at least 1).
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = max(np.abs(h).max(), 1.0)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > 1e-12 * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max deviation {dev:.3e} exceeds "
-            f"1.0e-12 * {scale:.3e}"
-        )
-    return h

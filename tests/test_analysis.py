@@ -26,8 +26,10 @@ from rabibeat.evolve import (
     rabi_trace_incoherent,
     rabi_trace_vtype,
 )
-from rabibeat.spinmodel import beat_shift, detuning_from_beat
+from rabibeat.spinmodel import detuning_from_beat
 from rabibeat.traces import SampledTrace
+
+from oracles import beat_shift
 
 finite = dict(allow_nan=False, allow_infinity=False)
 

@@ -177,6 +177,7 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         ("simulate", "paper-fig3", "drive.omega0_mhz", "22,-1"),
         ("simulate", "paper-fig7", "drive.lambda_mhz", "14,-1"),
         ("simulate", "paper-fig7", "manifolds.detunings_mhz", "1,-1"),
+        ("simulate", "paper-fig7", "grid.t_start_us", "0,-20"),
         ("imaging-demo", "imaging-default", "grid.n_points", "12001,101"),
         # the 0.5 variant's derived seed draws a non-positive power factor
         ("simulate", "drift-demo", "drift.sigma_relative", "8e-4,0.5"),
@@ -202,6 +203,17 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(drift), "--out", str(single)]) == 2
     assert not single.exists()
     assert "config error: drift.sigma_relative: drawn power factors" in (
+        capsys.readouterr().err)
+    # before t = 0 a decay envelope would grow instead of decay
+    early = tmp_path / "early.ini"
+    early.write_text(
+        "[run]\nkind = rabi-single\n[drive]\nomega0_mhz = 22.2\n[manifolds]\n"
+        "detunings_mhz = 0.0\n[grid]\nt_start_us = -20\nt_end_us = 10.0\n"
+        "n_points = 1001\n[decay]\nkind = exponential\nt1_rho_us = 5\n"
+    )
+    assert main(["simulate", "--config", str(early), "--out", str(single)]) == 2
+    assert not single.exists()
+    assert "config error: grid.t_start_us: must be >= 0, got -20.0" in (
         capsys.readouterr().err)
 
 
@@ -235,6 +247,30 @@ def test_exit_code_2_on_malformed_trace(tmp_path, capsys):
         assert not out.exists()
         err = capsys.readouterr().err
         assert "config error: analyze.trace: " in err and cause in err
+
+
+def test_analyze_rejects_a_mode_the_trace_sidecar_contradicts(tmp_path, capsys):
+    # inverting V-type beats as single-mode ones doubles every detuning
+    for simulated, analyzed, mode, kind in (
+        ("paper-fig7", "paper-fig4", "single", "rabi-vtype"),
+        ("paper-fig3", "paper-fig8", "vtype", "rabi-single"),
+    ):
+        sim = tmp_path / simulated
+        assert main(["simulate", "--config", simulated, "--out", str(sim)]) == 0
+        out = tmp_path / f"{analyzed}-on-{simulated}"
+        assert main(["analyze", "--config", analyzed, "--trace",
+                     str(sim / "trace.csv"), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert (f"config error: analyze.mode: {mode} does not fit the trace's "
+                f"drive kind {kind}") in capsys.readouterr().err
+    # a trace without a sidecar, or with one that names no kind, is
+    # analyzed in the configured mode
+    bare = SampledTrace.from_csv(sim / "trace.csv").to_csv(tmp_path / "bare.csv")
+    for sidecar in (None, "[]", '{"drive": "rabi-single"}'):
+        if sidecar is not None:
+            (tmp_path / "bare.meta.json").write_text(sidecar)
+        assert main(["analyze", "--config", "paper-fig8", "--trace", str(bare),
+                     "--out", str(tmp_path / "bare")]) == 0
 
 
 def test_exit_code_1_on_runtime_failure(tmp_path, monkeypatch):

@@ -11,14 +11,17 @@ from rabibeat.evolve import (
     ManifoldSpec,
     TimeGrid,
     apply_power_drift,
-    drift_relation,
-    propagate,
     rabi_trace_incoherent,
     rabi_trace_vtype,
-    two_level_hamiltonian,
-    two_level_population,
 )
-from rabibeat.spinmodel import build_rot_frame_h, vtype_population
+from rabibeat.spinmodel import vtype_population
+
+from oracles import (
+    build_rot_frame_h,
+    drift_relation,
+    propagate,
+    two_level_hamiltonian,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -83,7 +86,8 @@ def test_propagate_matches_two_level_closed_form():
         for delta in (0.0, 2.18, 7.0):
             h = two_level_hamiltonian(omega0, delta)
             pops = propagate(h, np.array([1.0, 0.0]), grid)
-            expected = two_level_population(omega0, delta, grid.times)
+            om = np.hypot(omega0, delta)
+            expected = (omega0 / om) ** 2 * np.sin(np.pi * om * grid.times) ** 2
             assert np.max(np.abs(pops[:, 1] - expected)) < 1e-12
 
 
@@ -93,6 +97,33 @@ def test_propagate_matches_vtype_closed_form():
     pops = propagate(h, np.array([1.0, 0.0, 0.0]), grid)
     expected = vtype_population(15.0, 2.0, grid.times)
     assert np.max(np.abs(pops[:, 0] - expected)) < 1e-12
+
+
+@settings(max_examples=25)
+@given(
+    drive=st.floats(0.5, 30.0),
+    detunings=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+    raw_weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+)
+def test_kernels_equal_weighted_propagated_populations(drive, detunings, raw_weights):
+    # the incoherent manifold average, which the one-manifold acceptance
+    # criteria do not reach; V-type detunings are half-splittings, so >= 0
+    grid = TimeGrid(0.0, 10.0, 1001)
+    weights = np.array(raw_weights[:len(detunings)])
+    weights /= weights.sum()
+    single = rabi_trace_incoherent(drive, ManifoldSpec(detunings, weights), grid)
+    halves = np.abs(detunings)
+    vtype = rabi_trace_vtype(drive, ManifoldSpec(halves, weights), grid)
+    expected_single = sum(
+        w * propagate(two_level_hamiltonian(drive, d), [1.0, 0.0], grid)[:, 1]
+        for d, w in zip(detunings, weights)
+    )
+    expected_vtype = sum(
+        w * propagate(build_rot_frame_h(drive, h), [1.0, 0.0, 0.0], grid)[:, 0]
+        for h, w in zip(halves, weights)
+    )
+    assert np.max(np.abs(single.values - expected_single)) <= 1e-9
+    assert np.max(np.abs(vtype.values - expected_vtype)) <= 1e-9
 
 
 def test_resonant_trace_is_sin_squared():

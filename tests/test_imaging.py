@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rabibeat.imaging import (
+    FIELDMAP_COLUMNS,
+    FIELDMAP_HEADER,
     FieldMap,
     WaveguideGeometry,
     field_profile,
@@ -12,6 +14,7 @@ from rabibeat.imaging import (
     resolution_budget,
     resolution_from_count,
 )
+from rabibeat.traces import read_columns
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -63,7 +66,8 @@ def test_field_map_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# rabibeat-fieldmap v1"
     assert lines[2] == "position_um,rabi_MHz"
-    loaded = FieldMap.from_csv(path)
+    (positions, rabi), comments = read_columns(path, FIELDMAP_HEADER, FIELDMAP_COLUMNS)
+    loaded = FieldMap(positions, rabi, comments)
     assert np.allclose(loaded.positions, fmap.positions, rtol=1e-12)
     assert np.allclose(loaded.rabi, fmap.rabi, rtol=1e-12)
     assert loaded.meta["model"] == fmap.meta["model"]
