@@ -249,6 +249,33 @@ def test_exit_code_2_on_malformed_trace(tmp_path, capsys):
         assert "config error: analyze.trace: " in err and cause in err
 
 
+def test_analyze_names_the_file_of_a_bad_trace_or_sidecar(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", "paper-fig3", "--out", str(sim)]) == 0
+    lines = (sim / "trace.csv").read_bytes().split(b"\n")
+    accented = list(lines)
+    accented[100] = accented[100].replace(b"e", "\u00e9".encode("utf-8"), 1)
+    repeated = lines[:101] + lines[100:]
+    for name, trace, sidecar, cause in (
+        ("accented", accented, None, "{csv}:101: non-ASCII byte 0xc3"),
+        ("sidecar", lines, "{'units': 'us'}",
+         "{side}: Expecting property name enclosed in double quotes"),
+        ("repeated", repeated, None, "{csv}: times must be strictly increasing"),
+    ):
+        csv = tmp_path / name / "trace.csv"
+        csv.parent.mkdir()
+        csv.write_bytes(b"\n".join(trace))
+        side = csv.with_suffix(".meta.json")
+        if sidecar is not None:
+            side.write_text(sidecar)
+        out = tmp_path / f"out-{name}"
+        assert main(["analyze", "--config", "paper-fig4", "--trace", str(csv),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert ("config error: analyze.trace: " + cause.format(csv=csv, side=side)
+                in capsys.readouterr().err)
+
+
 def test_analyze_rejects_a_mode_the_trace_sidecar_contradicts(tmp_path, capsys):
     # inverting V-type beats as single-mode ones doubles every detuning
     for simulated, analyzed, mode, kind in (

@@ -154,3 +154,73 @@ def test_read_columns_names_the_line_past_row_1000(tmp_path, bad_row, cause):
     with pytest.raises(ValueError) as excinfo:
         read_columns(bad, TRACE_HEADER, TRACE_COLUMNS)
     assert str(excinfo.value) == f"{bad}:1501: {cause}"
+
+
+def read_back(directory, rows):
+    """``read_columns`` of ``write_columns(rows)`` against ``float(format_float(x))``."""
+    rows = np.asarray(rows, dtype=float)
+    names = ",".join("abc"[: rows.shape[1]])
+    path = write_columns(directory / "rows.csv", "# rows", names, rows.T)
+    columns, comments = read_columns(path, "# rows", names)
+    expected = np.array([[float(format_float(x)) for x in row] for row in rows.tolist()])
+    assert comments == {} and len(columns) == rows.shape[1]
+    for parsed, column in zip(columns, expected.T):
+        assert parsed.dtype == column.dtype
+        assert parsed.tobytes() == column.tobytes()
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(st.one_of(st.floats(), st.floats(-1e35, 1e35)),
+             min_size=width, max_size=width), min_size=2, max_size=40)))
+def test_read_columns_reads_every_written_double_exactly(tmp_path_factory, rows):
+    # st.floats() draws ±0, subnormals, nan and ±inf; the second strategy
+    # keeps most values in the exponent window of the fast path
+    read_back(tmp_path_factory.mktemp("rows"), rows)
+
+
+def test_read_columns_is_exact_across_the_fast_exponent_window(tmp_path):
+    rng = np.random.default_rng(12)
+    mantissas = rng.integers(0, 10**13, size=3000).tolist()
+    exponents = rng.integers(-13, 38, size=3000).tolist()
+    # random mantissas of up to 13 digits at exponents from 1e-13 to 1e37
+    values = [float(f"{k}e{e - 12}") for k, e in zip(mantissas, exponents)]
+    values = np.array(values) * np.where(rng.random(3000) < 0.5, -1.0, 1.0)
+    edges = [float(f"{d}e{e}") for d in ("1", "9.999999999999") for e in (-11, -10, 34, 35)]
+    read_back(tmp_path, np.concatenate([values, edges, -np.array(edges)]).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("text", [
+    "1.5", "1E5", "+1.0", ".5", "5.", "1_0", "1.000000000000e+0005",
+    "1.0000000000000e+00", " 2.0 ", "-0.000000000000e+00", "infinity",
+    # 18 bytes, as long as a fast-path field, but of another shape
+    "12345678901234e+00", "1.23456789012e+005", "1.234567890123E+00",
+    "1.2345678901234500", "1.2345_6789012e+00", "1.23456789_012e+00",
+])
+def test_read_columns_reads_hand_written_fields_as_float(tmp_path, text):
+    path = tmp_path / "hand.csv"
+    path.write_text(f"# rows\na,b\n{text},0.0\n1.0,{text}\n")
+    (a, b), _ = read_columns(path, "# rows", "a,b")
+    expected = np.array([float(text)])
+    assert a[:1].tobytes() == b[1:].tobytes() == expected.tobytes()
+
+
+def test_read_columns_ends_lines_as_splitlines_does(tmp_path):
+    text = (TRACE_HEADER + "\r\n# a: 1\r\n" + TRACE_COLUMNS + "\r\n0.0,1.0\r"
+            + "0.5,2.0\n\f\n \t \r\n# b: 2\x1c1.0,3.0\v1.5,4.0")
+    odd = tmp_path / "odd.csv"
+    odd.write_bytes(text.encode("ascii"))
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join(text.splitlines()) + "\n")
+    (t0, v0), c0 = read_columns(plain, TRACE_HEADER, TRACE_COLUMNS)
+    (t1, v1), c1 = read_columns(odd, TRACE_HEADER, TRACE_COLUMNS)
+    assert t0.tolist() == t1.tolist() == [0.0, 0.5, 1.0, 1.5]
+    assert v0.tolist() == v1.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert c0 == c1 == {"a": "1", "b": "2"}
+    bad = odd.with_name("bad.csv")
+    bad.write_bytes(text.replace("1.5,4.0", "1.5,four").encode("ascii"))
+    lineno = text.replace("1.5,4.0", "1.5,four").splitlines().index("1.5,four") + 1
+    with pytest.raises(ValueError) as excinfo:
+        read_columns(bad, TRACE_HEADER, TRACE_COLUMNS)
+    assert str(excinfo.value) == (
+        f"{bad}:{lineno}: could not convert string to float: 'four'")
