@@ -2,32 +2,35 @@
 """Run every bundled preset end to end and print a one-line summary each.
 
 Simulation presets are piped into the matching analysis preset so the
-recovered splittings can be eyeballed against the configured ones.
+recovered splittings can be eyeballed against the configured ones.  Exits
+1 when any run exits nonzero.
 
 Usage:
     python scripts/run_paper_presets.py [--out DIR] [--seed N]
 """
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from rabibeat.cli import main as rabibeat_main
 
 
-def run(args):
+def run(args) -> int:
     out = Path(args.out)
+    codes = []
 
     for name in ("paper-fig2", "paper-fig5"):
-        code = rabibeat_main(
+        codes.append(rabibeat_main(
             ["esr", "--config", name, "--out", str(out / name)]
-        )
-        print(f"{name}: esr scan -> {out / name} (exit {code})")
+        ))
+        print(f"{name}: esr scan -> {out / name} (exit {codes[-1]})")
 
     pipelines = [("paper-fig3", "paper-fig4"), ("paper-fig7", "paper-fig8")]
     for sim_name, ana_name in pipelines:
         sim_dir = out / sim_name
         ana_dir = out / ana_name
-        rabibeat_main(
+        codes.append(rabibeat_main(
             [
                 "simulate",
                 "--config",
@@ -37,8 +40,8 @@ def run(args):
                 "--seed",
                 str(args.seed),
             ]
-        )
-        rabibeat_main(
+        ))
+        codes.append(rabibeat_main(
             [
                 "analyze",
                 "--config",
@@ -48,7 +51,7 @@ def run(args):
                 "--out",
                 str(ana_dir),
             ]
-        )
+        ))
         report = json.loads((ana_dir / "report.json").read_text())
         base = report["base_frequency_MHz"]
         detunings = ", ".join(
@@ -59,7 +62,7 @@ def run(args):
             f"recovered splittings {{{detunings}}} MHz"
         )
 
-    code = rabibeat_main(
+    codes.append(rabibeat_main(
         [
             "imaging-demo",
             "--config",
@@ -67,16 +70,16 @@ def run(args):
             "--out",
             str(out / "imaging-default"),
         ]
-    )
+    ))
     report = json.loads((out / "imaging-default" / "report.json").read_text())
     err_nm = 1000.0 * report["error_um"]
     budget = report["budget"]["delta_x_nm"]
     print(
         f"imaging-default: position error {err_nm:.3g} nm "
-        f"(budget {budget:.1f} nm, exit {code})"
+        f"(budget {budget:.1f} nm, exit {codes[-1]})"
     )
 
-    code = rabibeat_main(
+    codes.append(rabibeat_main(
         [
             "simulate",
             "--config",
@@ -86,12 +89,16 @@ def run(args):
             "--seed",
             str(args.seed),
         ]
+    ))
+    print(
+        f"drift-demo: sweep-averaged trace -> {out / 'drift-demo'} "
+        f"(exit {codes[-1]})"
     )
-    print(f"drift-demo: sweep-averaged trace -> {out / 'drift-demo'} (exit {code})")
+    return 1 if any(codes) else 0
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="preset-runs")
     parser.add_argument("--seed", type=int, default=7)
-    run(parser.parse_args())
+    sys.exit(run(parser.parse_args()))

@@ -5,8 +5,6 @@ detunings by the exact inverse in :mod:`rabibeat.spinmodel`.
 Beat extraction works in the time domain on the analytic-signal envelope,
 because a slow beat is resolvable from a couple of modulation periods even
 when the underlying spectral lines are closer than the FFT resolution.
-Interpolated FFT peak spacings serve as a cross-check when they are
-resolvable at all.
 """
 from __future__ import annotations
 
@@ -52,17 +50,16 @@ class Spectrum:
     """Single-sided magnitude spectrum on a uniform frequency grid.
 
     ``freqs`` run upward from zero in MHz, to the Nyquist frequency for a
-    spectrum from :func:`fft_spectrum`, and ``bin_width`` is their spacing,
-    1/(n_fft * dt) for an n_fft-point (possibly zero-padded) transform.
-    Magnitudes are normalized so a unit cosine contributes a peak magnitude
-    of about one.  ``analyze`` writes only the bins up to twice the base
-    frequency to ``spectrum.csv``.
+    spectrum from :func:`fft_spectrum`, and :attr:`bin_width` is their
+    spacing, 1/(n_fft * dt) for an n_fft-point (possibly zero-padded)
+    transform.  Magnitudes are normalized so a unit cosine contributes a
+    peak magnitude of about one.  ``analyze`` writes only the bins up to
+    twice the base frequency to ``spectrum.csv``.
     """
 
     freqs: np.ndarray
     magnitudes: np.ndarray
     window: str
-    bin_width: float
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=float)
@@ -71,6 +68,10 @@ class Spectrum:
             raise ValueError("freqs and magnitudes must have equal shape")
         if self.freqs[0] != 0.0 or np.any(np.diff(self.freqs) <= 0):
             raise ValueError("frequency grid must ascend from zero")
+
+    @property
+    def bin_width(self) -> float:
+        return float(self.freqs[1] - self.freqs[0])
 
     def to_csv(self, path):
         return write_columns(
@@ -175,7 +176,7 @@ def fft_spectrum(
         n_fft = scipy.fft.next_fast_len(int(zero_pad) * trace.n, real=True)
     mags = np.abs(np.fft.rfft(x * w, n=n_fft)) * (2.0 / w.sum())
     freqs = np.fft.rfftfreq(n_fft, d=trace.dt)
-    return Spectrum(freqs, mags, window, float(freqs[1] - freqs[0]))
+    return Spectrum(freqs, mags, window)
 
 
 def _parabolic_refine(freqs, mags, i) -> SpectralPeak:
@@ -282,12 +283,18 @@ def dominant_frequency(trace: SampledTrace) -> float:
     up to 2/duration, the half-width of the Hann main lobe, are skipped:
     when the trace decays within a small part of the record the window
     nearly hides the oscillation, and the lobe of the leftover mean there
-    can be the larger.
+    can be the larger.  A trace with no line above the rounding of its
+    values (a constant one) raises ValueError.
     """
     spectrum = fft_spectrum(trace, window="hann", zero_pad=4)
     above = spectrum.freqs > 2.0 / trace.duration
-    guess = spectrum.freqs[above][int(np.argmax(spectrum.magnitudes[above]))]
-    return refine_peak_frequency(trace, guess, window="hann")
+    freqs, mags = spectrum.freqs[above], spectrum.magnitudes[above]
+    i = int(np.argmax(mags))
+    # a constant trace leaves only the rounding of its mean, which the
+    # window's side lobes spread far below 1e-14 of its values
+    if mags[i] <= 1e-14 * np.abs(trace.values).max():
+        raise ValueError("no spectral peak: the trace does not oscillate")
+    return refine_peak_frequency(trace, freqs[i], window="hann")
 
 
 def analytic_envelope(trace: SampledTrace, band: tuple | None = None):
@@ -366,15 +373,41 @@ def fit_decay_time(trace: SampledTrace, band: tuple | None = None) -> float:
     return float(t_cross - times[i0])
 
 
-def _envelope_beat_spectrum(trace, band, f_min, f_max):
-    """Peaks of the squared, detrended envelope's spectrum; beat lines sit
-    at the pairwise differences of the underlying tone frequencies.
+def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
+    """Base frequency and beat structure of a multi-component Rabi trace.
 
-    Returns ``(envelope trace, peaks, decay time)``, the decay time being
-    -1/rate of the log-linear detrending fit, or inf when it does not fall.
+    The base is :func:`dominant_frequency`.  Beats are measured on the
+    squared analytic-signal envelope of the base band, where each pair of
+    tones produces one modulation line; a slow beat therefore needs only a
+    couple of modulation periods, not FFT line resolution.  For the
+    three-tone traces this package produces, the modulation lines satisfy a
+    sum closure and the two beats relative to the base component are the
+    smallest and largest of the triplet.  A trace too short to hold a beat
+    period yields an empty beat list and a diagnostic note; a trace with no
+    spectral peak at all (a constant one) raises ValueError.
+
+    ``diagnostics`` holds ``notes``, the refined ``envelope_beats`` and
+    ``unexplained_lines``: the envelope lines farther than 1/duration from
+    every pairwise difference of zero and the beats.  A tone set the beats
+    account for explains every line, so any entry there means a tone the
+    beats miss, and a note names them.
+
+    ``mode`` selects the exact inversion
+    :func:`rabibeat.spinmodel.detuning_from_beat` applied to each beat:
+    ``"single"`` for detuned two-level beats, ``"vtype"`` for split
+    V-configuration beats.
     """
-    times, env = analytic_envelope(trace, band=band)
-    duration = times[-1] - times[0]
+    if mode not in ("single", "vtype"):
+        raise ValueError(f"mode must be 'single' or 'vtype', got {mode!r}")
+    base = dominant_frequency(trace)
+    duration = trace.duration
+    f_min = 1.5 / duration
+    f_max = 0.45 * base
+    notes = []
+
+    # squared envelope of the base band; beat lines sit at the pairwise
+    # differences of the underlying tone frequencies
+    times, env = analytic_envelope(trace, band=(0.7 * base, 1.3 * base))
     # detrend a decaying envelope; beats average out of the log-linear fit
     flat = env
     decay_time = math.inf
@@ -384,67 +417,27 @@ def _envelope_beat_spectrum(trace, band, f_min, f_max):
         if rate < 0:
             flat = env * np.exp(-rate * (times - times[0]))
             decay_time = float(-1.0 / rate)
+    refined = []
     # a single tone has a flat envelope up to spectral-leakage ripple of a
     # few percent; without a depth gate that ripple would read as spurious
     # modulation lines.  A secondary tone at 5% relative amplitude already
     # modulates the envelope by ~20% peak-to-peak, so 10% is a safe floor.
-    if flat.mean() <= 0 or np.ptp(flat) < 0.1 * flat.mean():
-        return None, [], decay_time
-    q = flat**2
-    q = q - q.mean()
-    sub = SampledTrace(times, q)
-    spec = fft_spectrum(sub, window="hann", zero_pad=8)
-    sel = (spec.freqs >= f_min) & (spec.freqs <= f_max)
-    if not np.any(sel):
-        return sub, [], decay_time
-    masked = Spectrum(
-        spec.freqs, np.where(sel, spec.magnitudes, 0.0), spec.window,
-        spec.bin_width,
-    )
-    raw_bin = 1.0 / duration
-    peaks = find_peaks(
-        masked, min_height_rel=0.15, min_separation=1.5 * raw_bin
-    )
-    peaks = [p for p in peaks if f_min <= p.frequency <= f_max]
-    return sub, peaks, decay_time
-
-
-def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
-    """Base frequency and beat structure of a multi-component Rabi trace.
-
-    The base is the strongest interpolated FFT peak.  Beats are measured on
-    the squared analytic-signal envelope of the base band, where each pair
-    of tones produces one modulation line; a slow beat therefore needs only
-    a couple of modulation periods, not FFT line resolution.  For the
-    three-tone traces this package produces, the modulation lines satisfy a
-    sum closure and the two beats relative to the base component are the
-    smallest and largest of the triplet.  A trace too short to hold a beat
-    period yields an empty beat list and a diagnostic note; a trace with no
-    spectral peak at all (a constant one) raises ValueError.
-
-    ``mode`` selects the exact inversion
-    :func:`rabibeat.spinmodel.detuning_from_beat` applied to each beat:
-    ``"single"`` for detuned two-level beats, ``"vtype"`` for split
-    V-configuration beats.
-    """
-    if mode not in ("single", "vtype"):
-        raise ValueError(f"mode must be 'single' or 'vtype', got {mode!r}")
-    _require_uniform(trace)
-    notes = []
-    spec = fft_spectrum(trace, window="hann", zero_pad=4)
-    all_peaks = find_peaks(spec, min_height_rel=0.05, min_separation=0.0)
-    if not all_peaks:
-        raise ValueError("no spectral peak: the trace does not oscillate")
-    base_peak = max(all_peaks, key=lambda p: p.magnitude)
-    base = refine_peak_frequency(trace, base_peak.frequency, window="hann")
-    duration = trace.duration
-    f_min = 1.5 / duration
-    f_max = 0.45 * base
-    band = (0.7 * base, 1.3 * base)
-    sub, env_peaks, decay_time = _envelope_beat_spectrum(trace, band, f_min, f_max)
-    refined = [
-        refine_peak_frequency(sub, p.frequency, window="hann") for p in env_peaks
-    ]
+    if flat.mean() > 0 and np.ptp(flat) >= 0.1 * flat.mean():
+        q = flat**2
+        sub = SampledTrace(times, q - q.mean())
+        spec = fft_spectrum(sub, window="hann", zero_pad=8)
+        sel = (spec.freqs >= f_min) & (spec.freqs <= f_max)
+        masked = Spectrum(
+            spec.freqs, np.where(sel, spec.magnitudes, 0.0), spec.window
+        )
+        peaks = find_peaks(
+            masked, min_height_rel=0.15, min_separation=1.5 / sub.duration
+        )
+        refined = [
+            refine_peak_frequency(sub, p.frequency, window="hann")
+            for p in peaks
+            if f_min <= p.frequency <= f_max
+        ]
     # refinement can slide a marginal peak to the edge of its search
     # window; anything now outside the physical beat band is an artifact
     refined = sorted(f for f in refined if f_min <= f <= f_max)
@@ -454,23 +447,11 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
             deduped.append(f)
     refined = deduped
 
-    # FFT cross-check: spacings of resolved carrier-band peaks from the base
-    raw_bin = 1.0 / duration
-    fft_beats = sorted(
-        p.frequency - base_peak.frequency
-        for p in all_peaks
-        if band[0] <= p.frequency <= band[1]
-        and p.frequency - base_peak.frequency > 0.5 * raw_bin
-        and p.frequency - base_peak.frequency <= f_max
-    )
-
+    beats = refined
     if not refined:
         notes.append(
             "no envelope modulation resolvable within the trace duration"
         )
-        beats = list(fft_beats)
-        if beats:
-            notes.append("beats taken from FFT peak spacings only")
     elif len(refined) >= 3:
         largest = refined[-1]
         inner = refined[:-1]
@@ -485,22 +466,25 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
                 "modulation-line sum closure detected; beats relative to "
                 "the base are the smallest and largest lines"
             )
-        else:
-            beats = refined
-    else:
-        beats = refined
 
-    consistency = []
-    for b in beats:
-        match = any(abs(b - fb) <= 0.15 * max(b, fb) for fb in fft_beats)
-        consistency.append(bool(match))
+    # each pair of tones makes one envelope line; lines f >= 1.5/duration
+    # never match the zero differences of a tone with itself
+    tones = np.array([0.0] + beats)
+    differences = np.abs(np.subtract.outer(tones, tones)).ravel()
+    unexplained = [
+        f for f in refined if np.min(np.abs(differences - f)) > 1.0 / duration
+    ]
+    if unexplained:
+        lines = ", ".join(f"{f:.4g}" for f in unexplained)
+        notes.append(
+            f"envelope lines at {lines} MHz are no pairwise difference of 0 "
+            "and the beats; the beats miss a tone"
+        )
     detunings = sorted(detuning_from_beat(b, base, mode) for b in beats)
     diag = {
         "notes": notes,
-        "fft_peaks": [p.frequency for p in all_peaks],
-        "fft_beat_spacings": fft_beats,
         "envelope_beats": refined,
-        "fft_consistent": consistency,
+        "unexplained_lines": unexplained,
     }
     return BeatReport(mode, base, list(beats), detunings, decay_time, diag)
 

@@ -181,8 +181,7 @@ def _cmd_analyze(cfg: RunConfig, seed: int, args) -> dict:
     band = max(2, int(np.searchsorted(spectrum.freqs, top, side="right")))
     return {
         "spectrum.csv": Spectrum(
-            spectrum.freqs[:band], spectrum.magnitudes[:band], spectrum.window,
-            spectrum.bin_width,
+            spectrum.freqs[:band], spectrum.magnitudes[:band], spectrum.window
         ),
         "report.json": {
             "mode": report.mode,

@@ -220,6 +220,24 @@ def test_extract_beats_inverts_without_leading_order_bias(mode, simulate, splitt
     assert report.recovered_detunings == pytest.approx(splittings, rel=2e-3)
 
 
+def test_extract_beats_names_envelope_lines_its_beats_do_not_explain():
+    # four manifolds make six envelope lines; the sum closure keeps two
+    # beats, whose differences explain only three of them
+    grid = TimeGrid(0.0, 30.0, 6001)
+    trace = rabi_trace_incoherent(
+        22.2, ManifoldSpec((0.0, 2.18, 4.36, 6.54)), grid,
+        decay=DecayModel("exponential", 25.0),
+    )
+    report = extract_beats(trace)
+    assert report.recovered_detunings == pytest.approx([2.18, 6.538], abs=2e-3)
+    unexplained = report.diagnostics["unexplained_lines"]
+    assert unexplained
+    assert set(unexplained) <= set(report.diagnostics["envelope_beats"])
+    named = [n for n in report.diagnostics["notes"] if "miss a tone" in n]
+    assert len(named) == 1
+    assert all(f"{f:.4g}" in named[0] for f in unexplained)
+
+
 def test_extract_beats_single_tone_is_clean():
     trace = tone(22.2, duration=30.0, n=6001)
     report = extract_beats(trace)
@@ -284,6 +302,21 @@ def test_dominant_frequency_is_grid_free():
     # 7.31 MHz falls between the 12.5 kHz bins of a 4x zero-padded 20 us trace
     trace = tone(7.31, decay=15.0)
     assert dominant_frequency(trace) == pytest.approx(7.31, abs=1e-4)
+
+
+@pytest.mark.parametrize("level", [0.0, 0.1, 0.3, 1e6])
+def test_dominant_frequency_rejects_a_constant_trace(level):
+    times = np.linspace(0.0, 10.0, 1001)
+    with pytest.raises(ValueError, match="no spectral peak"):
+        dominant_frequency(SampledTrace(times, np.full(times.size, level)))
+
+
+def test_spectrum_bin_width_is_the_grid_spacing():
+    trace = tone(5.0)
+    spec = fft_spectrum(trace, window="hann", zero_pad=3)
+    assert spec.bin_width == spec.freqs[1] - spec.freqs[0]
+    band = Spectrum(spec.freqs[:2], spec.magnitudes[:2], spec.window)
+    assert band.bin_width == spec.bin_width
 
 
 def test_spectrum_csv_round_trip(tmp_path):

@@ -448,6 +448,23 @@ def test_sweep_rejects_malformed_spec(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "sim_name, ana_name",
+    [("paper-fig3", "paper-fig4"), ("paper-fig7", "paper-fig8")],
+)
+def test_paper_presets_leave_no_envelope_line_unexplained(
+    tmp_path, sim_name, ana_name
+):
+    sim, ana = tmp_path / "sim", tmp_path / "ana"
+    assert main(["simulate", "--config", sim_name, "--out", str(sim)]) == 0
+    assert main(["analyze", "--config", ana_name, "--trace",
+                 str(sim / "trace.csv"), "--out", str(ana)]) == 0
+    diagnostics = read_json(ana / "report.json")["diagnostics"]
+    assert set(diagnostics) == {"notes", "envelope_beats", "unexplained_lines"}
+    assert len(diagnostics["envelope_beats"]) == 3
+    assert diagnostics["unexplained_lines"] == []
+
+
 def test_single_tone_trace_analyzes_cleanly(tmp_path):
     # one manifold, no beats: report must be empty but well-formed
     times = np.linspace(0.0, 10.0, 2001)
