@@ -2,8 +2,9 @@
 """Run every bundled preset end to end and print a one-line summary each.
 
 Simulation presets are piped into the matching analysis preset so the
-recovered splittings can be eyeballed against the configured ones.  Exits
-1 when any run exits nonzero.
+recovered splittings can be eyeballed against the configured ones.  Only
+runs that exit 0 have their reports summarized, and the script exits 1
+when any run exits nonzero.
 
 Usage:
     python scripts/run_paper_presets.py [--out DIR] [--seed N]
@@ -52,6 +53,10 @@ def run(args) -> int:
                 str(ana_dir),
             ]
         ))
+        if any(codes[-2:]):  # a failed run leaves no report, or an old one
+            code = codes[-2] or codes[-1]
+            print(f"{sim_name} -> {ana_name}: failed (exit {code})")
+            continue
         report = json.loads((ana_dir / "report.json").read_text())
         base = report["base_frequency_MHz"]
         detunings = ", ".join(
@@ -71,13 +76,16 @@ def run(args) -> int:
             str(out / "imaging-default"),
         ]
     ))
-    report = json.loads((out / "imaging-default" / "report.json").read_text())
-    err_nm = 1000.0 * report["error_um"]
-    budget = report["budget"]["delta_x_nm"]
-    print(
-        f"imaging-default: position error {err_nm:.3g} nm "
-        f"(budget {budget:.1f} nm, exit {codes[-1]})"
-    )
+    if codes[-1]:
+        print(f"imaging-default: failed (exit {codes[-1]})")
+    else:
+        report = json.loads((out / "imaging-default" / "report.json").read_text())
+        err_nm = 1000.0 * report["error_um"]
+        budget = report["budget"]["delta_x_nm"]
+        print(
+            f"imaging-default: position error {err_nm:.3g} nm "
+            f"(budget {budget:.1f} nm, exit 0)"
+        )
 
     codes.append(rabibeat_main(
         [

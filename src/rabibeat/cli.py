@@ -151,13 +151,9 @@ def _cmd_analyze(cfg: RunConfig, seed: int, args) -> dict:
     if not trace_path:
         raise ConfigError("analyze.trace: required (or pass --trace)")
     # the trace is the one input that arrives at run time, so its checks
-    # (format, sampling, length, a spectral peak) run here
+    # (format, sidecar, sampling, length, a spectral peak) run here
     try:
         trace = SampledTrace.from_csv(trace_path)
-        spectrum = fft_spectrum(
-            trace, window=cfg.analyze["window"], zero_pad=cfg.analyze["zero_pad"]
-        )
-        report = extract_beats(trace, mode=cfg.analyze["mode"])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"analyze.trace: {exc}") from None
     # a sidecar that names the simulated kind fixes the beat inversion
@@ -169,6 +165,13 @@ def _cmd_analyze(cfg: RunConfig, seed: int, args) -> dict:
             f"analyze.mode: {mode} does not fit the trace's drive kind {kind} "
             f"({meta_path_for(trace_path)})"
         )
+    try:
+        spectrum = fft_spectrum(
+            trace, window=cfg.analyze["window"], zero_pad=cfg.analyze["zero_pad"]
+        )
+        report = extract_beats(trace, mode=mode)
+    except ValueError as exc:
+        raise ConfigError(f"analyze.trace: {exc}") from None
 
     decay_time = report.decay_time
     effective_time = decay_time if math.isfinite(decay_time) else trace.duration

@@ -3,12 +3,14 @@
 Every CSV artifact is a columns file: a versioned header line such as
 ``# rabibeat-trace v1``, optional ``# key: value`` comment lines, a column
 line such as ``time_us,signal``, then one :func:`format_float` row per
-sample.  Both directions are numpy passes over the file's bytes, exact to
-the bit: :func:`write_columns` prints each value as ``format_float`` does,
-and :func:`read_columns` reads each field as ``float()`` does.  A trace's
-metadata travels in a JSON sidecar ``<stem>.meta.json`` with the top-level
-keys ``units``, ``drive``, ``decay`` and ``provenance``; all JSON goes
-through :func:`write_json`.  Equal inputs produce byte-identical files, and
+sample.  Both directions are exact to the bit: :func:`write_columns`
+prints each value as ``format_float`` does, in one numpy pass over all
+values, and :func:`read_columns` reads each field as ``float()`` does,
+with ``np.loadtxt`` for a file laid out as ``write_columns`` writes a
+trace and line by line for any other.  A trace's metadata travels in a
+JSON sidecar ``<stem>.meta.json`` with the top-level keys ``units``,
+``drive``, ``decay`` and ``provenance``; all JSON goes through
+:func:`write_json`.  Equal inputs produce byte-identical files, and
 parse -> re-serialize is the identity on files this module wrote.
 """
 from __future__ import annotations
@@ -55,8 +57,7 @@ _TIE_BAND = 4e-3
 # with NUL for a '+' sign and for a hundreds digit of 0.  Tables hold the
 # text of a word (or of the 8-byte exponent) and are gathered by value.
 _SLOTS = 24
-# values formatted or parsed per numpy pass: the pass's temporaries stay
-# in cache
+# values formatted per numpy pass: the pass's temporaries stay in cache
 _CHUNK = 8192
 _U8 = np.uint8
 
@@ -138,75 +139,9 @@ def write_columns(path, header: str, columns: str, arrays, comments=None) -> Pat
     return path
 
 
-# The fast path of read_columns (see its docstring) works on 8-byte words.
-_U64 = np.uint64  # numpy 1.x promotes mixed integer types by value: keep all uint64
-_ZEROS = _U64(0x3030303030303030)
-_HIGH_NIBBLES = _U64(0xF0F0F0F0F0F0F0F0)
-_SIXES = _U64(0x0606060606060606)
-_PAIRS = _U64(0x000000FF000000FF)
-# The exponent e of a field by its code 100·(e < 0) + |e|; the factor and
-# divisor of m by the code plus 200 for a negative field.  One of the two
-# is ±1, so the quotient of their product is rounded once.
-_EXPONENT = [*range(100), *range(0, -100, -1)]
-_EXPONENT_OK = np.array([abs(e - 12) <= 22 for e in _EXPONENT])
-_FACTOR = np.array([float(10 ** max(e - 12, 0)) for e in _EXPONENT] * 2)
-_FACTOR[200:] *= -1.0
-_DIVISOR = np.array([float(10 ** max(12 - e, 0)) for e in _EXPONENT] * 2)
-# bytes a line can start with and still be read as a data row without the
-# line logic of read_columns; and str.isspace over ASCII
-_ROW_START = np.zeros(256, dtype=bool)
-_ROW_START[np.frombuffer(b"0123456789+-.", dtype=_U8)] = True
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[c for c in range(128) if chr(c).isspace()]] = True
-# the line breaks of str.splitlines besides "\n" ("\x85" is not ASCII)
-_OTHER_BREAKS = b"\r\v\f\x1c\x1d\x1e"
-_TO_NEWLINE = bytes.maketrans(_OTHER_BREAKS, b"\n" * len(_OTHER_BREAKS))
-
-
-def _all_digits(words):
-    """Which uint64 ``words`` hold eight ASCII digits."""
-    return (((words & _HIGH_NIBBLES) == _ZEROS)
-            & (((words + _SIXES) & _HIGH_NIBBLES) == _ZEROS))
-
-
-def _digits_value(words):
-    """The integer that eight ASCII digits spell, the first digit in the
-    lowest byte (Lemire's SWAR conversion)."""
-    words = words - _ZEROS
-    words = words * _U64(10) + (words >> _U64(8))  # digit pairs in bytes 0, 2, 4, 6
-    return ((words & _PAIRS) * _U64(100 + (1000000 << 32))
-            + ((words >> _U64(16)) & _PAIRS) * _U64(1 + (10000 << 32))) >> _U64(32)
-
-
-def _parse_fields(buf, words, starts, ends):
-    """``float(text)`` of each field ``buf[starts[i]:ends[i]]`` of the shape
-    and exponent range above, from three 8-byte loads: ``D.dddddd``, the
-    8 digits after the point, and ``dddde±XX``.  Returns the values and
-    the indices of the other fields, whose values are left undefined."""
-    neg = buf.take(starts, mode="clip") == ord("-")
-    at = starts + neg
-    fast = ends - at == 18
-    if not fast.any():
-        return np.empty(starts.size), np.arange(starts.size)
-    # a fast field ends inside the buffer; take() would copy the strided view
-    at = np.minimum(at, words.size - 11)
-    head, digits, tail = words[at], words[at + 2], words[at + 10]
-    lead = (head & _U64(0xFFFF)) - _U64(0x2E30)  # "D." -> D
-    tag = (tail >> _U64(32)) & _U64(0xFFFF)  # "e" and the exponent's sign
-    minus = tag == _U64(0x2D65)
-    tail = (tail & _U64(0xFFFF0000FFFFFFFF)) | _U64(0x0000303000000000)
-    low = _digits_value(tail)  # the digits dddd00XX
-    code = low + minus * _U64(100)
-    low //= _U64(10**4)
-    code -= low * _U64(10**4)
-    fast &= ((lead < _U64(10)) & _all_digits(digits) & _all_digits(tail)
-             & (minus | (tag == _U64(0x2B65)))
-             & _EXPONENT_OK.take(code.astype(np.int64), mode="clip"))
-    mantissa = lead * _U64(10**12) + _digits_value(digits) * _U64(10**4) + low
-    code = (code + neg * _U64(200)).astype(np.int64)
-    values = (mantissa.astype(np.float64) * _FACTOR.take(code, mode="clip")
-              / _DIVISOR.take(code, mode="clip"))
-    return values, np.flatnonzero(~fast)
+# the line breaks of str.splitlines besides "\n" ("\x85" is not ASCII), and
+# "\x1f", which np.loadtxt strips from a field's ends and float() does not
+_NOT_FOR_LOADTXT = b"\r\v\f\x1c\x1d\x1e\x1f"
 
 
 def read_columns(path, header: str, columns: str):
@@ -216,97 +151,60 @@ def read_columns(path, header: str, columns: str):
     the header, lines end as ``str.splitlines`` ends them, and every field
     reads as ``float()`` reads it.  Errors name the file and line.
 
-    The file is parsed in one numpy pass over its bytes.  Only lines that
-    do not start with a digit, sign or point, or that end in whitespace,
-    go through the line logic in Python.  A field of the shape
-    :func:`write_columns` writes, ``[-]D.DDDDDDDDDDDDe±XX`` with an
-    exponent e in [-10, 34], is converted from its 13-digit mantissa m:
-    m < 10**13 < 2**53 and 10**|e - 12| <= 10**22 are exact doubles, so
-    ``m * 10**(e - 12)`` (or ``m / 10**(12 - e)``) is one correctly rounded
-    operation and equals ``float(text)`` bit for bit (Clinger 1990).
-    Every other field, such as |x| < 1e-10, nan, inf, 3-digit exponents
-    and hand-written or padded text, goes through ``float()``."""
+    A ``.csv`` file that starts with exactly the header and column lines,
+    has its first row right after them and holds no line break but
+    ``"\\n"`` and no ``"\\x1f"`` (every trace :func:`write_columns`
+    writes) is read by one ``np.loadtxt`` call.  Its C parser converts each
+    whitespace-stripped field with CPython's ``PyOS_string_to_double``, the
+    function behind ``float()``, so the values are the same to the bit.
+    Every other file, and one that loadtxt rejects or reads with fewer than
+    two rows or another number of columns, is read line by line with
+    ``float()`` per field, which also reports the line at fault."""
     path = Path(path)
     data = path.read_bytes()
     if not data.isascii():
         pos = int(np.flatnonzero(np.frombuffer(data, dtype=_U8) > 127)[0])
         lineno = len((data[:pos].decode("ascii") + "x").splitlines())
         raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}")
-    if any(byte in data for byte in _OTHER_BREAKS):
-        data = data.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
-    buf = np.frombuffer(data, dtype=_U8)
-    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    is_break = buf[seps] == ord("\n")
-    breaks = seps[np.flatnonzero(is_break)]
-    line_starts = np.concatenate(([0], breaks + 1))
-    line_ends = np.append(breaks, buf.size)
-    if line_starts[-1] == buf.size:  # no line after a final break
-        line_starts, line_ends = line_starts[:-1], line_ends[:-1]
-
-    def line(i):
-        return data[line_starts[i]:line_ends[i]].decode("ascii")
-
-    if not line_starts.size or line(0).strip() != header:
+    width = columns.count(",") + 1
+    prefix = f"{header}\n{columns}\n".encode("ascii")
+    # loadtxt picks a decompressor by suffix, and it warns on a body
+    # without rows, which a first row right after the column lines rules out
+    if (path.suffix == ".csv" and data.startswith(prefix)
+            and data[len(prefix):len(prefix) + 1] not in (b"", b"\n")
+            and not any(byte in data for byte in _NOT_FOR_LOADTXT)):
+        try:
+            rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=2,
+                              ndmin=2, dtype=float)
+        except ValueError:
+            pass  # the line reader names the line at fault
+        else:
+            if rows.shape[0] >= 2 and rows.shape[1] == width:
+                return list(rows.T.copy()), {}
+    lines = data.decode("ascii").splitlines()
+    if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}:1: missing header {header!r}")
-    starts, ends = line_starts[1:].copy(), line_ends[1:].copy()
-    first = buf[starts]  # an empty line's own break
-    rows = (_ROW_START[first] & ~_SPACE[buf[ends - 1]]
-            & (first != ord(columns[0])))
-    comments = {}
-    for i in np.flatnonzero(~rows).tolist():
-        raw = line(i + 1)
+    comments, fields = {}, []
+    for lineno, raw in enumerate(lines[1:], start=2):
         text = raw.strip()
         if not text or text[0] == "#" or text == columns:
             key, sep, value = text[1:].partition(":")
             if sep and text[0] == "#":
                 comments[key.strip()] = value.strip()
+        elif text.count(",") != width - 1:
+            raise ValueError(f"{path}:{lineno}: expected {width} "
+                             f"comma-separated fields, got {raw!r}")
         else:
-            rows[i] = True
-            ends[i] = starts[i] + len(raw.rstrip())
-            starts[i] += len(raw) - len(raw.lstrip())
-    row_lines = np.flatnonzero(rows)
-    starts, ends = starts[row_lines], ends[row_lines]
-    row_lines += 1  # counted from 0 at the header
-    # the separators before the j-th comma are j commas and as many line
-    # breaks as the index of its line
-    commas = np.flatnonzero(~is_break)
-    line_of = commas - np.arange(commas.size)
-    inside = np.flatnonzero(np.concatenate(([False], rows))[line_of])
-    commas, line_of = seps[commas[inside]], line_of[inside]
-    width = columns.count(",") + 1
-    counts = np.bincount(line_of, minlength=line_starts.size)[row_lines]
-    bad = np.flatnonzero(counts != width - 1)
-    linenos = row_lines + 1
-    if bad.size:
-        lineno = linenos[bad[0]]
-        raise ValueError(
-            f"{path}:{lineno}: expected {width} comma-separated fields, "
-            f"got {line(lineno - 1)!r}"
-        )
-    field_starts = np.empty((linenos.size, width), dtype=np.int64)
-    field_ends = np.empty_like(field_starts)
-    field_starts[:, 0] = starts
-    field_starts[:, 1:] = commas.reshape(linenos.size, width - 1) + 1
-    field_ends[:, :-1] = commas.reshape(linenos.size, width - 1)
-    field_ends[:, -1] = ends
-    field_starts, field_ends = field_starts.ravel(), field_ends.ravel()
-    # the 8 bytes from every offset, as little-endian integers
-    words = np.ndarray((max(buf.size - 7, 0),), dtype="<u8", buffer=data,
-                       strides=(1,))
-    values = np.empty(field_starts.size)
-    for i in range(0, values.size, _CHUNK):
-        chunk = slice(i, i + _CHUNK)
-        values[chunk], slow = _parse_fields(
-            buf, words, field_starts[chunk], field_ends[chunk])
-        for j in (slow + i).tolist():
-            try:
-                values[j] = float(data[field_starts[j]:field_ends[j]]
-                                  .decode("ascii"))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{linenos[j // width]}: {exc}") from None
-    if linenos.size < 2:
+            fields.append((lineno, text.split(",")))
+    values = []
+    for lineno, row in fields:  # after every row's field count is checked
+        try:
+            values.append([float(text) for text in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if len(values) < 2:
         raise ValueError(f"{path}: fewer than two data rows")
-    return list(values.reshape(-1, width).T.copy()), comments
+    return list(np.array(values).T.copy()), comments
 
 
 def _jsonable(obj):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,16 @@ def test_exit_code_2_on_malformed_trace(tmp_path, capsys):
     )
     assert code == 2
     assert "config error: analyze.trace: " in capsys.readouterr().err
+    # too few rows, with no warning from the reader on an empty body
+    for name, body in (("header-only", ""), ("one-row", "0.0,1.0\n")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("# rabibeat-trace v1\ntime_us,signal\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--config", "paper-fig4", "--trace", str(path),
+                         "--out", str(tmp_path / f"out-{name}")]) == 2
+        assert (f"config error: analyze.trace: {path}: fewer than two data rows"
+                in capsys.readouterr().err)
     # traces that parse but cannot be analyzed
     times = np.linspace(0.0, 10.0, 2001)
     for name, trace, cause in (
@@ -290,6 +301,15 @@ def test_analyze_rejects_a_mode_the_trace_sidecar_contradicts(tmp_path, capsys):
         assert not out.exists()
         assert (f"config error: analyze.mode: {mode} does not fit the trace's "
                 f"drive kind {kind}") in capsys.readouterr().err
+    # the sidecar is checked before anything is computed, so a flat trace
+    # fails on its mode, not on its missing spectral peak
+    times = np.linspace(0.0, 10.0, 2001)
+    flat = SampledTrace(times, np.full(times.size, 0.1),
+                        {"drive": {"kind": "rabi-vtype"}}).save(tmp_path / "flat.csv")
+    assert main(["analyze", "--config", "paper-fig4", "--trace", str(flat),
+                 "--out", str(tmp_path / "flat")]) == 2
+    assert ("config error: analyze.mode: single does not fit the trace's drive "
+            "kind rabi-vtype") in capsys.readouterr().err
     # a trace without a sidecar, or with one that names no kind, is
     # analyzed in the configured mode
     bare = SampledTrace.from_csv(sim / "trace.csv").to_csv(tmp_path / "bare.csv")

@@ -139,12 +139,34 @@ def test_read_columns_skips_blank_and_comment_lines_anywhere(tmp_path):
     (t1, v1), comments = read_columns(messy, TRACE_HEADER, TRACE_COLUMNS)
     assert np.array_equal(t0, t1) and np.array_equal(v0, v1)
     assert comments == {"a": "3", "b": "two words"}
+    # a written trace is read by np.loadtxt; with a comment past row 1000
+    # the same rows go through the line reader, to the same bits
+    full = fig7_trace_csv(tmp_path)
+    lines = full.read_text().splitlines()
+    lines.insert(1500, "# k: v")
+    commented = tmp_path / "commented.csv"
+    commented.write_text("\n".join(lines) + "\n")
+    (t0, v0), _ = read_columns(full, TRACE_HEADER, TRACE_COLUMNS)
+    (t1, v1), comments = read_columns(commented, TRACE_HEADER, TRACE_COLUMNS)
+    assert t0.tobytes() == t1.tobytes() and v0.tobytes() == v1.tobytes()
+    assert t1.size == len(lines) - 3 and comments == {"k": "v"}
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".txt"])
+def test_read_columns_reads_plain_text_under_any_suffix(tmp_path, suffix):
+    # np.loadtxt would open the first three names with a decompressor
+    path = tmp_path / f"rows{suffix}"
+    path.write_text("# rows\na,b\n1.0,2.0\n3.0,4.0\n")
+    (a, b), _ = read_columns(path, "# rows", "a,b")
+    assert a.tolist() == [1.0, 3.0] and b.tolist() == [2.0, 4.0]
 
 
 @pytest.mark.parametrize("bad_row, cause", [
     ("oops,2.0", "could not convert string to float: 'oops'"),
     ("1.0,2.0,3.0", "expected 2 comma-separated fields, got '1.0,2.0,3.0'"),
     ("1.0", "expected 2 comma-separated fields, got '1.0'"),
+    # np.loadtxt strips "\x1f" from a field, float() does not
+    ("1.0,\x1f2.0", "could not convert string to float: '\\x1f2.0'"),
 ])
 def test_read_columns_names_the_line_past_row_1000(tmp_path, bad_row, cause):
     lines = fig7_trace_csv(tmp_path).read_text().splitlines()
