@@ -12,10 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-import scipy.ndimage
-import scipy.optimize
-import scipy.signal
 
 from .evolve import _BLOCK, _phasors
 from .spinmodel import detuning_from_beat
@@ -153,6 +149,23 @@ def _require_uniform(trace: SampledTrace):
         raise ValueError("trace is not uniformly sampled")
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, the length
+    ``scipy.fft.next_fast_len(n, real=True)`` returns."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two >= ceil(n / p35)
+            length = p35 << ((n - 1) // p35).bit_length()
+            if length < best:
+                best = length
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fft_spectrum(
     trace: SampledTrace, window: str = "hann", zero_pad: int = 4
 ) -> Spectrum:
@@ -173,7 +186,7 @@ def fft_spectrum(
     w = _window_array(window, trace.n)
     n_fft = trace.n
     if zero_pad > 1:
-        n_fft = scipy.fft.next_fast_len(int(zero_pad) * trace.n, real=True)
+        n_fft = _next_fast_len(int(zero_pad) * trace.n)
     mags = np.abs(np.fft.rfft(x * w, n=n_fft)) * (2.0 / w.sum())
     freqs = np.fft.rfftfreq(n_fft, d=trace.dt)
     return Spectrum(freqs, mags, window)
@@ -193,6 +206,36 @@ def _parabolic_refine(freqs, mags, i) -> SpectralPeak:
     return SpectralPeak(float(freqs[i] + shift * df), float(b - 0.25 * (a - c) * shift))
 
 
+def _peak_indices(x: np.ndarray, height: float, distance: int) -> np.ndarray:
+    """The indices ``scipy.signal.find_peaks(x, height=height,
+    distance=distance)`` returns.
+
+    A peak is a run of equal values whose neighbouring runs are both lower,
+    so never a run that touches an end; its index is the run's middle,
+    (first + last) // 2.  Peaks lower than ``height`` go, then the rest are
+    visited from the highest down in ``np.argsort`` order, which is how
+    scipy breaks ties, and each one still kept drops the peaks closer than
+    ``distance`` bins.
+    """
+    first = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
+    last = np.append(first[1:] - 1, x.size - 1)
+    level = x[first]
+    peak = np.zeros(first.size, dtype=bool)
+    peak[1:-1] = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    peak &= level >= height
+    idx = (first[peak] + last[peak]) // 2
+    if distance > 1:
+        lo = np.searchsorted(idx, idx - distance, side="right")
+        hi = np.searchsorted(idx, idx + distance, side="left")
+        keep = np.ones(idx.size, dtype=bool)
+        for j in np.argsort(x[idx])[::-1].tolist():
+            if keep[j]:
+                keep[lo[j]:j] = False
+                keep[j + 1:hi[j]] = False
+        idx = idx[keep]
+    return idx
+
+
 def find_peaks(
     spectrum: Spectrum,
     min_height_rel: float = 0.1,
@@ -210,9 +253,7 @@ def find_peaks(
     distance = 1
     if min_separation > 0:
         distance = max(1, int(math.ceil(min_separation / spectrum.bin_width)))
-    idx, _ = scipy.signal.find_peaks(
-        mags, height=min_height_rel * mags.max(), distance=distance
-    )
+    idx = _peak_indices(mags, min_height_rel * mags.max(), distance)
     peaks = [_parabolic_refine(spectrum.freqs, mags, int(i)) for i in idx]
     peaks.sort(key=lambda p: p.frequency)
     return peaks
@@ -233,6 +274,8 @@ def refine_peak_frequency(
     complex exponential per sample.  A bounded Brent search over the offset
     from ``f_guess`` ends with one :func:`_parabola_step`.
     """
+    import scipy.optimize  # here, so that only a refinement loads it
+
     _require_uniform(trace)
     x = trace.values - trace.values.mean()
     xw = x * _window_array(window, trace.n)
@@ -350,6 +393,8 @@ def fit_decay_time(trace: SampledTrace, band: tuple | None = None) -> float:
     Beat modulation can pull the envelope below 1/e long before the decay
     itself does; :attr:`BeatReport.decay_time` is robust to that.
     """
+    import scipy.ndimage
+
     times, env = analytic_envelope(trace, band=band)
     n = env.size
     width = max(3, n // 20)

@@ -6,8 +6,8 @@ line such as ``time_us,signal``, then one :func:`format_float` row per
 sample.  Both directions are exact to the bit: :func:`write_columns`
 prints each value as ``format_float`` does, in one numpy pass over all
 values, and :func:`read_columns` reads each field as ``float()`` does,
-with ``np.loadtxt`` for a file laid out as ``write_columns`` writes a
-trace and line by line for any other.  A trace's metadata travels in a
+with ``np.loadtxt`` for a file laid out as ``write_columns`` writes it
+and line by line for any other.  A trace's metadata travels in a
 JSON sidecar ``<stem>.meta.json`` with the top-level keys ``units``,
 ``drive``, ``decay`` and ``provenance``; all JSON goes through
 :func:`write_json`.  Equal inputs produce byte-identical files, and
@@ -144,6 +144,44 @@ def write_columns(path, header: str, columns: str, arrays, comments=None) -> Pat
 _NOT_FOR_LOADTXT = b"\r\v\f\x1c\x1d\x1e\x1f"
 
 
+def _add_comment(comments: dict, text: str) -> None:
+    """Record a stripped ``# key: value`` line; a comment without ":" is
+    skipped."""
+    key, sep, value = text[1:].partition(":")
+    if sep:
+        comments[key.strip()] = value.strip()
+
+
+def _loadtxt_layout(path: Path, data: bytes, header: str, columns: str):
+    """``(skiprows, comments)`` for a file np.loadtxt reads to the bit,
+    else None.
+
+    That is a ``.csv`` file that starts with the header line, any number of
+    ``# key: value`` lines and the column line, has its first row right
+    after them and holds no line break but ``"\\n"`` and no ``"\\x1f"``.
+    (loadtxt picks a decompressor by suffix, and it warns on a body
+    without rows, which a first row right after the column line rules out.)
+    """
+    start = f"{header}\n".encode("ascii")
+    if (path.suffix != ".csv" or not data.startswith(start)
+            or any(byte in data for byte in _NOT_FOR_LOADTXT)):
+        return None
+    pos, skiprows, comments = len(start), 2, {}
+    while data.startswith(b"#", pos):
+        end = data.find(b"\n", pos)
+        if end < 0:
+            return None
+        _add_comment(comments, data[pos:end].decode("ascii").strip())
+        pos, skiprows = end + 1, skiprows + 1
+    column_line = f"{columns}\n".encode("ascii")
+    if not data.startswith(column_line, pos):
+        return None
+    pos += len(column_line)
+    if data[pos:pos + 1] in (b"", b"\n"):
+        return None
+    return skiprows, comments
+
+
 def read_columns(path, header: str, columns: str):
     """Parse a columns file into ``(arrays, comments)``: one float array
     per column and the dict of ``# key: value`` lines.  Blank lines,
@@ -151,15 +189,14 @@ def read_columns(path, header: str, columns: str):
     the header, lines end as ``str.splitlines`` ends them, and every field
     reads as ``float()`` reads it.  Errors name the file and line.
 
-    A ``.csv`` file that starts with exactly the header and column lines,
-    has its first row right after them and holds no line break but
-    ``"\\n"`` and no ``"\\x1f"`` (every trace :func:`write_columns`
-    writes) is read by one ``np.loadtxt`` call.  Its C parser converts each
-    whitespace-stripped field with CPython's ``PyOS_string_to_double``, the
-    function behind ``float()``, so the values are the same to the bit.
-    Every other file, and one that loadtxt rejects or reads with fewer than
-    two rows or another number of columns, is read line by line with
-    ``float()`` per field, which also reports the line at fault."""
+    A file laid out as :func:`write_columns` writes it (see
+    :func:`_loadtxt_layout`) is read by one ``np.loadtxt`` call.  Its C
+    parser converts each whitespace-stripped field with CPython's
+    ``PyOS_string_to_double``, the function behind ``float()``, so the
+    values are the same to the bit.  Every other file, and one that loadtxt
+    rejects or reads with fewer than two rows or another number of columns,
+    is read line by line with ``float()`` per field, which also reports the
+    line at fault."""
     path = Path(path)
     data = path.read_bytes()
     if not data.isascii():
@@ -167,30 +204,27 @@ def read_columns(path, header: str, columns: str):
         lineno = len((data[:pos].decode("ascii") + "x").splitlines())
         raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}")
     width = columns.count(",") + 1
-    prefix = f"{header}\n{columns}\n".encode("ascii")
-    # loadtxt picks a decompressor by suffix, and it warns on a body
-    # without rows, which a first row right after the column lines rules out
-    if (path.suffix == ".csv" and data.startswith(prefix)
-            and data[len(prefix):len(prefix) + 1] not in (b"", b"\n")
-            and not any(byte in data for byte in _NOT_FOR_LOADTXT)):
+    layout = _loadtxt_layout(path, data, header, columns)
+    if layout is not None:
+        skiprows, comments = layout
         try:
-            rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=2,
-                              ndmin=2, dtype=float)
+            rows = np.loadtxt(path, delimiter=",", comments=None,
+                              skiprows=skiprows, ndmin=2, dtype=float)
         except ValueError:
             pass  # the line reader names the line at fault
         else:
             if rows.shape[0] >= 2 and rows.shape[1] == width:
-                return list(rows.T.copy()), {}
+                return list(rows.T.copy()), comments
     lines = data.decode("ascii").splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}:1: missing header {header!r}")
     comments, fields = {}, []
     for lineno, raw in enumerate(lines[1:], start=2):
         text = raw.strip()
-        if not text or text[0] == "#" or text == columns:
-            key, sep, value = text[1:].partition(":")
-            if sep and text[0] == "#":
-                comments[key.strip()] = value.strip()
+        if text[:1] == "#":
+            _add_comment(comments, text)
+        elif not text or text == columns:
+            continue
         elif text.count(",") != width - 1:
             raise ValueError(f"{path}:{lineno}: expected {width} "
                              f"comma-separated fields, got {raw!r}")

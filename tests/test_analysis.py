@@ -2,11 +2,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+import scipy.signal
+from hypothesis import example, given, settings, strategies as st
 
 from rabibeat.analysis import (
     WINDOWS,
+    _next_fast_len,
+    _parabolic_refine,
     Lineshape,
     Spectrum,
     analytic_envelope,
@@ -70,6 +74,50 @@ def test_find_peaks_orders_by_frequency_and_interpolates():
     peaks = find_peaks(spec, min_height_rel=0.5)
     assert len(peaks) == 1
     assert peaks[0].frequency == pytest.approx(5.043, abs=0.2 * spec.bin_width)
+
+
+def test_next_fast_len_is_scipys():
+    small = range(1, 200_001)
+    assert ([_next_fast_len(n) for n in small]
+            == [scipy.fft.next_fast_len(n, real=True) for n in small])
+    powers = [p**k + d for p in (2, 3, 5) for k in range(1, 30) for d in (-1, 0, 1)
+              if p**k + d <= 10**9]
+    sampled = np.random.default_rng(15).integers(200_001, 10**9, 3000).tolist()
+    for n in powers + sampled + [10**9]:
+        assert _next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
+
+
+# scipy's distance pruning visits equal heights in np.argsort order, which
+# a stable sort changes here: its peaks 9 and 12 tie within 4 bins
+TIES = [1, 2, 2, 0, 0, 2, 2, 0, 0, 2, 1, 0, 2, 0, 1, 1, 1, 0, 0, 2, 2, 2, 1, 2,
+        0, 1, 2, 0, 0, 0, 1, 2, 0, 1, 1, 2, 0, 1, 0, 0, 2, 0, 0, 1, 1, 0, 2, 2]
+
+
+@settings(max_examples=300)
+@given(
+    runs=st.lists(st.tuples(st.one_of(st.integers(0, 3).map(float),
+                                      st.floats(0.0, 3.0, **finite)),
+                            st.integers(1, 4)), min_size=3, max_size=120),
+    min_height_rel=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                             st.floats(0.0, 1.0, **finite)),
+    min_separation=st.floats(0.0, 2.0, **finite),
+)
+@example(runs=[(float(v), 1) for v in TIES], min_height_rel=0.0, min_separation=1.0)
+def test_find_peaks_picks_scipys_indices(runs, min_height_rel, min_separation):
+    # runs of equal levels give plateaus, runs of zeros, equal heights and
+    # maxima at either end; 0.25 MHz bins make min_separation up to 8 bins
+    levels, counts = zip(*runs)
+    mags = np.repeat(levels, counts)
+    freqs = 0.25 * np.arange(mags.size)
+    peaks = find_peaks(Spectrum(freqs, mags, "hann"), min_height_rel, min_separation)
+    if mags.max() <= 0:
+        assert peaks == []
+        return
+    distance = max(1, int(np.ceil(min_separation / 0.25)))
+    idx, _ = scipy.signal.find_peaks(mags, height=min_height_rel * mags.max(),
+                                     distance=distance)
+    assert peaks == sorted((_parabolic_refine(freqs, mags, i) for i in idx),
+                           key=lambda p: p.frequency)
 
 
 @settings(max_examples=20)

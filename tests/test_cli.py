@@ -347,20 +347,31 @@ def test_determinism_across_runs(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def run_fresh(script, **env):
+    """Stdout of ``script`` run by a new interpreter that imports this
+    rabibeat, with ``env`` added to the environment."""
+    src = str(Path(rabibeat.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def run_main(runs):
+    """A script that passes each argv of ``runs`` to ``rabibeat.cli.main``."""
+    return f"from rabibeat.cli import main\nfor a in {runs!r}: assert main(a) == 0\n"
+
+
 def test_drift_trace_is_independent_of_blas_threads(tmp_path):
     # the drift average is a BLAS matrix product; its bytes must not depend
     # on the thread count, also while sweep variants run concurrently
-    src = str(Path(rabibeat.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         run = ["simulate", "--config", "drift-demo", "--seed", "7", "--out"]
         runs = [run + [str(out / "single")],
                 run + [str(out / "sweep"), "--sweep", "drift.sigma_relative=8e-4,1.6e-3"]]
-        script = f"from rabibeat.cli import main\nfor a in {runs!r}: assert main(a) == 0"
-        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        run_fresh(run_main(runs), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         outs.append(out)
     traces = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("trace.csv"))
     assert len(traces) == 3
@@ -371,24 +382,68 @@ def test_drift_trace_is_independent_of_blas_threads(tmp_path):
 def test_analyze_is_independent_of_blas_threads(tmp_path):
     # the DTFT refinement is a BLAS matrix-vector product; the artifacts of
     # analyze must not depend on the thread count
-    src = str(Path(rabibeat.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         runs = []
         for sim, ana in (("paper-fig3", "paper-fig4"), ("paper-fig7", "paper-fig8")):
             trace = str(out / sim / "trace.csv")
             runs += [["simulate", "--config", sim, "--out", str(out / sim)],
                      ["analyze", "--config", ana, "--trace", trace, "--out", str(out / ana)]]
-        script = f"from rabibeat.cli import main\nfor a in {runs!r}: assert main(a) == 0"
-        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        run_fresh(run_main(runs), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         outs.append(out)
     for ana in ("paper-fig4", "paper-fig8"):
         for name in ("report.json", "spectrum.csv"):
             rel = Path(ana) / name
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+
+def test_only_a_peak_refinement_imports_scipy(tmp_path):
+    # the CLI starts on numpy alone; analyze loads scipy.optimize for its
+    # first refinement, and nothing loads scipy.signal or its dependencies
+    trace = str(tmp_path / "sim" / "trace.csv")
+    stages = [
+        ("simulate", ["simulate", "--config", "paper-fig3", "--out", str(tmp_path / "sim")]),
+        ("drift", ["simulate", "--config", "drift-demo", "--out", str(tmp_path / "drift")]),
+        ("esr", ["esr", "--config", "paper-fig2", "--out", str(tmp_path / "esr")]),
+        ("analyze", ["analyze", "--config", "paper-fig4", "--trace", trace,
+                     "--out", str(tmp_path / "ana")]),
+    ]
+    script = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "from rabibeat.cli import main\n"
+        "loaded = {'import': scipy_modules()}\n"
+        f"for name, argv in {stages!r}:\n"
+        "    assert main(argv) == 0\n"
+        "    loaded[name] = scipy_modules()\n"
+        "print(json.dumps(loaded))\n"
+    )
+    loaded = json.loads(run_fresh(script).splitlines()[-1])
+    for stage in ("import", "simulate", "drift", "esr"):
+        assert loaded[stage] == [], stage
+    assert not {"scipy.signal", "scipy.stats", "scipy.ndimage"} & set(loaded["analyze"])
+
+
+def test_sweep_threads_make_the_first_optimizer_import(tmp_path):
+    # in a fresh interpreter the imaging-demo variants run on pool threads,
+    # which import scipy.optimize at their first refinement; their files must
+    # equal those of a run that imported it beforehand
+    argv = ["imaging-demo", "--config", "imaging-default",
+            "--sweep", "imaging.t1_rho_us=20,25,30", "--out"]
+    lazy = ("import sys\nimport rabibeat.cli\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            + run_main([argv + [str(tmp_path / "lazy")]]))
+    run_fresh(lazy)
+    run_fresh("import scipy.optimize\n" + run_main([argv + [str(tmp_path / "eager")]]))
+    files = sorted(p.relative_to(tmp_path / "lazy")
+                   for p in (tmp_path / "lazy").rglob("*") if p.is_file())
+    assert len(files) == 16
+    assert files == sorted(p.relative_to(tmp_path / "eager")
+                           for p in (tmp_path / "eager").rglob("*") if p.is_file())
+    for rel in files:
+        assert (tmp_path / "lazy" / rel).read_bytes() == (tmp_path / "eager" / rel).read_bytes()
 
 
 def test_sweep_writes_variant_directories(tmp_path):

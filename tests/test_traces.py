@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rabibeat.analysis import SPECTRUM_COLUMNS, SPECTRUM_HEADER, fft_spectrum
 from rabibeat.config import load_config
 from rabibeat.evolve import rabi_trace_vtype
+from rabibeat.imaging import (
+    FIELDMAP_COLUMNS, FIELDMAP_HEADER, FieldMap, WaveguideGeometry,
+)
 from rabibeat.traces import (
     SampledTrace, TRACE_COLUMNS, TRACE_HEADER, format_float, read_columns,
     write_columns,
@@ -150,6 +154,34 @@ def test_read_columns_skips_blank_and_comment_lines_anywhere(tmp_path):
     (t1, v1), comments = read_columns(commented, TRACE_HEADER, TRACE_COLUMNS)
     assert t0.tobytes() == t1.tobytes() and v0.tobytes() == v1.tobytes()
     assert t1.size == len(lines) - 3 and comments == {"k": "v"}
+
+
+def test_read_columns_reads_commented_files_with_loadtxt(tmp_path, monkeypatch):
+    # spectrum.csv and fieldmap.csv carry "# key: value" lines under the
+    # header; np.loadtxt reads them, and a .txt copy, which goes to the line
+    # reader, gives the same bits and comments
+    trace = SampledTrace.from_csv(fig7_trace_csv(tmp_path))
+    fmap = FieldMap.from_model(WaveguideGeometry(gap=10.0, drive_scale=20.0))
+    hand = tmp_path / "hand.csv"
+    hand.write_text("# rows\n# a: 1\n#no colon\n#  b : two words \n# a: 3\n"
+                    "a,b\n0.0,1.0\n0.5,2.0\n")
+    files = [
+        (fft_spectrum(trace).to_csv(tmp_path / "spectrum.csv"),
+         SPECTRUM_HEADER, SPECTRUM_COLUMNS, {"window": "hann"}),
+        (fmap.to_csv(tmp_path / "fieldmap.csv"), FIELDMAP_HEADER, FIELDMAP_COLUMNS,
+         {"model": "edge-cutoff waveguide profile"}),
+        (hand, "# rows", "a,b", {"a": "3", "b": "two words"}),
+    ]
+    loadtxt, read = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda path, **kw: read.append(path) or loadtxt(path, **kw))
+    for path, header, columns, expected in files:
+        copy = path.with_suffix(".txt")
+        copy.write_bytes(path.read_bytes())
+        fast, fast_comments = read_columns(path, header, columns)
+        slow, slow_comments = read_columns(copy, header, columns)
+        assert fast_comments == slow_comments == expected
+        assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
+    assert read == [path for path, *_ in files]
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".txt"])
