@@ -9,6 +9,7 @@ configuration and argument errors, 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -30,6 +31,7 @@ from .config import (
     KINDS,
     ConfigError,
     RunConfig,
+    check_trace_sampling,
     load_config,
     parse_sweep,
     preset_names,
@@ -288,6 +290,9 @@ _RUNNERS = {
 }
 
 
+# built at the first main() call, not at import, and reused by every later
+# call in the process: parse_args leaves the parser as it found it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rabibeat",
@@ -341,7 +346,8 @@ def _kinds_of(command: str) -> list:
 
 def _check_run(cfg: RunConfig, command: str, seed: int) -> None:
     """The checks that need the command or the seed, which ``load_config``
-    does not see: the run kind, and a drift's power-factor draw."""
+    does not see: the run kind, and a drift's power-factor draw and the
+    sampling of the drives it gives."""
     allowed = _kinds_of(command)
     if cfg.kind not in allowed:
         raise ConfigError(
@@ -350,9 +356,10 @@ def _check_run(cfg: RunConfig, command: str, seed: int) -> None:
         )
     if cfg.kind == "drift":
         try:
-            cfg.drift.power_factors(cfg.n_sweeps, seed)
+            factors = cfg.drift.power_factors(cfg.n_sweeps, seed)
         except ValueError as exc:
             raise ConfigError(f"drift.sigma_relative: {exc} (seed {seed})") from None
+        check_trace_sampling(cfg, float(factors.max()))
 
 
 def _dispatch(args) -> int:

@@ -26,8 +26,8 @@ from .evolve import AMPLITUDE_MODES, DecayModel, DriftModel, ManifoldSpec, TimeG
 from .imaging import WaveguideGeometry, rabi_at
 
 __all__ = [
-    "ConfigError", "KINDS", "RunConfig", "load_config", "parse_sweep", "preset_names",
-    "SCHEMA",
+    "ConfigError", "KINDS", "RunConfig", "check_trace_sampling", "load_config",
+    "parse_sweep", "preset_names", "SCHEMA",
 ]
 
 
@@ -214,7 +214,9 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
     before validation; the CLI sweep option uses this.
     """
     text = _resolve_source(name_or_path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    # values are literal: a "%" is text, not the start of an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -291,6 +293,8 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
                 "manifolds.detunings_mhz: half-splittings must be >= 0, "
                 f"got {min(cfg.manifolds.detunings)}"
             )
+        if kind != "drift":
+            check_trace_sampling(cfg)
     if "decay" in typed:
         d = typed["decay"]
         cfg.decay = build("decay", lambda: DecayModel(d["kind"], d["t1_rho_us"]))
@@ -322,17 +326,35 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
                 "imaging.emitter_x_um: must lie strictly inside the selected branch"
             )
         # the trace must resolve every Rabi frequency the branch's map holds
-        top = float(np.max(rabi_at(geom, ends)))
-        grid = cfg.grid
-        nyquist = 0.5 * (grid.n_points - 1) / (grid.t_end - grid.t_start)
-        if not nyquist > top:
-            raise ConfigError(
-                f"grid.n_points: {grid.n_points} samples over "
-                f"{grid.t_end - grid.t_start:g} us reach a Nyquist frequency of "
-                f"{nyquist:.4g} MHz, not above the {branch} branch's highest "
-                f"Rabi frequency {top:.4g} MHz"
-            )
+        _check_nyquist(cfg.grid, float(np.max(rabi_at(geom, ends))),
+                       f"the {branch} branch's highest Rabi frequency")
     return cfg
+
+
+def _check_nyquist(grid: TimeGrid, top: float, line: str) -> None:
+    """Reject ``grid`` unless its Nyquist frequency lies above ``top``, the
+    highest frequency (MHz) of the trace it samples, which ``line`` names."""
+    nyquist = 0.5 * (grid.n_points - 1) / (grid.t_end - grid.t_start)
+    if not nyquist > top:
+        raise ConfigError(
+            f"grid.n_points: {grid.n_points} samples over "
+            f"{grid.t_end - grid.t_start:g} us reach a Nyquist frequency of "
+            f"{nyquist:.4g} MHz, not above {line} {top:.4g} MHz"
+        )
+
+
+def check_trace_sampling(cfg: RunConfig, max_power: float = 1.0) -> None:
+    """Reject the grid of a ``simulate`` run that would alias its trace's
+    highest line: hypot(omega0, max |detuning|) for rabi-single,
+    2 sqrt(2 lambda^2 + max half-splitting^2) for rabi-vtype.  A drift's
+    drives reach omega0 sqrt(max_power), its largest power factor, which
+    depends on the seed, so the command line makes this check for drifts."""
+    d = max(abs(x) for x in cfg.manifolds.detunings)
+    if cfg.kind == "rabi-vtype":
+        top = 2.0 * math.sqrt(2.0 * cfg.drive["lambda_mhz"] ** 2 + d * d)
+    else:
+        top = math.hypot(cfg.drive["omega0_mhz"] * math.sqrt(max_power), d)
+    _check_nyquist(cfg.grid, top, "the trace's highest line")
 
 
 def parse_sweep(text: str):

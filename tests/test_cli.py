@@ -11,7 +11,8 @@ import pytest
 import rabibeat
 from rabibeat.analysis import LINESHAPE_COLUMNS, LINESHAPE_HEADER
 from rabibeat.analysis import SPECTRUM_COLUMNS, SPECTRUM_HEADER
-from rabibeat.cli import main
+from rabibeat.cli import _build_parser, main
+from rabibeat.evolve import DriftModel
 from rabibeat.traces import SampledTrace, read_columns, write_columns
 
 
@@ -347,6 +348,54 @@ def test_determinism_across_runs(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_percent_in_a_config_value_is_literal(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[run]\nkind = esr\nlabel = 50% power, %(kind)s\n[esr]\n"
+        "transitions_mhz = 0.0\ncontrasts = 0.1\nlinewidth_fwhm_mhz = 0.8\n"
+        "f_start_mhz = -5.0\nf_stop_mhz = 5.0\nn_points = 101\n"
+    )
+    out = tmp_path / "out"
+    assert main(["esr", "--config", str(config), "--out", str(out)]) == 0
+    label = read_json(out / "esr.meta.json")["provenance"]["label"]
+    assert label == "50% power, %(kind)s"
+
+
+def test_simulate_rejects_a_grid_that_aliases_its_trace(tmp_path, capsys):
+    config = tmp_path / "aliased.ini"
+    config.write_text(
+        "[run]\nkind = rabi-single\n[drive]\nomega0_mhz = 5\n[manifolds]\n"
+        "detunings_mhz = 0, 9.8\n[grid]\nt_end_us = 30\nn_points = 200\n"
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert ("config error: grid.n_points: 200 samples over 30 us reach a Nyquist "
+            "frequency of 3.317 MHz, not above the trace's highest line 11 MHz"
+            ) in capsys.readouterr().err
+
+
+def test_drift_grid_must_resolve_its_drawn_drives(tmp_path, capsys):
+    # 441 samples over 10 us: a Nyquist frequency of 22 MHz, just above the
+    # 21.9 MHz drive, which the drawn power factors then push past it
+    text = (
+        "[run]\nkind = drift\n[drive]\nomega0_mhz = 21.9\n[manifolds]\n"
+        "detunings_mhz = 0.0\n[grid]\nt_end_us = 10.0\nn_points = 441\n"
+        "[drift]\nkind = gaussian\nn_sweeps = 100\nsigma_relative = {}\n"
+    )
+    for sigma, code in ((0.0, 0), (0.01, 2)):
+        config = tmp_path / f"drift-{sigma}.ini"
+        config.write_text(text.format(sigma))
+        out = tmp_path / f"out-{sigma}"
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--seed", "7"]) == code
+        assert out.exists() == (code == 0)
+    factors = DriftModel("gaussian", sigma_relative=0.01).power_factors(100, 7)
+    top = 21.9 * np.sqrt(factors.max())
+    assert f"not above the trace's highest line {top:.4g} MHz" in (
+        capsys.readouterr().err)
+
+
 def run_fresh(script, **env):
     """Stdout of ``script`` run by a new interpreter that imports this
     rabibeat, with ``env`` added to the environment."""
@@ -360,6 +409,66 @@ def run_fresh(script, **env):
 def run_main(runs):
     """A script that passes each argv of ``runs`` to ``rabibeat.cli.main``."""
     return f"from rabibeat.cli import main\nfor a in {runs!r}: assert main(a) == 0\n"
+
+
+def test_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
+
+
+def test_import_leaves_the_parser_unbuilt(tmp_path):
+    script = (
+        "import rabibeat.cli as cli\n"
+        "print(cli._build_parser.cache_info().currsize)\n"
+        f"assert cli.main(['esr', '--config', 'paper-fig2', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(cli._build_parser.cache_info().currsize)\n"
+    )
+    lines = run_fresh(script).splitlines()
+    assert (lines[0], lines[-1]) == ("0", "1")
+
+
+def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypatch):
+    # the usage line in argparse's error message wraps at $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def runs(out):
+        return [
+            ["simulate", "--config", "paper-fig3", "--out", str(out / "sim")],
+            ["esr", "--config", "paper-fig2", "--out", str(out / "esr")],
+            ["analyze", "--config", "paper-fig4", "--out", str(out / "ana"),
+             "--trace", str(out / "sim" / "trace.csv")],
+        ]
+
+    bad_seed = ["simulate", "--config", "paper-fig3", "--seed", "-1"]
+    simulate, esr, analyze = runs(tmp_path / "one")
+    assert main(simulate) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(bad_seed)
+    assert excinfo.value.code == 2
+    message = capsys.readouterr().err
+    assert "argument --seed: seed must fit in an unsigned 64-bit int" in message
+    assert main(esr) == 0
+    assert main(analyze) == 0
+
+    for argv in runs(tmp_path / "fresh"):
+        run_fresh(run_main([argv]))
+    fresh = json.loads(run_fresh(
+        "import contextlib, io, json\nfrom rabibeat.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    try: main({bad_seed!r})\n"
+        "    except SystemExit as exc: code = exc.code\n"
+        "print(json.dumps([code, err.getvalue()]))\n"
+    ))
+    assert fresh == [2, message]
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    one, separate = files(tmp_path / "one"), files(tmp_path / "fresh")
+    assert len(one) == 9
+    assert one == separate
 
 
 def test_drift_trace_is_independent_of_blas_threads(tmp_path):

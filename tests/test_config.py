@@ -112,7 +112,7 @@ def test_explicit_weights(tmp_path):
         tmp_path,
         "[run]\nkind = rabi-single\n[drive]\nomega0_mhz = 22.2\n"
         "[manifolds]\ndetunings_mhz = 0.0, 2.18\nweights = 0.25, 0.75\n"
-        "[grid]\nt_end_us = 10.0\nn_points = 101\n",
+        "[grid]\nt_end_us = 10.0\nn_points = 1001\n",
     )
     cfg = load_config(path)
     assert [w for _, w in cfg.manifolds] == [0.25, 0.75]
@@ -149,7 +149,7 @@ def test_sections_the_kind_does_not_use_are_not_built(tmp_path):
         tmp_path,
         "[run]\nkind = rabi-single\n[drive]\nomega0_mhz = 22.2\n"
         "[manifolds]\ndetunings_mhz = 0.0\n[grid]\nt_end_us = 10.0\n"
-        "n_points = 101\n[drift]\nkind = linear\nn_sweeps = 3\n",
+        "n_points = 1001\n[drift]\nkind = linear\nn_sweeps = 3\n",
     )
     cfg = load_config(path)
     assert cfg.drift is None and cfg.n_sweeps is None
@@ -222,6 +222,25 @@ def test_run_checks_name_the_field(tmp_path, preset, field, value, match):
             parser.write(fh)
     with pytest.raises(ConfigError, match=match):
         load_config(preset, overrides={} if value is None else {field: value})
+
+
+@pytest.mark.parametrize(
+    "preset, resolved, aliased, top",
+    [
+        # hypot(22.2, 4.36): the detuned line, not the drive, is highest
+        ("paper-fig3", 1361, 1341, "22.62"),
+        # 2 sqrt(2 lambda^2 + 4.1^2)
+        ("paper-fig7", 2581, 2561, "42.79"),
+    ],
+)
+def test_simulate_grid_must_resolve_the_highest_line(preset, resolved, aliased, top):
+    load_config(preset, overrides={"grid.n_points": str(resolved)})
+    with pytest.raises(
+        ConfigError,
+        match=rf"^grid.n_points: {aliased} samples over 30 us reach a Nyquist "
+        rf"frequency of .* MHz, not above the trace's highest line {top} MHz$",
+    ):
+        load_config(preset, overrides={"grid.n_points": str(aliased)})
 
 
 def readme_configuration():
