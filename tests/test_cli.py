@@ -416,10 +416,11 @@ def test_parser_is_built_once_per_process():
 
 
 def test_import_leaves_the_parser_unbuilt(tmp_path):
+    argv = ["esr", "--config", "paper-fig2", "--out", str(tmp_path)]
     script = (
         "import rabibeat.cli as cli\n"
         "print(cli._build_parser.cache_info().currsize)\n"
-        f"assert cli.main(['esr', '--config', 'paper-fig2', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert cli.main({argv!r}) == 0\n"
         "print(cli._build_parser.cache_info().currsize)\n"
     )
     lines = run_fresh(script).splitlines()
