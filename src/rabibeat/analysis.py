@@ -382,6 +382,16 @@ def analytic_envelope(trace: SampledTrace, band: tuple | None = None):
     return trace.times[sl], env[sl]
 
 
+def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
+    """Mean of the ``width`` samples around each sample of ``x``, with the
+    ends held at their values: ``scipy.ndimage.uniform_filter1d(x, width,
+    mode="nearest")``, as a difference of cumulative sums."""
+    padded = np.concatenate((np.full(width // 2, x[0]), x,
+                             np.full(width - 1 - width // 2, x[-1])))
+    sums = np.concatenate(([0.0], np.cumsum(padded)))
+    return (sums[width:] - sums[:-width]) / width
+
+
 def fit_decay_time(trace: SampledTrace, band: tuple | None = None) -> float:
     """Envelope 1/e time in microseconds, or inf when the envelope never
     falls that far.
@@ -393,12 +403,9 @@ def fit_decay_time(trace: SampledTrace, band: tuple | None = None) -> float:
     Beat modulation can pull the envelope below 1/e long before the decay
     itself does; :attr:`BeatReport.decay_time` is robust to that.
     """
-    import scipy.ndimage
-
     times, env = analytic_envelope(trace, band=band)
     n = env.size
-    width = max(3, n // 20)
-    smooth = scipy.ndimage.uniform_filter1d(env, size=width, mode="nearest")
+    smooth = _moving_average(env, max(3, n // 20))
     head = max(3, n // 10)
     i0 = int(np.argmax(smooth[:head]))
     ref = smooth[i0]

@@ -61,15 +61,6 @@ UNITS = {
     "signal": "population",
 }
 
-# gnuplot stub per command: (x label, y label, plotted CSV, extra lines)
-_PLOTS = {
-    "simulate": ("time (us)", "population", "trace.csv", []),
-    "analyze": ("frequency (MHz)", "magnitude", "spectrum.csv", []),
-    "esr": ("frequency offset (MHz)", "signal", "esr.csv", ["set yrange [0:1.05]"]),
-    "imaging-demo": ("position (um)", "rabi (MHz)", "fieldmap.csv", []),
-}
-
-
 def _write(out_dir: Path, args, cfg: RunConfig, seed: int, artifacts: dict) -> None:
     """Write one run's ``{file name: artifact}`` into ``out_dir``: a dict as
     JSON, with ``UNITS`` unless it has its own units and with the run's
@@ -88,7 +79,7 @@ def _write(out_dir: Path, args, cfg: RunConfig, seed: int, artifacts: dict) -> N
                        {"units": UNITS, **artifact, "provenance": provenance})
         else:
             artifact.to_csv(out_dir / name)
-    xlabel, ylabel, csv, extra = _PLOTS[args.command]
+    xlabel, ylabel, csv, extra = _COMMANDS[args.command][2]
     lines = [
         "# gnuplot stub; run: gnuplot -p plot.gp",
         'set datafile separator ","',
@@ -103,48 +94,41 @@ def _write(out_dir: Path, args, cfg: RunConfig, seed: int, artifacts: dict) -> N
 
 
 def _seed_arg(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2**64), got {text!r}"
+        ) from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
     return value
 
 
-def _resolve_out(arg) -> Path:
-    if arg:
-        return Path(arg)
-    env = os.environ.get("RABIBEAT_OUT")
-    if env:
-        return Path(env)
-    return Path("rabibeat-out")
-
-
-def _simulate_trace(cfg: RunConfig, seed: int) -> SampledTrace:
+def _cmd_simulate(cfg: RunConfig, seed: int, args) -> dict:
     if cfg.kind == "rabi-single":
-        return rabi_trace_incoherent(
+        trace = rabi_trace_incoherent(
             cfg.drive["omega0_mhz"],
             cfg.manifolds,
             cfg.grid,
             decay=cfg.decay,
             amplitude_mode=cfg.drive["amplitude_mode"],
         )
-    if cfg.kind == "rabi-vtype":
-        return rabi_trace_vtype(
+    elif cfg.kind == "rabi-vtype":
+        trace = rabi_trace_vtype(
             cfg.drive["lambda_mhz"], cfg.manifolds, cfg.grid, decay=cfg.decay
         )
-    return apply_power_drift(
-        cfg.drive["omega0_mhz"],
-        cfg.manifolds,
-        cfg.grid,
-        cfg.drift,
-        cfg.n_sweeps,
-        decay=cfg.decay,
-        amplitude_mode=cfg.drive["amplitude_mode"],
-        seed=seed,
-    )
-
-
-def _cmd_simulate(cfg: RunConfig, seed: int, args) -> dict:
-    trace = _simulate_trace(cfg, seed)
+    else:
+        trace = apply_power_drift(
+            cfg.drive["omega0_mhz"],
+            cfg.manifolds,
+            cfg.grid,
+            cfg.drift,
+            cfg.n_sweeps,
+            decay=cfg.decay,
+            amplitude_mode=cfg.drive["amplitude_mode"],
+            seed=seed,
+        )
     return {"trace.csv": trace, "trace.meta.json": trace.meta}
 
 
@@ -282,11 +266,25 @@ def _cmd_imaging_demo(cfg: RunConfig, seed: int, args) -> dict:
     }
 
 
-_RUNNERS = {
-    "simulate": _cmd_simulate,
-    "analyze": _cmd_analyze,
-    "esr": _cmd_esr,
-    "imaging-demo": _cmd_imaging_demo,
+def _kinds_of(command: str) -> list:
+    return [kind for kind, (runner, _) in KINDS.items() if runner == command]
+
+
+# each subcommand: its runner, its help line, and its gnuplot stub
+# (x label, y label, plotted CSV, extra lines)
+_COMMANDS = {
+    "simulate": (_cmd_simulate,
+                 f"simulate a Rabi trace (kinds {', '.join(_kinds_of('simulate'))})",
+                 ("time (us)", "population", "trace.csv", [])),
+    "analyze": (_cmd_analyze,
+                "extract base, beats, and resolution from a trace CSV",
+                ("frequency (MHz)", "magnitude", "spectrum.csv", [])),
+    "esr": (_cmd_esr,
+            "synthesize a continuous-wave resonance scan",
+            ("frequency offset (MHz)", "signal", "esr.csv", ["set yrange [0:1.05]"])),
+    "imaging-demo": (_cmd_imaging_demo,
+                     "field map, forward trace, and localization round trip",
+                     ("position (um)", "rabi (MHz)", "fieldmap.csv", [])),
 }
 
 
@@ -303,14 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"rabibeat {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": f"simulate a Rabi trace (kinds {', '.join(_kinds_of('simulate'))})",
-        "analyze": "extract base, beats, and resolution from a trace CSV",
-        "esr": "synthesize a continuous-wave resonance scan",
-        "imaging-demo": "field map, forward trace, and localization round trip",
-    }
-    for name in _RUNNERS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, help_line, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument(
             "--config",
             required=True,
@@ -340,10 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kinds_of(command: str) -> list:
-    return [kind for kind, (runner, _) in KINDS.items() if runner == command]
-
-
 def _check_run(cfg: RunConfig, command: str, seed: int) -> None:
     """The checks that need the command or the seed, which ``load_config``
     does not see: the run kind, and a drift's power-factor draw and the
@@ -363,12 +351,12 @@ def _check_run(cfg: RunConfig, command: str, seed: int) -> None:
 
 
 def _dispatch(args) -> int:
-    out_dir = _resolve_out(args.out)
+    out_dir = Path(args.out or os.environ.get("RABIBEAT_OUT") or "rabibeat-out")
     if args.sweep is None:
         cfg = load_config(args.config)
         _check_run(cfg, args.command, args.seed)
         _write(out_dir, args, cfg, args.seed,
-               _RUNNERS[args.command](cfg, args.seed, args))
+               _COMMANDS[args.command][0](cfg, args.seed, args))
         print(f"{args.command}: wrote {out_dir}")
         return 0
 
@@ -388,7 +376,7 @@ def _dispatch(args) -> int:
         _check_run(cfg, args.command, child_seed)
         variants.append((cfg, out_dir / name, child_seed))
     # every variant computes before any writes, so a failing one leaves nothing
-    run = _RUNNERS[args.command]
+    run = _COMMANDS[args.command][0]
     with ThreadPoolExecutor(max_workers=min(8, len(variants))) as pool:
         results = list(pool.map(lambda v: run(v[0], v[2], args), variants))
     for (cfg, sub, child_seed), artifacts in zip(variants, results):

@@ -114,7 +114,8 @@ SCHEMA = {
     },
     "imaging": {
         "gap_um": ("float", "waveguide gap, um", None, None),
-        "center_width_um": ("float", "strip width at the taper, um", None, 10.0),
+        "center_width_um": ("float", "strip width at the taper, um "
+                            "(read by no model, recorded nowhere)", None, 10.0),
         "edge_cutoff_um": ("float", "edge softening length, um", None, 0.5),
         "drive_scale_mhz": ("float", "Rabi frequency at gap midpoint, MHz", None, None),
         "t1_rho_us": ("float", "envelope time constant, us", "> 0", None),

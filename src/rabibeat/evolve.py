@@ -244,16 +244,14 @@ def _check_amplitude_mode(mode: str):
         )
 
 
-def _incoherent_meta(omega0, manifolds, decay, amplitude_mode) -> dict:
+def _trace_meta(drive: dict, manifolds: ManifoldSpec, decay: DecayModel) -> dict:
+    """A trace's sidecar: the drive fields, the manifolds (upper-level
+    half-splittings for a V-type drive, detunings otherwise) and the decay."""
+    lines = "half_splittings_MHz" if drive["kind"] == "rabi-vtype" else "detunings_MHz"
     return {
         "units": {"time": "us", "frequency": "MHz"},
-        "drive": {
-            "kind": "rabi-single",
-            "omega0_MHz": omega0,
-            "detunings_MHz": list(manifolds.detunings),
-            "weights": list(manifolds.weights),
-            "amplitude_mode": amplitude_mode,
-        },
+        "drive": {**drive, lines: list(manifolds.detunings),
+                  "weights": list(manifolds.weights)},
         "decay": {"kind": decay.kind, "t1_rho_us": decay.t1_rho},
     }
 
@@ -290,9 +288,9 @@ def rabi_trace_incoherent(
     coeffs = (coeffs * amp / 2.0).ravel()
     osc = _cosine_sum(om.ravel(), coeffs, grid)
     values = coeffs.sum() - osc * decay.envelope(times)
-    return SampledTrace(
-        times, values, _incoherent_meta(omega0, manifolds, decay, amplitude_mode)
-    )
+    drive = {"kind": "rabi-single", "omega0_MHz": omega0,
+             "amplitude_mode": amplitude_mode}
+    return SampledTrace(times, values, _trace_meta(drive, manifolds, decay))
 
 
 def rabi_trace_vtype(
@@ -318,17 +316,8 @@ def rabi_trace_vtype(
         om2 = 2.0 * coupling**2 + half**2
         dc = (half**4 + 2.0 * coupling**4) / om2**2
         total += weight * (dc + (population - dc) * env)
-    meta = {
-        "units": {"time": "us", "frequency": "MHz"},
-        "drive": {
-            "kind": "rabi-vtype",
-            "coupling_MHz": coupling,
-            "half_splittings_MHz": list(manifolds.detunings),
-            "weights": list(manifolds.weights),
-        },
-        "decay": {"kind": decay.kind, "t1_rho_us": decay.t1_rho},
-    }
-    return SampledTrace(times, total, meta)
+    drive = {"kind": "rabi-vtype", "coupling_MHz": coupling}
+    return SampledTrace(times, total, _trace_meta(drive, manifolds, decay))
 
 
 def apply_power_drift(
@@ -354,7 +343,8 @@ def apply_power_drift(
     trace = rabi_trace_incoherent(
         omega0 * np.sqrt(factors), manifolds, grid, decay, amplitude_mode
     )
-    trace.meta = _incoherent_meta(omega0, manifolds, decay, amplitude_mode)
+    # the sidecar names the undrifted drive, not the per-sweep drives
+    trace.meta["drive"]["omega0_MHz"] = omega0
     trace.meta["drive"]["power_drift"] = {
         "kind": drift.kind,
         "total_relative_change": drift.total_relative_change,

@@ -39,8 +39,9 @@ class WaveguideGeometry:
 
     ``gap`` is the distance between the conductor edges in micrometers;
     positions run from 0 at one edge to ``gap`` at the other.
-    ``center_width`` (um) records the strip width at the taper for
-    provenance.  ``drive_scale`` is the Rabi frequency in MHz an emitter
+    ``center_width`` (um) is the strip width at the taper; it is checked
+    positive, but the field model never reads it and no artifact records
+    it.  ``drive_scale`` is the Rabi frequency in MHz an emitter
     would see at the gap midpoint.  ``edge_cutoff`` (um) softens the
     inverse-square-root divergence at the conductor edges on the scale of
     the conductor thickness.

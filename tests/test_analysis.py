@@ -3,12 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.ndimage
 import scipy.optimize
 import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
 from rabibeat.analysis import (
     WINDOWS,
+    _moving_average,
     _next_fast_len,
     _parabolic_refine,
     Lineshape,
@@ -199,6 +201,18 @@ def test_analytic_envelope_tracks_decay():
     times, env = analytic_envelope(trace)
     expected = np.exp(-times / 10.0)
     assert np.max(np.abs(env - expected)) < 0.02
+
+
+def test_moving_average_is_scipys_uniform_filter():
+    # fit_decay_time's smoothing, with scipy as the oracle; odd and even
+    # widths, and widths past the envelope, which hold its end values
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 50, 1001, 100_000):
+        env = np.exp(-np.linspace(0.0, 3.0, n)) * (1.0 + 0.1 * rng.random(n))
+        for width in (1, 2, 3, 4, max(3, n // 20), n + 1, 2 * n + 4):
+            expected = scipy.ndimage.uniform_filter1d(env, size=width, mode="nearest")
+            np.testing.assert_allclose(_moving_average(env, width), expected,
+                                       rtol=1e-10, atol=0, err_msg=f"{n=} {width=}")
 
 
 def test_fit_decay_time_crossing_on_clean_exponential():

@@ -13,6 +13,7 @@ from rabibeat.analysis import LINESHAPE_COLUMNS, LINESHAPE_HEADER
 from rabibeat.analysis import SPECTRUM_COLUMNS, SPECTRUM_HEADER
 from rabibeat.cli import _build_parser, main
 from rabibeat.evolve import DriftModel
+from rabibeat.imaging import FIELDMAP_COLUMNS, FIELDMAP_HEADER
 from rabibeat.traces import SampledTrace, read_columns, write_columns
 
 
@@ -104,6 +105,26 @@ def test_imaging_demo_report(tmp_path):
     assert report["reference"]["million_oscillations"]["delta_x_nm"] == pytest.approx(0.01)
     fieldmap_lines = (out / "fieldmap.csv").read_text().splitlines()
     assert fieldmap_lines[0] == "# rabibeat-fieldmap v1"
+
+
+def test_imaging_demo_localizes_on_the_right_branch(tmp_path):
+    # the imaging-default geometry and grid, with the emitter mirrored into
+    # the half of the gap where the Rabi frequency rises with x
+    config = tmp_path / "right.ini"
+    config.write_text(
+        "[run]\nkind = imaging-demo\n[imaging]\ngap_um = 10.0\n"
+        "center_width_um = 10.0\nedge_cutoff_um = 0.5\ndrive_scale_mhz = 20.0\n"
+        "t1_rho_us = 25.0\nemitter_x_um = 6.79\nmap_points = 801\n"
+        "branch = right\n[grid]\nt_start_us = 0.0\nt_end_us = 40.0\n"
+        "n_points = 12001\n"
+    )
+    out = tmp_path / "right"
+    assert main(["imaging-demo", "--config", str(config), "--out", str(out)]) == 0
+    report = read_json(out / "report.json")
+    assert 1e3 * report["error_um"] <= report["budget"]["delta_x_nm"]
+    (positions, _), _ = read_columns(out / "fieldmap.csv", FIELDMAP_HEADER,
+                                     FIELDMAP_COLUMNS)
+    assert positions[0] == 5.0 and positions[-1] == 10.0
 
 
 def test_imaging_demo_recovers_a_short_lived_oscillation(tmp_path, capsys):
@@ -328,15 +349,19 @@ def test_exit_code_1_on_runtime_failure(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("disk on fire")
 
-    monkeypatch.setattr(cli, "_cmd_esr", boom)
-    monkeypatch.setitem(cli._RUNNERS, "esr", boom)
+    monkeypatch.setitem(cli._COMMANDS, "esr", (boom, *cli._COMMANDS["esr"][1:]))
     assert main(["esr", "--config", "paper-fig2", "--out", str(tmp_path)]) == 1
 
 
-def test_seed_must_be_u64():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["simulate", "--config", "drift-demo", "--seed", "-1"])
-    assert excinfo.value.code == 2
+def test_seed_must_be_u64(capsys):
+    # the error names the seed, not the private function that parses it
+    for seed in ("-1", "18446744073709551616", "abc", "1.5"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--config", "drift-demo", "--seed", seed])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: seed must" in err
+        assert "_seed_arg" not in err
 
 
 def test_determinism_across_runs(tmp_path):

@@ -104,10 +104,14 @@ def test_resolution_budget_fields():
 
 
 def test_position_from_rabi_exact_at_grid_nodes():
-    fmap = FieldMap.from_model(GEOM, n_points=101, branch="left")
-    for i in (3, 40, 77):
-        loc = position_from_rabi(float(fmap.rabi[i]), fmap)
-        assert loc.position == pytest.approx(fmap.positions[i], abs=1e-12)
+    # the left branch falls with x and the right one rises, so each takes
+    # its own side of the fmap.increasing split
+    for branch, increasing in (("left", False), ("right", True)):
+        fmap = FieldMap.from_model(GEOM, n_points=101, branch=branch)
+        assert fmap.increasing is increasing
+        for i in (3, 40, 77):
+            loc = position_from_rabi(float(fmap.rabi[i]), fmap)
+            assert loc.position == pytest.approx(fmap.positions[i], abs=1e-12)
 
 
 def test_position_from_rabi_uncertainty_scales_with_resolvable():

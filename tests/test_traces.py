@@ -12,7 +12,7 @@ from rabibeat.imaging import (
 )
 from rabibeat.traces import (
     SampledTrace, TRACE_COLUMNS, TRACE_HEADER, format_float, read_columns,
-    write_columns,
+    write_columns, write_json,
 )
 
 
@@ -25,6 +25,26 @@ def test_trace_validation():
         SampledTrace([0.0, 0.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         SampledTrace([0.0, np.nan], [1.0, 2.0])
+
+
+def test_write_json_converts_numpy_values_and_non_finite_floats(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {
+        "array": np.array([1.5, np.nan]),
+        "nested": [(np.float64(np.inf), np.int64(7))],
+        "flags": [np.bool_(True), np.bool_(False)],
+        "scalar": np.float32(0.25),
+        "floats": [float("nan"), float("inf"), float("-inf"), 2.0],
+    })
+    assert json.loads(path.read_text()) == {
+        "array": [1.5, None],
+        "nested": [[None, 7]],
+        "flags": [True, False],
+        "scalar": 0.25,
+        "floats": [None, None, None, 2.0],
+    }
+    # strict JSON: no NaN or Infinity tokens
+    assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
 
 
 def test_trace_properties():
