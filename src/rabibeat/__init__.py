@@ -7,7 +7,6 @@ Conventions: frequencies in cyclic MHz, times in microseconds.  Factors of
 from .spinmodel import (
     rabi_frequency,
     detuning_from_beat,
-    vtype_population,
 )
 from .evolve import (
     TimeGrid,

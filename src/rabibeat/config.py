@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import WINDOWS
-from .evolve import AMPLITUDE_MODES, DecayModel, DriftModel, ManifoldSpec, TimeGrid
+from .evolve import (AMPLITUDE_MODES, DecayModel, DriftModel, ManifoldSpec, TimeGrid,
+                     _lines)
 from .imaging import WaveguideGeometry, rabi_at
 
 __all__ = [
@@ -345,16 +346,13 @@ def _check_nyquist(grid: TimeGrid, top: float, line: str) -> None:
 
 
 def check_trace_sampling(cfg: RunConfig, max_power: float = 1.0) -> None:
-    """Reject the grid of a ``simulate`` run that would alias its trace's
-    highest line: hypot(omega0, max |detuning|) for rabi-single,
-    2 sqrt(2 lambda^2 + max half-splitting^2) for rabi-vtype.  A drift's
-    drives reach omega0 sqrt(max_power), its largest power factor, which
-    depends on the seed, so the command line makes this check for drifts."""
-    d = max(abs(x) for x in cfg.manifolds.detunings)
-    if cfg.kind == "rabi-vtype":
-        top = 2.0 * math.sqrt(2.0 * cfg.drive["lambda_mhz"] ** 2 + d * d)
-    else:
-        top = math.hypot(cfg.drive["omega0_mhz"] * math.sqrt(max_power), d)
+    """Reject the grid of a ``simulate`` run that would alias the highest
+    line of its trace.  A drift's drives reach omega0 sqrt(max_power), its
+    largest power factor, which depends on the seed, so the command line
+    makes this check for drifts."""
+    drive = (cfg.drive["lambda_mhz"] if cfg.kind == "rabi-vtype"
+             else cfg.drive["omega0_mhz"] * math.sqrt(max_power))
+    top = float(_lines(cfg.kind, drive, cfg.manifolds)[1].max())
     _check_nyquist(cfg.grid, top, "the trace's highest line")
 
 

@@ -4,10 +4,11 @@ slow drive-power drift.
 The traces are closed forms: each manifold contributes the detuned
 two-level population, or the V-configuration population, that exact
 propagation under its time-independent rotating-frame Hamiltonian gives,
-so there is no step-size error.  Decoherence enters only as a
-phenomenological envelope that multiplies the oscillating part of a signal
-about its mean, and hyperfine structure enters as an incoherent average
-over fixed-detuning manifolds.
+so there is no step-size error.  Both are a constant plus cosine lines,
+which both kernels take from ``_lines`` and sum with ``_cosine_sum``.
+Decoherence enters only as a phenomenological envelope that multiplies the
+oscillating part of a signal about its mean, and hyperfine structure
+enters as an incoherent average over fixed-detuning manifolds.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# vtype_population is unused here; perfbench's tests look it up in this module
 from .spinmodel import rabi_frequency, vtype_population
 from .traces import SampledTrace
 
@@ -80,7 +82,8 @@ def _cosine_sum(freqs, coeffs, grid: TimeGrid) -> np.ndarray:
     grid, which _ladder builds as coarse x fine products: about
     2 (sqrt(blocks) + sqrt(_BLOCK)) cos/sin pairs per oscillator instead of
     blocks + _BLOCK.  Chunks of oscillators are added in a fixed order;
-    tests/test_cli.py checks that the bytes do not depend on the BLAS
+    test_analyze_is_independent_of_blas_threads in tests/test_cli.py
+    checks that the trace bytes of both kinds do not depend on the BLAS
     thread count.
     """
     n = grid.n_points
@@ -188,9 +191,6 @@ class ManifoldSpec:
     def single(cls, detuning: float = 0.0) -> "ManifoldSpec":
         return cls((detuning,))
 
-    def __iter__(self):
-        return iter(zip(self.detunings, self.weights))
-
 
 @dataclass(frozen=True)
 class DriftModel:
@@ -237,23 +237,54 @@ class DriftModel:
         return factors
 
 
-def _check_amplitude_mode(mode: str):
-    if mode not in AMPLITUDE_MODES:
-        raise ValueError(
-            f"amplitude_mode must be one of {AMPLITUDE_MODES}, got {mode!r}"
-        )
+def _lines(kind: str, drive, manifolds: ManifoldSpec, amplitude_mode: str = "exact"):
+    """(dc, freqs, amps) of a ``kind`` trace without decay,
+    dc + sum_k amps[k] cos(2 pi freqs[k] t).
+
+    A V-type manifold with coupling c = ``drive`` and half-splitting d has
+    p0 = [d^4 + 2c^4 + 4c^2 d^2 cos theta + 2c^4 cos 2 theta] / (2c^2 + d^2)^2,
+    theta = 2 pi sqrt(2c^2 + d^2) t.  Otherwise ``drive`` is one omega0 or
+    one per sweep; equal drives are merged, and each manifold at detuning d
+    has the line hypot(omega0, d).
+    """
+    det, weights = np.asarray(manifolds.detunings), np.asarray(manifolds.weights)
+    if kind == "rabi-vtype":
+        if not drive > 0:
+            raise ValueError(f"coupling must be positive, got {drive}")
+        if np.any(det < 0):
+            raise ValueError(f"half_splitting must be non-negative, got {det.min()}")
+        c2, d2 = drive**2, det**2
+        om2 = 2.0 * c2 + d2
+        eigen, scale = np.sqrt(om2), weights / om2**2
+        return (np.sum(scale * (d2 * d2 + 2.0 * c2 * c2)),
+                np.concatenate((eigen, 2.0 * eigen)),
+                np.concatenate((scale * 4.0 * c2 * d2, scale * 2.0 * c2 * c2)))
+    if amplitude_mode not in AMPLITUDE_MODES:
+        raise ValueError(f"amplitude_mode must be one of {AMPLITUDE_MODES}, "
+                         f"got {amplitude_mode!r}")
+    if np.ndim(drive) > 1 or np.size(drive) == 0:
+        raise ValueError("omega0 must be a scalar or a non-empty 1-D array")
+    drives, counts = np.unique(np.asarray(drive, dtype=float), return_counts=True)
+    om = rabi_frequency(drives[:, None], det)
+    amp = (drives[:, None] / om) ** 2 if amplitude_mode == "exact" else 1.0
+    coeffs = ((counts / counts.sum())[:, None] * weights * amp / 2.0).ravel()
+    return coeffs.sum(), om.ravel(), -coeffs
 
 
-def _trace_meta(drive: dict, manifolds: ManifoldSpec, decay: DecayModel) -> dict:
-    """A trace's sidecar: the drive fields, the manifolds (upper-level
-    half-splittings for a V-type drive, detunings otherwise) and the decay."""
-    lines = "half_splittings_MHz" if drive["kind"] == "rabi-vtype" else "detunings_MHz"
-    return {
+def _trace(kind: str, drive, fields: dict, manifolds: ManifoldSpec, grid: TimeGrid,
+           decay: DecayModel, amplitude_mode: str = "exact") -> SampledTrace:
+    """The ``kind`` trace on ``grid``, its lines' sum scaled by the decay
+    envelope, and its sidecar: the drive's ``fields``, manifolds and decay."""
+    dc, freqs, amps = _lines(kind, drive, manifolds, amplitude_mode)
+    times = grid.times
+    values = dc + _cosine_sum(freqs, amps, grid) * decay.envelope(times)
+    lines = "half_splittings_MHz" if kind == "rabi-vtype" else "detunings_MHz"
+    return SampledTrace(times, values, {
         "units": {"time": "us", "frequency": "MHz"},
-        "drive": {**drive, lines: list(manifolds.detunings),
+        "drive": {"kind": kind, **fields, lines: list(manifolds.detunings),
                   "weights": list(manifolds.weights)},
         "decay": {"kind": decay.kind, "t1_rho_us": decay.t1_rho},
-    }
+    })
 
 
 def rabi_trace_incoherent(
@@ -276,21 +307,9 @@ def rabi_trace_incoherent(
     trace is then the mean over the sweeps.  Equal drives are merged first,
     so repeating one drive returns its single-drive trace exactly.
     """
-    _check_amplitude_mode(amplitude_mode)
-    if np.ndim(omega0) > 1 or np.size(omega0) == 0:
-        raise ValueError("omega0 must be a scalar or a non-empty 1-D array")
-    times = grid.times
-    drives, counts = np.unique(np.asarray(omega0, dtype=float), return_counts=True)
-    drives = drives[:, None]
-    om = rabi_frequency(drives, np.asarray(manifolds.detunings))
-    amp = (drives / om) ** 2 if amplitude_mode == "exact" else 1.0
-    coeffs = (counts / counts.sum())[:, None] * np.asarray(manifolds.weights)
-    coeffs = (coeffs * amp / 2.0).ravel()
-    osc = _cosine_sum(om.ravel(), coeffs, grid)
-    values = coeffs.sum() - osc * decay.envelope(times)
-    drive = {"kind": "rabi-single", "omega0_MHz": omega0,
-             "amplitude_mode": amplitude_mode}
-    return SampledTrace(times, values, _trace_meta(drive, manifolds, decay))
+    return _trace("rabi-single", omega0,
+                  {"omega0_MHz": omega0, "amplitude_mode": amplitude_mode},
+                  manifolds, grid, decay, amplitude_mode)
 
 
 def rabi_trace_vtype(
@@ -306,18 +325,8 @@ def rabi_trace_vtype(
     twice its eigenfrequency, with a sub-harmonic line at the
     eigenfrequency itself whenever the half-splitting is nonzero.
     """
-    times = grid.times
-    env = decay.envelope(times)
-    total = np.zeros_like(times)
-    for half, weight in manifolds:
-        # vtype_population checks coupling > 0 and half >= 0; it goes first
-        # because om2 below is zero for a zero coupling and splitting
-        population = vtype_population(coupling, half, times)
-        om2 = 2.0 * coupling**2 + half**2
-        dc = (half**4 + 2.0 * coupling**4) / om2**2
-        total += weight * (dc + (population - dc) * env)
-    drive = {"kind": "rabi-vtype", "coupling_MHz": coupling}
-    return SampledTrace(times, total, _trace_meta(drive, manifolds, decay))
+    return _trace("rabi-vtype", coupling, {"coupling_MHz": coupling},
+                  manifolds, grid, decay)
 
 
 def apply_power_drift(

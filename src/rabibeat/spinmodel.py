@@ -1,9 +1,9 @@
 """Ground-state spin model of a driven S=1 defect center.
 
 Closed forms used by the trace kernels and the beat analysis: the
-generalized Rabi frequency of a detuned two-level drive, the lower-state
-population of the V configuration (both upper branches driven at once from
-their midpoint), and the exact inverse of the beat-shift relation.
+generalized Rabi frequency of a detuned two-level drive and the exact
+inverse of the beat-shift relation.  The V-configuration population, which
+the V kernel expands into lines, is kept as the tests' reference.
 
 Unit conventions, used package-wide:
 
@@ -22,11 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "rabi_frequency",
-    "detuning_from_beat",
-    "vtype_population",
-]
+__all__ = ["rabi_frequency", "detuning_from_beat"]
 
 
 def rabi_frequency(omega0, delta):

@@ -515,8 +515,9 @@ def test_drift_trace_is_independent_of_blas_threads(tmp_path):
 
 
 def test_analyze_is_independent_of_blas_threads(tmp_path):
-    # the DTFT refinement is a BLAS matrix-vector product; the artifacts of
-    # analyze must not depend on the thread count
+    # the trace kernels of both kinds are BLAS matrix products and the DTFT
+    # refinement a BLAS matrix-vector product; the traces of simulate and
+    # the artifacts of analyze must not depend on the thread count
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
@@ -527,10 +528,11 @@ def test_analyze_is_independent_of_blas_threads(tmp_path):
                      ["analyze", "--config", ana, "--trace", trace, "--out", str(out / ana)]]
         run_fresh(run_main(runs), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         outs.append(out)
-    for ana in ("paper-fig4", "paper-fig8"):
-        for name in ("report.json", "spectrum.csv"):
-            rel = Path(ana) / name
-            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+    files = [Path(sim) / "trace.csv" for sim in ("paper-fig3", "paper-fig7")]
+    files += [Path(ana) / name for ana in ("paper-fig4", "paper-fig8")
+              for name in ("report.json", "spectrum.csv")]
+    for rel in files:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
 
 def test_only_a_peak_refinement_imports_scipy(tmp_path):

@@ -40,7 +40,7 @@ def test_preset_fields_are_typed():
     assert cfg.drive["omega0_mhz"] == 22.2
     assert cfg.grid.n_points == 6001
     assert cfg.decay.kind == "exponential"
-    assert list(d for d, _ in cfg.manifolds) == [0.0, 2.18, 4.36]
+    assert list(cfg.manifolds.detunings) == [0.0, 2.18, 4.36]
     imaging = load_config("imaging-default")
     assert imaging.geometry.gap == 10.0
     assert imaging.geometry.drive_scale == 20.0
@@ -115,7 +115,7 @@ def test_explicit_weights(tmp_path):
         "[grid]\nt_end_us = 10.0\nn_points = 1001\n",
     )
     cfg = load_config(path)
-    assert [w for _, w in cfg.manifolds] == [0.25, 0.75]
+    assert list(cfg.manifolds.weights) == [0.25, 0.75]
 
 
 def test_weights_must_sum_to_one(tmp_path):

@@ -40,7 +40,7 @@ def test_time_grid_basics():
 
 def test_manifold_spec_defaults_to_equal_weights():
     spec = ManifoldSpec((0.0, 2.18, 4.36))
-    pairs = list(spec)
+    pairs = list(zip(spec.detunings, spec.weights))
     assert [d for d, _ in pairs] == [0.0, 2.18, 4.36]
     assert all(w == pytest.approx(1 / 3) for _, w in pairs)
 
@@ -107,23 +107,24 @@ def test_propagate_matches_vtype_closed_form():
 )
 def test_kernels_equal_weighted_propagated_populations(drive, detunings, raw_weights):
     # the incoherent manifold average, which the one-manifold acceptance
-    # criteria do not reach; V-type detunings are half-splittings, so >= 0
-    grid = TimeGrid(0.0, 10.0, 1001)
+    # criteria do not reach; V-type detunings are half-splittings, so >= 0.
+    # The kernels take any grid, also one that starts before t = 0.
     weights = np.array(raw_weights[:len(detunings)])
     weights /= weights.sum()
-    single = rabi_trace_incoherent(drive, ManifoldSpec(detunings, weights), grid)
     halves = np.abs(detunings)
-    vtype = rabi_trace_vtype(drive, ManifoldSpec(halves, weights), grid)
-    expected_single = sum(
-        w * propagate(two_level_hamiltonian(drive, d), [1.0, 0.0], grid)[:, 1]
-        for d, w in zip(detunings, weights)
-    )
-    expected_vtype = sum(
-        w * propagate(build_rot_frame_h(drive, h), [1.0, 0.0, 0.0], grid)[:, 0]
-        for h, w in zip(halves, weights)
-    )
-    assert np.max(np.abs(single.values - expected_single)) <= 1e-9
-    assert np.max(np.abs(vtype.values - expected_vtype)) <= 1e-9
+    for grid in (TimeGrid(0.0, 10.0, 1001), TimeGrid(-3.0, 3.0, 2001)):
+        single = rabi_trace_incoherent(drive, ManifoldSpec(detunings, weights), grid)
+        vtype = rabi_trace_vtype(drive, ManifoldSpec(halves, weights), grid)
+        expected_single = sum(
+            w * propagate(two_level_hamiltonian(drive, d), [1.0, 0.0], grid)[:, 1]
+            for d, w in zip(detunings, weights)
+        )
+        expected_vtype = sum(
+            w * propagate(build_rot_frame_h(drive, h), [1.0, 0.0, 0.0], grid)[:, 0]
+            for h, w in zip(halves, weights)
+        )
+        assert np.max(np.abs(single.values - expected_single)) <= 1e-9
+        assert np.max(np.abs(vtype.values - expected_vtype)) <= 1e-9
 
 
 def test_resonant_trace_is_sin_squared():
@@ -218,7 +219,7 @@ def per_sweep_reference(omega0, manifolds, times, decay, amplitude_mode, factors
     acc = np.zeros_like(times)
     for p in factors:
         drive = omega0 * float(np.sqrt(p))
-        for det, weight in manifolds:
+        for det, weight in zip(manifolds.detunings, manifolds.weights):
             om = np.hypot(drive, det)
             amp = (drive / om) ** 2 if amplitude_mode == "exact" else 1.0
             osc = np.cos(2.0 * np.pi * om * times)
