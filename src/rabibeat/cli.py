@@ -13,6 +13,7 @@ import functools
 import math
 import os
 import sys
+# ThreadPoolExecutor is unused here; perfbench's tracer patches this name
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -377,8 +378,7 @@ def _dispatch(args) -> int:
         variants.append((cfg, out_dir / name, child_seed))
     # every variant computes before any writes, so a failing one leaves nothing
     run = _COMMANDS[args.command][0]
-    with ThreadPoolExecutor(max_workers=min(8, len(variants))) as pool:
-        results = list(pool.map(lambda v: run(v[0], v[2], args), variants))
+    results = [run(cfg, child_seed, args) for cfg, _, child_seed in variants]
     for (cfg, sub, child_seed), artifacts in zip(variants, results):
         _write(sub, args, cfg, child_seed, artifacts)
     write_json(

@@ -225,7 +225,9 @@ def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"cannot parse config: {exc}") from None
 
     data: dict = {section: {} for section in SCHEMA}
-    for section in parser.sections():
+    # configparser copies [DEFAULT]'s keys into every section; name it first
+    defaults = [parser.default_section] if parser.defaults() else []
+    for section in defaults + parser.sections():
         if section not in SCHEMA:
             raise ConfigError(
                 f"{section}: unknown section (known: {', '.join(SCHEMA)})"

@@ -344,7 +344,7 @@ def apply_power_drift(
     Each sweep k sees a power factor p_k from the drift model and therefore
     a scaled Rabi frequency omega0 * sqrt(p_k).  All sweeps go to one
     :func:`rabi_trace_incoherent` call, which sums them in a fixed order, so
-    the result is independent of any execution parallelism.  With constant
+    the result is independent of the BLAS thread count.  With constant
     drift the output equals the undrifted trace exactly.
     ``seed`` is required for gaussian drift.
     """

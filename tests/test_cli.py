@@ -238,6 +238,18 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert not single.exists()
     assert "config error: grid.t_start_us: must be >= 0, got -20.0" in (
         capsys.readouterr().err)
+    # configparser copies [DEFAULT]'s keys into every section, so a
+    # non-empty one is an unknown section, not an unknown key of [run]
+    defaults = tmp_path / "defaults.ini"
+    defaults.write_text(
+        "[DEFAULT]\nt1_rho_us = 25.0\n[run]\nkind = rabi-single\n[drive]\n"
+        "omega0_mhz = 22.2\n[manifolds]\ndetunings_mhz = 0.0\n[grid]\n"
+        "t_end_us = 10.0\nn_points = 1001\n"
+    )
+    assert main(["simulate", "--config", str(defaults), "--out", str(single)]) == 2
+    assert not single.exists()
+    assert "config error: DEFAULT: unknown section (known: run, " in (
+        capsys.readouterr().err)
 
 
 def test_exit_code_2_on_malformed_trace(tmp_path, capsys):
@@ -499,7 +511,7 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
 
 def test_drift_trace_is_independent_of_blas_threads(tmp_path):
     # the drift average is a BLAS matrix product; its bytes must not depend
-    # on the thread count, also while sweep variants run concurrently
+    # on the thread count
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
@@ -564,9 +576,9 @@ def test_only_a_peak_refinement_imports_scipy(tmp_path):
 
 
 def test_sweep_threads_make_the_first_optimizer_import(tmp_path):
-    # in a fresh interpreter the imaging-demo variants run on pool threads,
-    # which import scipy.optimize at their first refinement; their files must
-    # equal those of a run that imported it beforehand
+    # in a fresh interpreter the first imaging-demo variant imports
+    # scipy.optimize at its first refinement, on the calling thread; the
+    # sweep's files must equal those of a run that imported it beforehand
     argv = ["imaging-demo", "--config", "imaging-default",
             "--sweep", "imaging.t1_rho_us=20,25,30", "--out"]
     lazy = ("import sys\nimport rabibeat.cli\n"
@@ -583,7 +595,21 @@ def test_sweep_threads_make_the_first_optimizer_import(tmp_path):
         assert (tmp_path / "lazy" / rel).read_bytes() == (tmp_path / "eager" / rel).read_bytes()
 
 
-def test_sweep_writes_variant_directories(tmp_path):
+def test_sweep_writes_variant_directories(tmp_path, monkeypatch):
+    # variants run in sweep order on the calling thread
+    import threading
+
+    import rabibeat.cli as cli
+
+    runner = cli._COMMANDS["simulate"][0]
+    calls = []
+
+    def recording_runner(cfg, seed, args):
+        calls.append((threading.get_ident(), cfg.drive["omega0_mhz"]))
+        return runner(cfg, seed, args)
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate",
+                        (recording_runner, *cli._COMMANDS["simulate"][1:]))
     out = tmp_path / "sweep"
     code = main(
         [
@@ -605,6 +631,7 @@ def test_sweep_writes_variant_directories(tmp_path):
     for sub, omega0 in zip(index["directories"], index["values"]):
         meta = read_json(out / sub / "trace.meta.json")
         assert meta["drive"]["omega0_MHz"] == omega0
+    assert calls == [(threading.get_ident(), omega0) for omega0 in index["values"]]
 
 
 def test_sweep_range_expansion(tmp_path):
