@@ -4,7 +4,9 @@ detunings by the exact inverse in :mod:`rabibeat.spinmodel`.
 
 Beat extraction works in the time domain on the analytic-signal envelope,
 because a slow beat is resolvable from a couple of modulation periods even
-when the underlying spectral lines are closer than the FFT resolution.
+when the underlying spectral lines are closer than the FFT resolution.  The
+envelope of a band is built on a grid whose rate the band's width sets, not
+the trace's sampling, so everything after it runs on a short record.
 """
 from __future__ import annotations
 
@@ -340,46 +342,77 @@ def dominant_frequency(trace: SampledTrace) -> float:
     return refine_peak_frequency(trace, freqs[i], window="hann")
 
 
+# |z|^2 holds the differences of the kept bins, up to +/-(k_b - k_a) bins,
+# i.e. +/-(f_hi - f_lo); four grid points per kept bin put the grid's
+# Nyquist at twice that, so |z|^2 does not alias, and the beat search
+# reads only lines <= 0.45 x base, inside the 0.6 x base of the base band
+_ENVELOPE_OVERSAMPLE = 4
+
+
 def analytic_envelope(trace: SampledTrace, band: tuple | None = None):
-    """Magnitude of the analytic signal, optionally band-limited.
+    """Magnitude of the analytic signal, optionally band-limited, on a grid
+    whose rate the band sets.
 
-    ``band = (f_lo, f_hi)`` keeps only that part of the positive-frequency
-    spectrum before the envelope is formed, which isolates one oscillation
+    ``band = (f_lo, f_hi)`` keeps only the positive-frequency bins strictly
+    inside it, under cosine-tapered edges, which isolates one oscillation
     cluster (e.g. the base band of a V-configuration trace, excluding its
-    sub-harmonic).  Edges are trimmed by 1.5 carrier periods to suppress
-    end artifacts of the analytic-signal construction.
+    sub-harmonic); it needs 0 <= f_lo < f_hi and a bin below Nyquist inside,
+    else ValueError.  The kept bins k_a..k_b are shifted down by their
+    centre bin and inverse-transformed on m points over the record's
+    period, m a 5-smooth length of at least four per kept bin and at most
+    the trace's n: the same periodic band-limited signal, at times
+    t_0 + i n dt / m, with a coarser step than the trace's when the band is
+    narrow.  The shift does not change the magnitude.  ``band=None`` keeps
+    every positive bin below Nyquist, on the trace's own times.  Edges are
+    trimmed by 1.5 carrier periods to suppress end artifacts of the
+    analytic-signal construction.
 
-    Returns ``(times, envelope)`` trimmed consistently.
+    Returns ``(times, envelope)``, up to the trace's last time.
     """
     _require_uniform(trace)
-    x = trace.values - trace.values.mean()
     n = trace.n
-    spec = np.fft.fft(x)
-    freqs = np.fft.fftfreq(n, d=trace.dt)
-    mask = np.zeros(n)
-    mask[freqs > 0] = 2.0
-    if band is not None:
+    spec = np.fft.rfft(trace.values - trace.values.mean())
+    # DC and the positive bins below Nyquist
+    freqs = np.fft.rfftfreq(n, d=trace.dt)[: (n + 1) // 2]
+    if band is None:
+        lo, hi = 0.0, math.inf
+    else:
         lo, hi = band
+        if not 0 <= lo < hi:
+            raise ValueError(f"band {band} needs 0 <= f_lo < f_hi")
+    kept = np.flatnonzero((freqs > lo) & (freqs < hi))
+    if kept.size == 0:
+        raise ValueError(
+            f"band {band} holds no frequency bin below the Nyquist "
+            f"frequency {0.5 / trace.dt:.6g} MHz"
+        )
+    k_a, k_b = int(kept[0]), int(kept[-1])
+    weights = np.full(kept.size, 2.0)
+    if band is not None:
         # cosine-tapered band edges; a hard cut rings at |edge - carrier|
         # and the ripple would read as spurious envelope modulation
+        f = freqs[k_a:k_b + 1]
         width = 0.1 * (hi - lo)
-        taper = np.clip((freqs - lo) / width, 0.0, 1.0) * np.clip(
-            (hi - freqs) / width, 0.0, 1.0
+        taper = np.clip((f - lo) / width, 0.0, 1.0) * np.clip(
+            (hi - f) / width, 0.0, 1.0
         )
-        mask = mask * np.sin(0.5 * np.pi * taper) ** 2
-    z = np.fft.ifft(spec * mask)
-    env = np.abs(z)
+        weights *= np.sin(0.5 * np.pi * taper) ** 2
+    m = min(n, _next_fast_len(_ENVELOPE_OVERSAMPLE * kept.size))
+    k0 = (k_a + k_b) // 2 if m < n else 0
+    shifted = np.zeros(m, dtype=complex)
+    # bins below k0 land at the top of the m-point transform
+    shifted[kept - k0] = spec[k_a:k_b + 1] * weights
+    env = np.abs(np.fft.ifft(shifted)) * (m / n)
     if band is not None:
-        f_ref = 0.5 * (band[0] + band[1])
+        f_ref = 0.5 * (lo + hi)
     else:
-        pos = freqs > 0
-        f_ref = float(freqs[pos][np.argmax(np.abs(spec[pos]))])
-    trim = 0
-    if f_ref > 0:
-        trim = int(math.ceil(1.5 / (f_ref * trace.dt)))
-    trim = min(trim, max((n - 16) // 2, 0))
-    sl = slice(trim, n - trim if trim else n)
-    return trace.times[sl], env[sl]
+        f_ref = float(freqs[k_a + np.argmax(np.abs(spec[k_a:k_b + 1]))])
+    # grid points up to the last sample; the rest of the period wraps around
+    last = (n - 1) * m // n
+    step = trace.dt * (n / m)
+    trim = min(int(math.ceil(1.5 / (f_ref * step))), max((last - 15) // 2, 0))
+    i = np.arange(trim, last + 1 - trim)
+    return trace.times[0] + i * step, env[i]
 
 
 def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
@@ -438,11 +471,14 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
     period yields an empty beat list and a diagnostic note; a trace with no
     spectral peak at all (a constant one) raises ValueError.
 
-    ``diagnostics`` holds ``notes``, the refined ``envelope_beats`` and
+    ``diagnostics`` holds ``notes``, the refined ``envelope_beats``,
     ``unexplained_lines``: the envelope lines farther than 1/duration from
-    every pairwise difference of zero and the beats.  A tone set the beats
-    account for explains every line, so any entry there means a tone the
-    beats miss, and a note names them.
+    every pairwise difference of zero and the beats, and
+    ``analysis_band_MHz``: the base band the envelope keeps (``lines``)
+    and the band the beats are searched in (``beats``).  A tone set the
+    beats account for explains every line, so any entry in
+    ``unexplained_lines`` means a tone the beats miss, and a note names
+    them.
 
     ``mode`` selects the exact inversion
     :func:`rabibeat.spinmodel.detuning_from_beat` applied to each beat:
@@ -459,7 +495,8 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
 
     # squared envelope of the base band; beat lines sit at the pairwise
     # differences of the underlying tone frequencies
-    times, env = analytic_envelope(trace, band=(0.7 * base, 1.3 * base))
+    band = (0.7 * base, 1.3 * base)
+    times, env = analytic_envelope(trace, band=band)
     # detrend a decaying envelope; beats average out of the log-linear fit
     flat = env
     decay_time = math.inf
@@ -537,6 +574,7 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
         "notes": notes,
         "envelope_beats": refined,
         "unexplained_lines": unexplained,
+        "analysis_band_MHz": {"lines": list(band), "beats": [f_min, f_max]},
     }
     return BeatReport(mode, base, list(beats), detunings, decay_time, diag)
 

@@ -74,3 +74,41 @@ def beat_shift(base: float, delta: float, mode: str = "single") -> float:
     small delta.  ``detuning_from_beat`` is its exact inverse."""
     kd = {"single": 1, "vtype": 2}[mode] * delta
     return kd * kd / (math.hypot(base, kd) + base)
+
+
+def band_limited_analytic_signal(trace, band, times) -> np.ndarray:
+    """z(t) = (1/n) sum_k 2 X[k] taper(f_k) exp(2 pi i k (t - t_0) / (n dt))
+    over the bins 0 < k < n/2 with f_lo < f_k < f_hi, by direct sums: X[k]
+    is the DFT of the mean-removed trace and ``taper`` the sin^2 ramp over a
+    tenth of the band at each edge.  ``band=None`` keeps every such bin at
+    weight 2."""
+    n, dt = trace.n, trace.dt
+    x = trace.values - trace.values.mean()
+    k = np.arange(1, (n + 1) // 2)
+    f = k / (n * dt)
+    weights = np.full(k.size, 2.0)
+    if band is not None:
+        lo, hi = band
+        width = 0.1 * (hi - lo)
+        ramp = np.clip((f - lo) / width, 0, 1) * np.clip((hi - f) / width, 0, 1)
+        weights *= np.sin(0.5 * np.pi * ramp) ** 2
+        inside = (f > lo) & (f < hi)
+        k, weights = k[inside], weights[inside]
+    coeff = np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n) @ x
+    phases = np.exp(2j * np.pi * np.outer(times - trace.times[0], k) / (n * dt))
+    return phases @ (weights * coeff) / n
+
+
+def full_fft_envelope(trace):
+    """The envelope as one n-point complex FFT builds it: the positive bins
+    doubled, the rest zeroed, inverted at the trace's own times, then
+    1.5 periods of the strongest line trimmed from each end, leaving at
+    least 16 samples.  Returns ``(times, envelope)``."""
+    n = trace.n
+    spec = np.fft.fft(trace.values - trace.values.mean())
+    freqs = np.fft.fftfreq(n, d=trace.dt)
+    env = np.abs(np.fft.ifft(np.where(freqs > 0, 2.0 * spec, 0.0)))
+    pos = freqs > 0
+    f_ref = freqs[pos][np.argmax(np.abs(spec[pos]))]
+    trim = min(math.ceil(1.5 / (f_ref * trace.dt)), max((n - 16) // 2, 0))
+    return trace.times[trim:n - trim], env[trim:n - trim]

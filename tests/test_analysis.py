@@ -35,7 +35,11 @@ from rabibeat.evolve import (
 from rabibeat.spinmodel import detuning_from_beat
 from rabibeat.traces import SampledTrace
 
-from oracles import beat_shift
+from oracles import (
+    band_limited_analytic_signal,
+    beat_shift,
+    full_fft_envelope,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -201,6 +205,68 @@ def test_analytic_envelope_tracks_decay():
     times, env = analytic_envelope(trace)
     expected = np.exp(-times / 10.0)
     assert np.max(np.abs(env - expected)) < 0.02
+
+
+def _fig3_trace(n, t_end=30.0, t1_rho=25.0):
+    # paper-fig3 physics: three equal manifolds, the lowest one resonant
+    return rabi_trace_incoherent(
+        22.2, ManifoldSpec((0.0, 2.18, 4.36)), TimeGrid(0.0, t_end, n),
+        decay=DecayModel("exponential", t1_rho),
+    )
+
+
+@pytest.mark.parametrize("band", [(500.0, 600.0), (30.0, 20.0), (20.0, 20.0)],
+                         ids=["above-nyquist", "reversed", "empty"])
+@pytest.mark.parametrize("fn", [analytic_envelope, fit_decay_time])
+def test_envelope_rejects_a_band_it_cannot_use(fn, band):
+    trace = _fig3_trace(6001)
+    with pytest.raises(ValueError, match=rf"band \({band[0]}, {band[1]}\)"):
+        fn(trace, band=band)
+
+
+@pytest.mark.parametrize("n", [1600, 1601])
+@pytest.mark.parametrize(
+    "simulate",
+    [lambda g: rabi_trace_incoherent(22.2, ManifoldSpec((0.0, 2.18, 4.36)), g,
+                                     decay=DecayModel("exponential", 25.0)),
+     lambda g: rabi_trace_vtype(14.849242404917497, ManifoldSpec((0.0, 2.0, 4.1)),
+                                g, decay=DecayModel("exponential", 25.0))],
+    ids=["single", "vtype"],
+)
+def test_coarse_envelope_is_the_band_limited_analytic_signal(simulate, n):
+    trace = simulate(TimeGrid(0.0, 8.0, n))
+    base, nyquist = dominant_frequency(trace), 0.5 / trace.dt
+    for band in [(0.7 * base, 1.3 * base), (0.8 * nyquist, 1.2 * nyquist), None]:
+        times, env = analytic_envelope(trace, band=band)
+        assert times[0] >= trace.times[0] and times[-1] <= trace.times[-1]
+        assert SampledTrace(times, env).is_uniform()
+        if band is not None:
+            # a band narrower than half the spectrum needs fewer points
+            assert times.size < 0.6 * trace.n
+        exact = np.abs(band_limited_analytic_signal(trace, band, times))
+        assert np.max(np.abs(env - exact)) <= 1e-10 * exact.max(), band
+    # with no band: the full complex-FFT construction, at the trace's times
+    full_times, full_env = full_fft_envelope(trace)
+    np.testing.assert_allclose(times, full_times, rtol=0, atol=1e-12 * trace.duration)
+    assert np.max(np.abs(env - full_env)) <= 1e-10 * full_env.max()
+
+
+def test_envelope_cost_is_set_by_the_band():
+    short, long = _fig3_trace(6001), _fig3_trace(24001)
+    band = (0.7 * 22.2, 1.3 * 22.2)
+    assert analytic_envelope(long, band=band)[0].size <= (
+        analytic_envelope(short, band=band)[0].size)
+    a, b = extract_beats(short), extract_beats(long)
+    assert a.beat_frequencies == pytest.approx(b.beat_frequencies, abs=1e-4)
+    assert a.recovered_detunings == pytest.approx(b.recovered_detunings, abs=1e-4)
+
+
+def test_extract_beats_in_the_papers_regime_of_many_oscillations():
+    # T1rho = 25 ms over 3 ms: about 66 600 base oscillations
+    trace = _fig3_trace(600_001, t_end=3000.0, t1_rho=25_000.0)
+    report = extract_beats(trace)
+    assert report.recovered_detunings == pytest.approx([2.18, 4.36], abs=1e-3)
+    assert report.diagnostics["unexplained_lines"] == []
 
 
 def test_moving_average_is_scipys_uniform_filter():

@@ -698,10 +698,19 @@ def test_paper_presets_leave_no_envelope_line_unexplained(
     assert main(["simulate", "--config", sim_name, "--out", str(sim)]) == 0
     assert main(["analyze", "--config", ana_name, "--trace",
                  str(sim / "trace.csv"), "--out", str(ana)]) == 0
-    diagnostics = read_json(ana / "report.json")["diagnostics"]
-    assert set(diagnostics) == {"notes", "envelope_beats", "unexplained_lines"}
+    report = read_json(ana / "report.json")
+    diagnostics = report["diagnostics"]
+    assert set(diagnostics) == {"notes", "envelope_beats", "unexplained_lines",
+                                "analysis_band_MHz"}
     assert len(diagnostics["envelope_beats"]) == 3
     assert diagnostics["unexplained_lines"] == []
+    # the base band the envelope keeps and the band the beats are read in
+    base = report["base_frequency_MHz"]
+    duration = SampledTrace.from_csv(sim / "trace.csv").duration
+    assert diagnostics["analysis_band_MHz"] == {
+        "lines": pytest.approx([0.7 * base, 1.3 * base], rel=1e-15),
+        "beats": pytest.approx([1.5 / duration, 0.45 * base], rel=1e-15),
+    }
 
 
 def test_single_tone_trace_analyzes_cleanly(tmp_path):
