@@ -363,7 +363,7 @@ def analytic_envelope(trace: SampledTrace, band: tuple | None = None):
     the trace's n: the same periodic band-limited signal, at times
     t_0 + i n dt / m, with a coarser step than the trace's when the band is
     narrow.  The shift does not change the magnitude.  ``band=None`` keeps
-    every positive bin below Nyquist, on the trace's own times.  Edges are
+    every positive bin below Nyquist, on the trace's own step.  Edges are
     trimmed by 1.5 carrier periods to suppress end artifacts of the
     analytic-signal construction.
 
