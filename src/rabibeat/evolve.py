@@ -61,45 +61,172 @@ class TimeGrid:
         return (self.t_end - self.t_start) / (self.n_points - 1)
 
 
-# The trace kernel splits the grid into blocks of _BLOCK samples and feeds
-# its oscillators to the matrix product _CHUNK at a time, so the size of its
-# scratch matrices depends on the grid length, not on the number of sweeps.
-# Block anchors and in-block offsets both lie on even grids, so _ladder
-# builds their phasors as products of a coarse and a fine set, each about
+# The direct sum splits the grid into blocks of _BLOCK samples and feeds
+# its oscillators to the matrix product _CHUNK at a time, and the moment sum
+# reduces its lines _CHUNK at a time, so the size of the kernels' scratch
+# matrices depends on the grid length, not on the number of sweeps.  Block
+# anchors and in-block offsets both lie on even grids, so _ladder builds
+# their phasors as products of a coarse and a fine set, each about
 # sqrt(count) long, which evaluates far fewer cos/sin pairs.
 _BLOCK = 64
 _CHUNK = 256
+# _REACH[P - 1] is the largest phase x whose Taylor remainder x^P / P! after
+# the P terms p < P of exp(i x) is at most eps / 8; |x| <= 1 needs P <= 19
+_REACH = np.array([(np.finfo(float).eps / 8 * math.factorial(p)) ** (1.0 / p)
+                   for p in range(1, 20)])
+_FACTORIALS = np.array([float(math.factorial(p)) for p in range(_REACH.size)])
+# i^p for p mod 4, exact
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+# _moment_plan estimates each sum's time in units of one complex
+# multiply-add of the direct sum's BLAS product.  Timings of both sums on a
+# 2-core Xeon (OpenBLAS 0.3.31 at one thread, numpy 2.4) put a real
+# multiply-add of an np.einsum loop at about 2 units, one element of a
+# numpy pass at about 20 and a cos/sin pair at about 100.  Over 40 cluster
+# shapes the sum and block size it then picks ran at most 24% slower than
+# the fastest one timed, and for 9 shapes in 10 within 3%; halving or
+# doubling any one weight gave at most 39%, and within 11% for 9 in 10.
+# The weights steer speed only: both sums meet the same error bound.
+_EINSUM, _PASS, _PHASOR = 2, 20, 100
 
 
 def _cosine_sum(freqs, coeffs, grid: TimeGrid) -> np.ndarray:
     """sum_k coeffs[k] * cos(2 pi freqs[k] t) over the times of ``grid``.
 
+    ``freqs`` and ``coeffs`` are 2-D with one cluster of lines per column,
+    as ``_lines`` gives them.  Each cluster takes the cheaper of two sums by
+    ``_moment_plan``'s estimate: the moment sum (``_moment_sum``) for many
+    lines close together, such as one manifold's lines across the sweeps of
+    a drift average, and the direct sum (``_direct_sum``) otherwise, which
+    is always the case for a cluster of a few lines.  The direct sum takes
+    the lines of all its clusters at once, in row-major order, and each
+    moment sum is added after it, cluster by cluster.  Either sum is within
+    the rounding of its largest phase, about eps (1 + max |2 pi f t|) per
+    unit of sum_k |coeffs[k]|, of the exact sum.
+    """
+    w = 2.0 * np.pi * freqs
+    plans = [_moment_plan(w[:, j], grid) for j in range(w.shape[1])]
+    direct = np.array([plan is None for plan in plans])
+    total = (_direct_sum(w[:, direct].ravel(), coeffs[:, direct].ravel(), grid)
+             if direct.any() else None)
+    for j, plan in enumerate(plans):
+        if plan is not None:
+            part = _moment_sum(w[:, j], coeffs[:, j], grid, *plan)
+            if total is None:
+                total = part
+            else:
+                total += part
+    return total
+
+
+def _direct_sum(w, coeffs, grid: TimeGrid) -> np.ndarray:
+    """sum_k coeffs[k] * cos(w[k] t) over the times of ``grid``.
+
     Sample j = b * _BLOCK + m lies m steps after its block anchor
-    t_start + b * _BLOCK * step, so exp(i 2 pi f t) is an anchor phasor
+    t_start + b * _BLOCK * step, so exp(i w t) is an anchor phasor
     times an in-block phasor, and the sum over k is the complex product
     (anchor phasors * coeffs) @ (in-block phasors) of shape
     (blocks x K) @ (K x _BLOCK).  Both factors are phasors on an even
     grid, which _ladder builds as coarse x fine products: about
     2 (sqrt(blocks) + sqrt(_BLOCK)) cos/sin pairs per oscillator instead of
-    blocks + _BLOCK.  Chunks of oscillators are added in a fixed order;
-    test_analyze_is_independent_of_blas_threads in tests/test_cli.py
-    checks that the trace bytes of both kinds do not depend on the BLAS
-    thread count.
+    blocks + _BLOCK.  Chunks of oscillators are added in a fixed order.
     """
     n = grid.n_points
     n_blocks = -(-n // _BLOCK)
     # the first chunk's product starts the total: no zero fill, no add pass
     total = None
-    for start in range(0, freqs.size, _CHUNK):
-        w = 2.0 * np.pi * freqs[start:start + _CHUNK]
-        part = (_ladder(w, grid.t_start, _BLOCK * grid.step, n_blocks,
+    for start in range(0, w.size, _CHUNK):
+        part_w = w[start:start + _CHUNK]
+        part = (_ladder(part_w, grid.t_start, _BLOCK * grid.step, n_blocks,
                         coeffs[start:start + _CHUNK])
-                @ _ladder(w, 0.0, grid.step, _BLOCK).T)
+                @ _ladder(part_w, 0.0, grid.step, _BLOCK).T)
         if total is None:
             total = part
         else:
             total += part
     return total.real.ravel()[:n]
+
+
+def _moment_plan(w, grid: TimeGrid):
+    """(L, P) for ``_moment_sum`` of the lines ``w`` (rad/us) on ``grid``,
+    or None where ``_direct_sum`` costs less.
+
+    Blocks of L samples keep the offset phase theta = half (L - 1) h / 2
+    within 1, where half is the cluster's half-width and h the step, so
+    that no Taylor term exceeds 1, and P is the smallest order whose
+    remainder theta^P / P! is at most eps / 8.  L is the cheapest of the
+    longest such block and its halvings, costed from the multiply-adds,
+    numpy passes and cos/sin pairs each sum makes.
+    """
+    n, k, h = grid.n_points, w.size, grid.step
+    direct = k * (n + _PHASOR * 2 * (math.sqrt(n / _BLOCK) + math.sqrt(_BLOCK)))
+    if direct <= _EINSUM * 2 * n:  # no moment sum is cheaper
+        return None
+    half = (w.max() - w.min()) / 2
+    longest = n if half * h * (n - 1) <= 2.0 else int(1.0 + 2.0 / (half * h))
+    sizes = longest >> np.arange(max(longest.bit_length() - 1, 0))
+    if sizes.size == 0:
+        return None
+    terms = np.searchsorted(_REACH, half * (sizes - 1) * h / 2) + 1
+    blocks = -(-n // sizes)
+    cost = (_EINSUM * 2 * terms * (n + blocks * k)     # moments and expansion
+            + _PHASOR * k * 2 * np.sqrt(blocks)        # block anchors
+            + _PASS * (blocks * k + 2 * terms * sizes))  # anchor entries, E
+    best = int(np.argmin(cost))
+    if not cost[best] < direct:
+        return None
+    return int(sizes[best]), int(terms[best])
+
+
+def _moment_sum(w, coeffs, grid: TimeGrid, size: int, order: int) -> np.ndarray:
+    """sum_k coeffs[k] * cos(w[k] t) over the times of ``grid``, by block
+    Taylor moments of the cluster ``w`` (rad/us) about its centre w_c.
+
+    Sample j = b * size + m lies tau_m = (m - (size - 1) / 2) * step from
+    its block centre T_b, so with u_k = (w_k - w_c) / half and
+    x_m = half * tau_m,
+
+        exp(i w_k t_j) = exp(i w_k T_b) exp(i w_c tau_m) exp(i u_k x_m)
+
+    and the last factor is sum_{p < order} i^p u_k^p x_m^p / p! to within
+    eps / 8, so truncation adds at most eps / 8 sum_k |coeffs[k]| to a
+    sample.  Each block then needs only the moments
+    M[b, p] = i^p sum_k coeffs[k] u_k^p exp(i w_k T_b), and each sample is
+    Re sum_p M[b, p] E[p, m] with E[p, m] = x_m^p / p! exp(i w_c tau_m):
+    about (blocks K + n) order multiply-adds instead of n K.  The powers
+    are real and |u|, |x| <= 1, and multiplying by i^p is exact.  Both sums
+    are np.einsum loops, not BLAS products, and the lines enter _CHUNK at a
+    time in a fixed order, so the result does not depend on the number of
+    BLAS threads.
+    """
+    n, h = grid.n_points, grid.step
+    lo, hi = w.min(), w.max()
+    centre = lo + (hi - lo) / 2
+    half = max(hi - centre, centre - lo)
+    u = (w - centre) / half if half > 0 else np.zeros_like(w)
+    blocks = -(-n // size)
+    mid = (size - 1) / 2
+    moments = None
+    for start in range(0, w.size, _CHUNK):
+        anchors = _ladder(w[start:start + _CHUNK], grid.t_start + mid * h,
+                          size * h, blocks, coeffs[start:start + _CHUNK])
+        parts = np.empty((blocks, 2, anchors.shape[1]))
+        parts[:, 0], parts[:, 1] = anchors.real, anchors.imag
+        part = np.einsum("brk,pk->brp", parts,
+                         _powers(u[start:start + _CHUNK], order),
+                         optimize=False)
+        if moments is None:
+            moments = part
+        else:
+            moments += part
+    # times i^p, exactly; Re(M E) = Re M Re E - Im M Im E
+    moments = (moments[:, 0] + 1j * moments[:, 1]) * _I_POWERS[np.arange(order) % 4]
+    moments = np.concatenate((moments.real, -moments.imag), axis=1)
+    # offsets are exact multiples of the step
+    tau = (np.arange(size) - mid) * h
+    carrier = np.stack((np.cos(centre * tau), np.sin(centre * tau)))
+    expansion = (_powers(half * tau, order) / _FACTORIALS[:order, None]) * carrier[:, None]
+    return np.einsum("bq,qm->bm", moments, expansion.reshape(2 * order, size),
+                     optimize=False).ravel()[:n]
 
 
 def _ladder(w, start, h, count, weights=1.0) -> np.ndarray:
@@ -118,6 +245,19 @@ def _ladder(w, start, h, count, weights=1.0) -> np.ndarray:
     out = np.empty((coarse, fine, w.size), dtype=complex)
     np.multiply((phasors[fine:] * weights)[:, None], phasors[:fine], out=out)
     return out.reshape(coarse * fine, w.size)[:count]
+
+
+def _powers(x, order: int) -> np.ndarray:
+    """Rows x^p for p < ``order``, each block of rows by doubling: rows
+    [have, 2 have) are rows [0, have) times x^have."""
+    out = np.empty((order, x.size))
+    out[0] = 1.0
+    have = 1
+    while have < order:
+        top = min(2 * have, order)
+        np.multiply(out[:top - have], out[have - 1] * x, out=out[have:top])
+        have = top
+    return out
 
 
 def _phasors(phase: np.ndarray) -> np.ndarray:
@@ -239,13 +379,15 @@ class DriftModel:
 
 def _lines(kind: str, drive, manifolds: ManifoldSpec, amplitude_mode: str = "exact"):
     """(dc, freqs, amps) of a ``kind`` trace without decay,
-    dc + sum_k amps[k] cos(2 pi freqs[k] t).
+    dc + sum_k amps[k] cos(2 pi freqs[k] t).  ``freqs`` and ``amps`` are
+    2-D, one cluster of lines per column (see ``_cosine_sum``).
 
     A V-type manifold with coupling c = ``drive`` and half-splitting d has
     p0 = [d^4 + 2c^4 + 4c^2 d^2 cos theta + 2c^4 cos 2 theta] / (2c^2 + d^2)^2,
     theta = 2 pi sqrt(2c^2 + d^2) t.  Otherwise ``drive`` is one omega0 or
     one per sweep; equal drives are merged, and each manifold at detuning d
-    has the line hypot(omega0, d).
+    has the line hypot(omega0, d), one row per drive and one column per
+    manifold.  A V-type trace has one line per column.
     """
     det, weights = np.asarray(manifolds.detunings), np.asarray(manifolds.weights)
     if kind == "rabi-vtype":
@@ -257,8 +399,8 @@ def _lines(kind: str, drive, manifolds: ManifoldSpec, amplitude_mode: str = "exa
         om2 = 2.0 * c2 + d2
         eigen, scale = np.sqrt(om2), weights / om2**2
         return (np.sum(scale * (d2 * d2 + 2.0 * c2 * c2)),
-                np.concatenate((eigen, 2.0 * eigen)),
-                np.concatenate((scale * 4.0 * c2 * d2, scale * 2.0 * c2 * c2)))
+                np.concatenate((eigen, 2.0 * eigen))[None],
+                np.concatenate((scale * 4.0 * c2 * d2, scale * 2.0 * c2 * c2))[None])
     if amplitude_mode not in AMPLITUDE_MODES:
         raise ValueError(f"amplitude_mode must be one of {AMPLITUDE_MODES}, "
                          f"got {amplitude_mode!r}")
@@ -267,8 +409,8 @@ def _lines(kind: str, drive, manifolds: ManifoldSpec, amplitude_mode: str = "exa
     drives, counts = np.unique(np.asarray(drive, dtype=float), return_counts=True)
     om = rabi_frequency(drives[:, None], det)
     amp = (drives[:, None] / om) ** 2 if amplitude_mode == "exact" else 1.0
-    coeffs = ((counts / counts.sum())[:, None] * weights * amp / 2.0).ravel()
-    return coeffs.sum(), om.ravel(), -coeffs
+    coeffs = (counts / counts.sum())[:, None] * weights * amp / 2.0
+    return coeffs.sum(), om, -coeffs
 
 
 def _trace(kind: str, drive, fields: dict, manifolds: ManifoldSpec, grid: TimeGrid,
@@ -343,9 +485,12 @@ def apply_power_drift(
 
     Each sweep k sees a power factor p_k from the drift model and therefore
     a scaled Rabi frequency omega0 * sqrt(p_k).  All sweeps go to one
-    :func:`rabi_trace_incoherent` call, which sums them in a fixed order, so
-    the result is independent of the BLAS thread count.  With constant
-    drift the output equals the undrifted trace exactly.
+    :func:`rabi_trace_incoherent` call.  The lines of one manifold across
+    the sweeps lie close together, and the kernel sums such a cluster by
+    block Taylor moments, without BLAS and in a fixed order, so its bytes
+    do not depend on the BLAS thread count; a cluster too wide or with too
+    few lines for that is one BLAS product, as a single-drive trace is.
+    With constant drift the output equals the undrifted trace exactly.
     ``seed`` is required for gaussian drift.
     """
     factors = drift.power_factors(n_sweeps, seed)

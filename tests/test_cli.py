@@ -509,19 +509,52 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
     assert one == separate
 
 
+DRIFT_CONFIG = """[run]
+kind = drift
+
+[drive]
+omega0_mhz = {omega0}
+
+[manifolds]
+detunings_mhz = {detunings}
+
+[grid]
+t_end_us = {t_end}
+n_points = {n_points}
+
+[drift]
+kind = linear
+n_sweeps = {n_sweeps}
+total_relative_change = {change}
+"""
+
+
 def test_drift_trace_is_independent_of_blas_threads(tmp_path):
-    # the drift average is a BLAS matrix product; its bytes must not depend
-    # on the thread count
+    # the drift average's bytes must not depend on the BLAS thread count.
+    # The linear drift of one manifold is a generated benchmark case whose
+    # trace differed in 6 of its 22407 lines at 1 and 2 threads when the
+    # average was one blocked BLAS product over all sweeps
+    configs = {
+        "one": dict(omega0=18.703728477413947, detunings="0.0",
+                    t_end=45.641506399427115, n_points=22405, n_sweeps=242,
+                    change=-0.01894900511242511),
+        "three": dict(omega0=22.2, detunings="0.0, 2.18, 4.36", t_end=30.0,
+                      n_points=6001, n_sweeps=500, change=0.02),
+    }
+    for name, fields in configs.items():
+        (tmp_path / f"{name}.ini").write_text(DRIFT_CONFIG.format(**fields))
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         run = ["simulate", "--config", "drift-demo", "--seed", "7", "--out"]
         runs = [run + [str(out / "single")],
                 run + [str(out / "sweep"), "--sweep", "drift.sigma_relative=8e-4,1.6e-3"]]
+        runs += [["simulate", "--config", str(tmp_path / f"{name}.ini"), "--seed", "7",
+                  "--out", str(out / name)] for name in configs]
         run_fresh(run_main(runs), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         outs.append(out)
     traces = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("trace.csv"))
-    assert len(traces) == 3
+    assert len(traces) == 5
     for rel in traces:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 

@@ -248,32 +248,69 @@ def test_drift_kernel_matches_per_sweep_loop(drift, detunings, decay, amplitude_
     assert np.max(np.abs(trace.values - expected)) <= 1e-12
 
 
+def direct_cosines(freqs, coeffs, times):
+    """sum_k coeffs[k] cos(2 pi freqs[k] t), 64 lines at a time, and the
+    largest phase."""
+    w, c = 2.0 * np.pi * np.ravel(freqs), np.ravel(coeffs)
+    total = np.zeros_like(times)
+    for start in range(0, w.size, 64):
+        total += np.cos(np.outer(times, w[start:start + 64])) @ c[start:start + 64]
+    return total, np.abs(times).max() * np.abs(w).max()
+
+
+ULP_BAND = [22.2, float(np.nextafter(22.2, 23.0))]
+
+
 @settings(max_examples=30)
 @given(
     n=st.integers(2, 5000),
     t_start=st.floats(0.0, 150.0),
     duration=st.floats(0.01, 50.0),
     k=st.integers(1, 600),
+    clusters=st.integers(1, 3),
     band=st.tuples(st.floats(0.1, 60.0), st.floats(0.1, 60.0)).map(sorted),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=2, t_start=0.0, duration=1.0, k=1, band=[0.1, 0.1], seed=0)
-@example(n=63, t_start=150.0, duration=0.5, k=256, band=[0.1, 60.0], seed=1)
-@example(n=4097, t_start=33.3, duration=50.0, k=257, band=[22.2, 22.3], seed=2)
-@example(n=5000, t_start=150.0, duration=50.0, k=600, band=[59.9, 60.0], seed=3)
-def test_cosine_sum_matches_direct_cosines(n, t_start, duration, k, band, seed):
-    # under one block, 65 and 79 blocks, and up to three oscillator chunks;
-    # a narrow band of positive coefficients adds the rounding coherently
+@example(n=2, t_start=0.0, duration=1.0, k=1, clusters=1, band=[0.1, 0.1], seed=0)
+@example(n=63, t_start=150.0, duration=0.5, k=256, clusters=1, band=[0.1, 60.0], seed=1)
+@example(n=4097, t_start=33.3, duration=50.0, k=257, clusters=1, band=[22.2, 22.3], seed=2)
+@example(n=5000, t_start=150.0, duration=50.0, k=600, clusters=1, band=[59.9, 60.0], seed=3)
+# drift-demo's shape: 1200 lines within 0.06 MHz of 22.2 MHz over 60 us
+@example(n=12001, t_start=0.0, duration=60.0, k=1200, clusters=1, band=[22.2, 22.26], seed=4)
+# lines 1 ulp apart
+@example(n=6001, t_start=0.0, duration=30.0, k=300, clusters=1, band=ULP_BAND, seed=5)
+# three manifolds' clusters over one band: a 2% power ramp moves a 22.2 MHz
+# drive by 1%
+@example(n=2001, t_start=0.0, duration=20.0, k=600, clusters=3, band=[22.2, 22.42], seed=6)
+# lines spread too wide for the moment sum
+@example(n=4001, t_start=0.0, duration=40.0, k=300, clusters=1, band=[5.0, 45.0], seed=7)
+def test_cosine_sum_matches_direct_cosines(n, t_start, duration, k, clusters, band, seed):
+    # under one block, 65 and 79 blocks, up to three oscillator chunks, and
+    # one to three clusters; a narrow band of positive coefficients adds the
+    # rounding coherently
     rng = np.random.default_rng(seed)
-    freqs = rng.uniform(*band, k)
-    coeffs = rng.uniform(0.0, 1.0, k)
+    freqs = rng.uniform(*band, (k, clusters))
+    coeffs = rng.uniform(0.0, 1.0, (k, clusters))
     grid = TimeGrid(t_start, t_start + duration, n)
-    phase = np.outer(grid.times, 2.0 * np.pi * freqs)
-    expected = np.cos(phase) @ coeffs
+    expected, top = direct_cosines(freqs, coeffs, grid.times)
     # the rounding of the largest phase, and of the unit-size phasor products
     # when every phase is small, carried by every coefficient
-    bound = 8 * np.finfo(float).eps * (1.0 + np.abs(phase).max()) * coeffs.sum()
+    bound = 8 * np.finfo(float).eps * (1.0 + top) * coeffs.sum()
     assert np.max(np.abs(evolve._cosine_sum(freqs, coeffs, grid) - expected)) <= bound
+
+
+@pytest.mark.parametrize("n, duration, k, band, moments", [
+    (12001, 60.0, 1200, [22.2, 22.26], True),   # drift-demo's shape
+    (6001, 30.0, 300, ULP_BAND, True),
+    (2001, 20.0, 600, [22.2, 22.42], True),
+    (4001, 40.0, 300, [5.0, 45.0], False),      # too wide
+    (12001, 60.0, 8, [22.2, 22.26], False),     # too few lines
+    (12001, 60.0, 1, [22.2, 22.2], False),
+])
+def test_cosine_sum_takes_moments_for_many_close_lines(n, duration, k, band, moments):
+    freqs = np.random.default_rng(0).uniform(*band, k)
+    plan = evolve._moment_plan(2.0 * np.pi * freqs, TimeGrid(0.0, duration, n))
+    assert (plan is not None) == moments
 
 
 def test_kernel_scratch_does_not_grow_with_sweeps():
