@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolve import _BLOCK, _phasors
+from .evolve import _phasors
 from .spinmodel import detuning_from_beat
 from .traces import SampledTrace, write_columns
 
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 WINDOWS = ("rectangular", "hann")
+# refine_peak_frequency's DTFT takes the trace in blocks of _BLOCK samples
+_BLOCK = 64
 SPECTRUM_HEADER = "# rabibeat-spectrum v1"
 SPECTRUM_COLUMNS = "freq_MHz,magnitude"
 LINESHAPE_HEADER = "# rabibeat-esr v1"
@@ -269,12 +271,12 @@ def refine_peak_frequency(
 
     Grid-free: accuracy is limited by spectral leakage, not bin width.
     The trace must be uniform in the sense of
-    :meth:`SampledTrace.is_uniform`.  The DTFT sum runs in the blocks of
-    the trace kernel (:mod:`rabibeat.evolve`): sample j = b * B + m is
-    taken as m mean steps after its block anchor times[b * B], so each
-    evaluation is anchor phasors . (blocks @ in-block phasors), not one
-    complex exponential per sample.  A bounded Brent search over the offset
-    from ``f_guess`` ends with one :func:`_parabola_step`.
+    :meth:`SampledTrace.is_uniform`.  The DTFT sum runs in blocks of
+    B = ``_BLOCK`` samples: sample j = b * B + m is taken as m mean steps
+    after its block anchor times[b * B], so each evaluation is anchor
+    phasors . (blocks @ in-block phasors), not one complex exponential per
+    sample.  A bounded Brent search over the offset from ``f_guess`` ends
+    with one :func:`_parabola_step`.
     """
     import scipy.optimize  # here, so that only a refinement loads it
 

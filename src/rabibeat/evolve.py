@@ -5,13 +5,15 @@ The traces are closed forms: each manifold contributes the detuned
 two-level population, or the V-configuration population, that exact
 propagation under its time-independent rotating-frame Hamiltonian gives,
 so there is no step-size error.  Both are a constant plus cosine lines,
-which both kernels take from ``_lines`` and sum with ``_cosine_sum``.
+which both kernels take from ``_lines`` and sum with ``_cosine_sum``, one
+block-moment sum with no BLAS call.
 Decoherence enters only as a phenomenological envelope that multiplies the
 oscillating part of a signal about its mean, and hyperfine structure
 enters as an incoherent average over fixed-detuning manifolds.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -61,172 +63,125 @@ class TimeGrid:
         return (self.t_end - self.t_start) / (self.n_points - 1)
 
 
-# The direct sum splits the grid into blocks of _BLOCK samples and feeds
-# its oscillators to the matrix product _CHUNK at a time, and the moment sum
-# reduces its lines _CHUNK at a time, so the size of the kernels' scratch
-# matrices depends on the grid length, not on the number of sweeps.  Block
-# anchors and in-block offsets both lie on even grids, so _ladder builds
-# their phasors as products of a coarse and a fine set, each about
-# sqrt(count) long, which evaluates far fewer cos/sin pairs.
-_BLOCK = 64
+# _cosine_sum splits the grid into blocks of L samples, with L from
+# _moment_plan, and reduces its lines _CHUNK at a time, so the size of its
+# scratch matrices depends on the grid length, not on the number of sweeps.
+# Block anchors lie on an even grid, so _ladder builds their phasors as
+# products of a coarse and a fine set, each about sqrt(count) long, which
+# evaluates far fewer cos/sin pairs.
 _CHUNK = 256
 # _REACH[P - 1] is the largest phase x whose Taylor remainder x^P / P! after
 # the P terms p < P of exp(i x) is at most eps / 8; |x| <= 1 needs P <= 19
-_REACH = np.array([(np.finfo(float).eps / 8 * math.factorial(p)) ** (1.0 / p)
-                   for p in range(1, 20)])
-_FACTORIALS = np.array([float(math.factorial(p)) for p in range(_REACH.size)])
+_REACH = [(np.finfo(float).eps / 8 * math.factorial(p)) ** (1.0 / p)
+          for p in range(1, 20)]
+_FACTORIALS = np.array([float(math.factorial(p)) for p in range(len(_REACH))])
 # i^p for p mod 4, exact
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
-# _moment_plan estimates each sum's time in units of one complex
-# multiply-add of the direct sum's BLAS product.  Timings of both sums on a
-# 2-core Xeon (OpenBLAS 0.3.31 at one thread, numpy 2.4) put a real
-# multiply-add of an np.einsum loop at about 2 units, one element of a
-# numpy pass at about 20 and a cos/sin pair at about 100.  Over 40 cluster
-# shapes the sum and block size it then picks ran at most 24% slower than
-# the fastest one timed, and for 9 shapes in 10 within 3%; halving or
-# doubling any one weight gave at most 39%, and within 11% for 9 in 10.
-# The weights steer speed only: both sums meet the same error bound.
-_EINSUM, _PASS, _PHASOR = 2, 20, 100
+# _moment_plan estimates the sum's time in units of one real multiply-add
+# of an np.einsum loop.  Timings on a 2-core Xeon (numpy 2.4) put one
+# element of a numpy pass, or the start of one inner loop of an np.einsum,
+# at about 10 units and a cos/sin pair at about 50.  The weights steer speed
+# only: every block size meets the same error bound.
+_PASS, _PHASOR = 10, 50
 
 
 def _cosine_sum(freqs, coeffs, grid: TimeGrid) -> np.ndarray:
-    """sum_k coeffs[k] * cos(2 pi freqs[k] t) over the times of ``grid``.
+    """sum_k coeffs[k] * cos(2 pi freqs[k] t) over the times of ``grid``,
+    by block Taylor moments of each column of lines about its centre.
 
     ``freqs`` and ``coeffs`` are 2-D with one cluster of lines per column,
-    as ``_lines`` gives them.  Each cluster takes the cheaper of two sums by
-    ``_moment_plan``'s estimate: the moment sum (``_moment_sum``) for many
-    lines close together, such as one manifold's lines across the sweeps of
-    a drift average, and the direct sum (``_direct_sum``) otherwise, which
-    is always the case for a cluster of a few lines.  The direct sum takes
-    the lines of all its clusters at once, in row-major order, and each
-    moment sum is added after it, cluster by cluster.  Either sum is within
-    the rounding of its largest phase, about eps (1 + max |2 pi f t|) per
-    unit of sum_k |coeffs[k]|, of the exact sum.
-    """
-    w = 2.0 * np.pi * freqs
-    plans = [_moment_plan(w[:, j], grid) for j in range(w.shape[1])]
-    direct = np.array([plan is None for plan in plans])
-    total = (_direct_sum(w[:, direct].ravel(), coeffs[:, direct].ravel(), grid)
-             if direct.any() else None)
-    for j, plan in enumerate(plans):
-        if plan is not None:
-            part = _moment_sum(w[:, j], coeffs[:, j], grid, *plan)
-            if total is None:
-                total = part
-            else:
-                total += part
-    return total
+    as ``_lines`` gives them.  Column j has centre w_j and half-width
+    half_j (rad/us), and sample i = b * L + m lies tau_m = (m - (L - 1) / 2)
+    * step from its block centre T_b, so with u_k = (w_k - w_j) / half_j
+    and x_m = half_j * tau_m,
 
+        exp(i w_k t_i) = exp(i w_k T_b) exp(i w_j tau_m) exp(i u_k x_m)
 
-def _direct_sum(w, coeffs, grid: TimeGrid) -> np.ndarray:
-    """sum_k coeffs[k] * cos(w[k] t) over the times of ``grid``.
-
-    Sample j = b * _BLOCK + m lies m steps after its block anchor
-    t_start + b * _BLOCK * step, so exp(i w t) is an anchor phasor
-    times an in-block phasor, and the sum over k is the complex product
-    (anchor phasors * coeffs) @ (in-block phasors) of shape
-    (blocks x K) @ (K x _BLOCK).  Both factors are phasors on an even
-    grid, which _ladder builds as coarse x fine products: about
-    2 (sqrt(blocks) + sqrt(_BLOCK)) cos/sin pairs per oscillator instead of
-    blocks + _BLOCK.  Chunks of oscillators are added in a fixed order.
-    """
-    n = grid.n_points
-    n_blocks = -(-n // _BLOCK)
-    # the first chunk's product starts the total: no zero fill, no add pass
-    total = None
-    for start in range(0, w.size, _CHUNK):
-        part_w = w[start:start + _CHUNK]
-        part = (_ladder(part_w, grid.t_start, _BLOCK * grid.step, n_blocks,
-                        coeffs[start:start + _CHUNK])
-                @ _ladder(part_w, 0.0, grid.step, _BLOCK).T)
-        if total is None:
-            total = part
-        else:
-            total += part
-    return total.real.ravel()[:n]
-
-
-def _moment_plan(w, grid: TimeGrid):
-    """(L, P) for ``_moment_sum`` of the lines ``w`` (rad/us) on ``grid``,
-    or None where ``_direct_sum`` costs less.
-
-    Blocks of L samples keep the offset phase theta = half (L - 1) h / 2
-    within 1, where half is the cluster's half-width and h the step, so
-    that no Taylor term exceeds 1, and P is the smallest order whose
-    remainder theta^P / P! is at most eps / 8.  L is the cheapest of the
-    longest such block and its halvings, costed from the multiply-adds,
-    numpy passes and cos/sin pairs each sum makes.
-    """
-    n, k, h = grid.n_points, w.size, grid.step
-    direct = k * (n + _PHASOR * 2 * (math.sqrt(n / _BLOCK) + math.sqrt(_BLOCK)))
-    if direct <= _EINSUM * 2 * n:  # no moment sum is cheaper
-        return None
-    half = (w.max() - w.min()) / 2
-    longest = n if half * h * (n - 1) <= 2.0 else int(1.0 + 2.0 / (half * h))
-    sizes = longest >> np.arange(max(longest.bit_length() - 1, 0))
-    if sizes.size == 0:
-        return None
-    terms = np.searchsorted(_REACH, half * (sizes - 1) * h / 2) + 1
-    blocks = -(-n // sizes)
-    cost = (_EINSUM * 2 * terms * (n + blocks * k)     # moments and expansion
-            + _PHASOR * k * 2 * np.sqrt(blocks)        # block anchors
-            + _PASS * (blocks * k + 2 * terms * sizes))  # anchor entries, E
-    best = int(np.argmin(cost))
-    if not cost[best] < direct:
-        return None
-    return int(sizes[best]), int(terms[best])
-
-
-def _moment_sum(w, coeffs, grid: TimeGrid, size: int, order: int) -> np.ndarray:
-    """sum_k coeffs[k] * cos(w[k] t) over the times of ``grid``, by block
-    Taylor moments of the cluster ``w`` (rad/us) about its centre w_c.
-
-    Sample j = b * size + m lies tau_m = (m - (size - 1) / 2) * step from
-    its block centre T_b, so with u_k = (w_k - w_c) / half and
-    x_m = half * tau_m,
-
-        exp(i w_k t_j) = exp(i w_k T_b) exp(i w_c tau_m) exp(i u_k x_m)
-
-    and the last factor is sum_{p < order} i^p u_k^p x_m^p / p! to within
+    and the last factor is sum_{p < P} i^p u_k^p x_m^p / p! to within
     eps / 8, so truncation adds at most eps / 8 sum_k |coeffs[k]| to a
     sample.  Each block then needs only the moments
-    M[b, p] = i^p sum_k coeffs[k] u_k^p exp(i w_k T_b), and each sample is
-    Re sum_p M[b, p] E[p, m] with E[p, m] = x_m^p / p! exp(i w_c tau_m):
-    about (blocks K + n) order multiply-adds instead of n K.  The powers
-    are real and |u|, |x| <= 1, and multiplying by i^p is exact.  Both sums
-    are np.einsum loops, not BLAS products, and the lines enter _CHUNK at a
-    time in a fixed order, so the result does not depend on the number of
-    BLAS threads.
+    M[b, p, j] = i^p sum_k coeffs[k] u_k^p exp(i w_k T_b) over column j's
+    lines, and each sample is Re sum_{p, j} M[b, p, j] E[p, j, m] with
+    E[p, j, m] = x_m^p / p! exp(i w_j tau_m): about (blocks K + columns n) P
+    multiply-adds instead of n K.  A column of one line has half-width 0,
+    and for it P = 1 leaves anchor phasor times in-block phasor.  The
+    powers are real and |u|, |x| <= 1, and multiplying by i^p is exact.
+    Both reductions are np.einsum loops, not BLAS products, and the lines
+    enter about _CHUNK at a time, whole rows in a fixed order, so the result
+    does not depend on the number of BLAS threads.  It is within the rounding
+    of its largest phase, about eps (1 + max |2 pi f t|) per unit of
+    sum_k |coeffs[k]|, of the exact sum.
     """
+    w = 2.0 * np.pi * freqs
     n, h = grid.n_points, grid.step
-    lo, hi = w.min(), w.max()
+    lo, hi = w.min(axis=0), w.max(axis=0)
     centre = lo + (hi - lo) / 2
-    half = max(hi - centre, centre - lo)
-    u = (w - centre) / half if half > 0 else np.zeros_like(w)
+    half = np.maximum(hi - centre, centre - lo)
+    size, order = _moment_plan(float(half.max()), w.shape, grid)
+    # a column of equal lines has u = 0
+    u = (w - centre) / np.where(half > 0, half, 1.0)
     blocks = -(-n // size)
     mid = (size - 1) / 2
+    rows = max(1, _CHUNK // w.shape[1])
     moments = None
-    for start in range(0, w.size, _CHUNK):
-        anchors = _ladder(w[start:start + _CHUNK], grid.t_start + mid * h,
-                          size * h, blocks, coeffs[start:start + _CHUNK])
+    for start in range(0, w.shape[0], rows):
+        # column by column, so that each reduction runs over contiguous lines
+        part_u = u[start:start + rows].T
+        anchors = _ladder(w[start:start + rows].T.ravel(), grid.t_start + mid * h,
+                          size * h, blocks, coeffs[start:start + rows].T.ravel())
         parts = np.empty((blocks, 2, anchors.shape[1]))
         parts[:, 0], parts[:, 1] = anchors.real, anchors.imag
-        part = np.einsum("brk,pk->brp", parts,
-                         _powers(u[start:start + _CHUNK], order),
+        part = np.einsum("brjk,pjk->brpj", parts.reshape(blocks, 2, *part_u.shape),
+                         _powers(part_u.ravel(), order).reshape(order, *part_u.shape),
                          optimize=False)
         if moments is None:
             moments = part
         else:
             moments += part
     # times i^p, exactly; Re(M E) = Re M Re E - Im M Im E
-    moments = (moments[:, 0] + 1j * moments[:, 1]) * _I_POWERS[np.arange(order) % 4]
+    moments = ((moments[:, 0] + 1j * moments[:, 1])
+               * _I_POWERS[np.arange(order) % 4, None])
     moments = np.concatenate((moments.real, -moments.imag), axis=1)
     # offsets are exact multiples of the step
     tau = (np.arange(size) - mid) * h
-    carrier = np.stack((np.cos(centre * tau), np.sin(centre * tau)))
-    expansion = (_powers(half * tau, order) / _FACTORIALS[:order, None]) * carrier[:, None]
-    return np.einsum("bq,qm->bm", moments, expansion.reshape(2 * order, size),
-                     optimize=False).ravel()[:n]
+    phase = centre[:, None] * tau
+    carrier = np.stack((np.cos(phase), np.sin(phase)))
+    expansion = ((_powers((half[:, None] * tau).ravel(), order)
+                  / _FACTORIALS[:order, None]).reshape(order, -1, size)
+                 * carrier[:, None])
+    return np.einsum("bq,qm->bm", moments.reshape(blocks, -1),
+                     expansion.reshape(-1, size), optimize=False).ravel()[:n]
+
+
+def _moment_plan(half: float, shape, grid: TimeGrid):
+    """(L, P) for ``_cosine_sum`` of a grid of lines of ``shape`` (rows,
+    columns) on ``grid`` whose widest column has half-width ``half``
+    (rad/us).
+
+    Blocks of L samples keep the offset phase theta = half (L - 1) h / 2
+    within 1, where h is the step, so that no Taylor term exceeds 1, and P
+    is the smallest order whose remainder theta^P / P! is at most eps / 8;
+    a grid of one-line columns has half = 0 and takes P = 1.  L is the
+    cheapest of the longest such block and its halvings, costed from the
+    multiply-adds, numpy passes, np.einsum inner loops and cos/sin pairs
+    the sum makes.
+    """
+    n, h = grid.n_points, grid.step
+    columns = shape[1]
+    k = shape[0] * columns
+    size = n if half * h * (n - 1) <= 2.0 else int(1.0 + 2.0 / (half * h))
+    best = None
+    while size:
+        terms = bisect.bisect_left(_REACH, half * (size - 1) * h / 2) + 1
+        blocks = -(-n // size)
+        cost = (2 * terms * (columns * n + blocks * k)        # moments, expansion
+                + _PHASOR * (k * 2 * math.sqrt(blocks) + columns * size)  # anchors, carriers
+                + _PASS * (blocks * k + 2 * terms * columns * size    # anchor entries, E
+                           + 4 * terms * columns * blocks))  # einsum inner loops
+        if best is None or cost < best[0]:
+            best = cost, size, terms
+        size >>= 1
+    return best[1:]
 
 
 def _ladder(w, start, h, count, weights=1.0) -> np.ndarray:
@@ -486,10 +441,9 @@ def apply_power_drift(
     Each sweep k sees a power factor p_k from the drift model and therefore
     a scaled Rabi frequency omega0 * sqrt(p_k).  All sweeps go to one
     :func:`rabi_trace_incoherent` call.  The lines of one manifold across
-    the sweeps lie close together, and the kernel sums such a cluster by
-    block Taylor moments, without BLAS and in a fixed order, so its bytes
-    do not depend on the BLAS thread count; a cluster too wide or with too
-    few lines for that is one BLAS product, as a single-drive trace is.
+    the sweeps lie close together, and the kernel sums each such cluster by
+    block Taylor moments, as it sums every trace, without BLAS and in a
+    fixed order, so the bytes do not depend on the BLAS thread count.
     With constant drift the output equals the undrifted trace exactly.
     ``seed`` is required for gaussian drift.
     """

@@ -559,23 +559,45 @@ def test_drift_trace_is_independent_of_blas_threads(tmp_path):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
 
+VTYPE_CONFIG = """[run]
+kind = rabi-vtype
+
+[drive]
+lambda_mhz = 14.0
+
+[manifolds]
+detunings_mhz = 0.0, 2.0, 4.0, 6.0
+
+[grid]
+t_end_us = 25.0
+n_points = 9911
+"""
+
+
 def test_analyze_is_independent_of_blas_threads(tmp_path):
-    # the trace kernels of both kinds are BLAS matrix products and the DTFT
-    # refinement a BLAS matrix-vector product; the traces of simulate and
-    # the artifacts of analyze must not depend on the thread count
+    # the trace kernels make no BLAS call and the DTFT refinement is a BLAS
+    # matrix-vector product; the traces of simulate and the artifacts of
+    # analyze must not depend on the thread count.  The 4-manifold
+    # rabi-vtype trace is a benchmark shape whose blocked BLAS product once
+    # stalled at 2 threads
+    (tmp_path / "vtype.ini").write_text(VTYPE_CONFIG)
+    cases = [("paper-fig3", "paper-fig3", "paper-fig4"),
+             ("paper-fig7", "paper-fig7", "paper-fig8"),
+             ("vtype", str(tmp_path / "vtype.ini"), "paper-fig8")]
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         runs = []
-        for sim, ana in (("paper-fig3", "paper-fig4"), ("paper-fig7", "paper-fig8")):
-            trace = str(out / sim / "trace.csv")
-            runs += [["simulate", "--config", sim, "--out", str(out / sim)],
-                     ["analyze", "--config", ana, "--trace", trace, "--out", str(out / ana)]]
+        for name, sim, ana in cases:
+            trace = str(out / name / "trace.csv")
+            runs += [["simulate", "--config", sim, "--out", str(out / name)],
+                     ["analyze", "--config", ana, "--trace", trace,
+                      "--out", str(out / f"{name}-analysis")]]
         run_fresh(run_main(runs), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         outs.append(out)
-    files = [Path(sim) / "trace.csv" for sim in ("paper-fig3", "paper-fig7")]
-    files += [Path(ana) / name for ana in ("paper-fig4", "paper-fig8")
-              for name in ("report.json", "spectrum.csv")]
+    files = [Path(name) / "trace.csv" for name, _, _ in cases]
+    files += [Path(f"{name}-analysis") / file for name, _, _ in cases
+              for file in ("report.json", "spectrum.csv")]
     for rel in files:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 

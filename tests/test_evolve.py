@@ -212,6 +212,12 @@ def test_constant_drift_reproduces_undrifted_trace():
     assert np.array_equal(plain.values, still.values)
 
 
+def half_width(freqs):
+    """Half-width in rad/us of the widest column of ``freqs`` (MHz)."""
+    w = 2.0 * np.pi * np.asarray(freqs)
+    return float(np.max(w.max(axis=0) - w.min(axis=0))) / 2
+
+
 def per_sweep_reference(omega0, manifolds, times, decay, amplitude_mode, factors):
     """The drift average as a per-sweep loop: one full-length cos per sweep
     and manifold, accumulated in sweep order."""
@@ -235,14 +241,16 @@ def per_sweep_reference(omega0, manifolds, times, decay, amplitude_mode, factors
 @pytest.mark.parametrize("decay", [DecayModel(), DecayModel("exponential", 25.0)])
 @pytest.mark.parametrize("amplitude_mode", ["exact", "equal_cosine"])
 def test_drift_kernel_matches_per_sweep_loop(drift, detunings, decay, amplitude_mode):
-    grid = TimeGrid(0.0, 20.0, 2001)  # not a whole number of blocks
-    assert grid.n_points % evolve._BLOCK
+    grid = TimeGrid(0.0, 20.0, 2001)
     n_sweeps = 600
     assert n_sweeps * len(detunings) > evolve._CHUNK
     manifolds = ManifoldSpec(detunings)
+    factors = drift.power_factors(n_sweeps, seed=3)
+    freqs = evolve._lines("rabi-single", 22.2 * np.sqrt(factors), manifolds)[1]
+    size = evolve._moment_plan(half_width(freqs), freqs.shape, grid)[0]
+    assert grid.n_points % size  # not a whole number of blocks
     trace = apply_power_drift(22.2, manifolds, grid, drift, n_sweeps, decay,
                               amplitude_mode, seed=3)
-    factors = drift.power_factors(n_sweeps, seed=3)
     expected = per_sweep_reference(22.2, manifolds, grid.times, decay,
                                    amplitude_mode, factors)
     assert np.max(np.abs(trace.values - expected)) <= 1e-12
@@ -282,12 +290,16 @@ ULP_BAND = [22.2, float(np.nextafter(22.2, 23.0))]
 # three manifolds' clusters over one band: a 2% power ramp moves a 22.2 MHz
 # drive by 1%
 @example(n=2001, t_start=0.0, duration=20.0, k=600, clusters=3, band=[22.2, 22.42], seed=6)
-# lines spread too wide for the moment sum
+# a 40 MHz-wide cluster, whose blocks hold a few samples each
 @example(n=4001, t_start=0.0, duration=40.0, k=300, clusters=1, band=[5.0, 45.0], seed=7)
+# sixteen columns of one line, as an 8-manifold rabi-vtype trace has
+@example(n=9911, t_start=0.0, duration=25.0, k=1, clusters=16, band=[19.8, 60.0], seed=8)
+# three columns of one line on a 2-point grid
+@example(n=2, t_start=150.0, duration=0.01, k=1, clusters=3, band=[0.1, 60.0], seed=9)
 def test_cosine_sum_matches_direct_cosines(n, t_start, duration, k, clusters, band, seed):
-    # under one block, 65 and 79 blocks, up to three oscillator chunks, and
-    # one to three clusters; a narrow band of positive coefficients adds the
-    # rounding coherently
+    # one block or many, up to three oscillator chunks, and one to three
+    # clusters; a narrow band of positive coefficients adds the rounding
+    # coherently
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(*band, (k, clusters))
     coeffs = rng.uniform(0.0, 1.0, (k, clusters))
@@ -299,18 +311,34 @@ def test_cosine_sum_matches_direct_cosines(n, t_start, duration, k, clusters, ba
     assert np.max(np.abs(evolve._cosine_sum(freqs, coeffs, grid) - expected)) <= bound
 
 
-@pytest.mark.parametrize("n, duration, k, band, moments", [
-    (12001, 60.0, 1200, [22.2, 22.26], True),   # drift-demo's shape
-    (6001, 30.0, 300, ULP_BAND, True),
-    (2001, 20.0, 600, [22.2, 22.42], True),
-    (4001, 40.0, 300, [5.0, 45.0], False),      # too wide
-    (12001, 60.0, 8, [22.2, 22.26], False),     # too few lines
-    (12001, 60.0, 1, [22.2, 22.2], False),
+def cluster(k, band):
+    """One column of ``k`` lines drawn from ``band`` (MHz)."""
+    return np.random.default_rng(0).uniform(*band, (k, 1))
+
+
+@pytest.mark.parametrize("n, duration, freqs, terms", [
+    (12001, 60.0, cluster(1200, [22.2, 22.26]), "many"),  # drift-demo's shape
+    (6001, 30.0, cluster(300, ULP_BAND), None),
+    (2001, 20.0, cluster(600, [22.2, 22.42]), None),
+    (4001, 40.0, cluster(300, [5.0, 45.0]), None),
+    (12001, 60.0, cluster(8, [22.2, 22.26]), None),
+    (12001, 60.0, cluster(1, [22.2, 22.2]), "one"),
+    # an 8-manifold rabi-vtype trace: sixteen columns of one line
+    (9911, 25.0, evolve._lines("rabi-vtype", 14.0,
+                               ManifoldSpec((0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)))[1],
+     "one"),
 ])
-def test_cosine_sum_takes_moments_for_many_close_lines(n, duration, k, band, moments):
-    freqs = np.random.default_rng(0).uniform(*band, k)
-    plan = evolve._moment_plan(2.0 * np.pi * freqs, TimeGrid(0.0, duration, n))
-    assert (plan is not None) == moments
+def test_moment_plan_bounds_the_offset_phase(n, duration, freqs, terms):
+    # blocks keep the offset phase within 1 and the order covers it; a trace
+    # whose columns all hold one line costs one moment per block
+    grid = TimeGrid(0.0, duration, n)
+    half = half_width(freqs)
+    size, order = evolve._moment_plan(half, freqs.shape, grid)
+    theta = half * (size - 1) * grid.step / 2
+    assert 1 <= size <= n
+    assert theta <= min(1.0, evolve._REACH[order - 1])
+    if terms is not None:
+        assert (order == 1) == (terms == "one")
 
 
 def test_kernel_scratch_does_not_grow_with_sweeps():
