@@ -91,11 +91,11 @@ def _cosine_sum(freqs, coeffs, grid: TimeGrid) -> np.ndarray:
 
     ``freqs`` and ``coeffs`` are 2-D with one cluster of lines per column,
     as ``_lines`` gives them.  Column j has centre w_j and half-width
-    half_j (rad/us), and sample i = b * L + m lies tau_m = (m - (L - 1) / 2)
+    half_j (rad/us), and sample s = b * L + m lies tau_m = (m - (L - 1) / 2)
     * step from its block centre T_b, so with u_k = (w_k - w_j) / half_j
     and x_m = half_j * tau_m,
 
-        exp(i w_k t_i) = exp(i w_k T_b) exp(i w_j tau_m) exp(i u_k x_m)
+        exp(i w_k t_s) = exp(i w_k T_b) exp(i w_j tau_m) exp(i u_k x_m)
 
     and the last factor is sum_{p < P} i^p u_k^p x_m^p / p! to within
     eps / 8, so truncation adds at most eps / 8 sum_k |coeffs[k]| to a
