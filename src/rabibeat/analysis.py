@@ -263,10 +263,8 @@ def find_peaks(
     return peaks
 
 
-def refine_peak_frequency(
-    trace: SampledTrace, f_guess: float, window: str = "rectangular"
-) -> float:
-    """Refine a spectral peak position by maximizing the windowed DTFT
+def refine_peak_frequency(trace: SampledTrace, f_guess: float) -> float:
+    """Refine a spectral peak position by maximizing the Hann-windowed DTFT
     magnitude within one raw resolution bandwidth 1/duration of ``f_guess``.
 
     Grid-free: accuracy is limited by spectral leakage, not bin width.
@@ -282,7 +280,7 @@ def refine_peak_frequency(
 
     _require_uniform(trace)
     x = trace.values - trace.values.mean()
-    xw = x * _window_array(window, trace.n)
+    xw = x * np.hanning(trace.n)
     anchors = trace.times[::_BLOCK]
     offsets = trace.dt * np.arange(_BLOCK)
     blocks = np.zeros(anchors.size * _BLOCK, dtype=complex)
@@ -326,8 +324,8 @@ def dominant_frequency(trace: SampledTrace) -> float:
     """Frequency in MHz of a trace's strongest spectral line.
 
     The strongest bin of a Hann-windowed, 4x zero-padded spectrum seeds a
-    grid-free :func:`refine_peak_frequency` with the same window.  Bins
-    up to 2/duration, the half-width of the Hann main lobe, are skipped:
+    grid-free :func:`refine_peak_frequency`, which windows the same way.
+    Bins up to 2/duration, the half-width of the Hann main lobe, are skipped:
     when the trace decays within a small part of the record the window
     nearly hides the oscillation, and the lobe of the leftover mean there
     can be the larger.  A trace with no line above the rounding of its
@@ -341,7 +339,7 @@ def dominant_frequency(trace: SampledTrace) -> float:
     # window's side lobes spread far below 1e-14 of its values
     if mags[i] <= 1e-14 * np.abs(trace.values).max():
         raise ValueError("no spectral peak: the trace does not oscillate")
-    return refine_peak_frequency(trace, freqs[i], window="hann")
+    return refine_peak_frequency(trace, freqs[i])
 
 
 # |z|^2 holds the differences of the kept bins, up to +/-(k_b - k_a) bins,
@@ -427,7 +425,7 @@ def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
     return (sums[width:] - sums[:-width]) / width
 
 
-def fit_decay_time(trace: SampledTrace, band: tuple | None = None) -> float:
+def fit_decay_time(trace: SampledTrace) -> float:
     """Envelope 1/e time in microseconds, or inf when the envelope never
     falls that far.
 
@@ -438,7 +436,7 @@ def fit_decay_time(trace: SampledTrace, band: tuple | None = None) -> float:
     Beat modulation can pull the envelope below 1/e long before the decay
     itself does; :attr:`BeatReport.decay_time` is robust to that.
     """
-    times, env = analytic_envelope(trace, band=band)
+    times, env = analytic_envelope(trace)
     n = env.size
     smooth = _moving_average(env, max(3, n // 20))
     head = max(3, n // 10)
@@ -525,7 +523,7 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
             masked, min_height_rel=0.15, min_separation=1.5 / sub.duration
         )
         refined = [
-            refine_peak_frequency(sub, p.frequency, window="hann")
+            refine_peak_frequency(sub, p.frequency)
             for p in peaks
             if f_min <= p.frequency <= f_max
         ]

@@ -134,15 +134,12 @@ def _cmd_simulate(cfg: RunConfig, seed: int, args) -> dict:
 
 
 def _cmd_analyze(cfg: RunConfig, seed: int, args) -> dict:
-    trace_path = args.trace or cfg.analyze["trace"]
-    if not trace_path:
-        raise ConfigError("analyze.trace: required (or pass --trace)")
     # the trace is the one input that arrives at run time, so its checks
     # (format, sidecar, sampling, length, a spectral peak) run here
     try:
-        trace = SampledTrace.from_csv(trace_path)
+        trace = SampledTrace.from_csv(args.trace)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"analyze.trace: {exc}") from None
+        raise ConfigError(f"--trace: {exc}") from None
     # a sidecar that names the simulated kind fixes the beat inversion
     mode = cfg.analyze["mode"]
     drive = trace.meta.get("drive") if isinstance(trace.meta, dict) else None
@@ -150,7 +147,7 @@ def _cmd_analyze(cfg: RunConfig, seed: int, args) -> dict:
     if kind in ("rabi-single", "rabi-vtype") and kind != f"rabi-{mode}":
         raise ConfigError(
             f"analyze.mode: {mode} does not fit the trace's drive kind {kind} "
-            f"({meta_path_for(trace_path)})"
+            f"({meta_path_for(args.trace)})"
         )
     try:
         spectrum = fft_spectrum(
@@ -158,7 +155,7 @@ def _cmd_analyze(cfg: RunConfig, seed: int, args) -> dict:
         )
         report = extract_beats(trace, mode=mode)
     except ValueError as exc:
-        raise ConfigError(f"analyze.trace: {exc}") from None
+        raise ConfigError(f"--trace: {exc}") from None
 
     decay_time = report.decay_time
     effective_time = decay_time if math.isfinite(decay_time) else trace.duration
@@ -325,11 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "each variant writes to its own subdirectory",
         )
         if name == "analyze":
-            p.add_argument(
-                "--trace",
-                default=None,
-                help="input trace CSV (overrides analyze.trace)",
-            )
+            p.add_argument("--trace", required=True, help="input trace CSV")
     return parser
 
 

@@ -115,8 +115,7 @@ SCHEMA = {
     },
     "imaging": {
         "gap_um": ("float", "waveguide gap, um", None, None),
-        "center_width_um": ("float", "strip width at the taper, um "
-                            "(read by no model, recorded nowhere)", None, 10.0),
+        "center_width_um": ("float", "accepted, read by nothing", "> 0", 10.0),
         "edge_cutoff_um": ("float", "edge softening length, um", None, 0.5),
         "drive_scale_mhz": ("float", "Rabi frequency at gap midpoint, MHz", None, None),
         "t1_rho_us": ("float", "envelope time constant, us", "> 0", None),
@@ -130,7 +129,6 @@ SCHEMA = {
                    "hann"),
         "zero_pad": ("int", "minimum FFT zero-padding factor, rounded up to a "
                      "5-smooth length; spectrum.csv only", ">= 1", 4),
-        "trace": ("str", "input trace CSV path", None, None),
     },
 }
 
@@ -205,8 +203,8 @@ def _typed(section: str, key: str, raw: str):
 
 
 # [imaging] key -> WaveguideGeometry field
-_GEOMETRY_FIELDS = {"gap_um": "gap", "center_width_um": "center_width",
-                    "drive_scale_mhz": "drive_scale", "edge_cutoff_um": "edge_cutoff"}
+_GEOMETRY_FIELDS = {"gap_um": "gap", "drive_scale_mhz": "drive_scale",
+                    "edge_cutoff_um": "edge_cutoff"}
 
 
 def load_config(name_or_path, overrides: dict | None = None) -> RunConfig:

@@ -39,21 +39,18 @@ class WaveguideGeometry:
 
     ``gap`` is the distance between the conductor edges in micrometers;
     positions run from 0 at one edge to ``gap`` at the other.
-    ``center_width`` (um) is the strip width at the taper; it is checked
-    positive, but the field model never reads it and no artifact records
-    it.  ``drive_scale`` is the Rabi frequency in MHz an emitter
-    would see at the gap midpoint.  ``edge_cutoff`` (um) softens the
+    ``drive_scale`` is the Rabi frequency in MHz an emitter would see at
+    the gap midpoint.  ``edge_cutoff`` (um) softens the
     inverse-square-root divergence at the conductor edges on the scale of
     the conductor thickness.
     """
 
     gap: float
-    center_width: float = 10.0
     drive_scale: float = 22.2
     edge_cutoff: float = 0.5
 
     def __post_init__(self):
-        for name in ("gap", "center_width", "drive_scale", "edge_cutoff"):
+        for name in ("gap", "drive_scale", "edge_cutoff"):
             if not getattr(self, name) > 0:
                 raise ValueError(
                     f"{name} must be positive, got {getattr(self, name)}"

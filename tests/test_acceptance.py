@@ -108,7 +108,7 @@ def test_criterion_03_sqrt2_enhancement():
     for trace in (vtype, single):
         spec = fft_spectrum(trace, window="hann", zero_pad=2)
         guess = spec.freqs[int(np.argmax(spec.magnitudes))]
-        freqs.append(refine_peak_frequency(trace, guess, window="hann"))
+        freqs.append(refine_peak_frequency(trace, guess))
     ratio = freqs[0] / freqs[1]
     dev = abs(ratio - np.sqrt(2.0))
     _verdict(3, f"peak ratio {ratio:.9f}, |ratio - sqrt2| {dev:.2e} <= 1e-6",

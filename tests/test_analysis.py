@@ -9,7 +9,6 @@ import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
 from rabibeat.analysis import (
-    WINDOWS,
     _moving_average,
     _next_fast_len,
     _parabolic_refine,
@@ -132,7 +131,7 @@ def test_refine_peak_frequency_is_grid_free(freq):
     trace = tone(freq, duration=25.0, n=2501, decay=20.0)
     spec = fft_spectrum(trace, window="hann", zero_pad=2)
     guess = spec.freqs[np.argmax(spec.magnitudes)]
-    refined = refine_peak_frequency(trace, guess, window="hann")
+    refined = refine_peak_frequency(trace, guess)
     assert refined == pytest.approx(freq, abs=1e-6)
 
 
@@ -144,15 +143,15 @@ def test_refine_peak_frequency_reaches_its_tolerance_at_rabi_frequencies():
         trace = tone(freq, duration=30.0, n=6001)
         spec = fft_spectrum(trace, window="hann", zero_pad=4)
         guess = spec.freqs[np.argmax(spec.magnitudes)]
-        refined = refine_peak_frequency(trace, guess, window="hann")
+        refined = refine_peak_frequency(trace, guess)
         worst = max(worst, abs(refined - freq))
     assert worst < 1e-8
 
 
-def direct_refine(times, values, f_guess, window):
+def direct_refine(times, values, f_guess):
     """Oracle: the DTFT refinement as one direct sum over the samples."""
     x = values - values.mean()
-    xw = x * (np.hanning(x.size) if window == "hann" else np.ones(x.size))
+    xw = x * np.hanning(x.size)
     half_width = 1.0 / (times[-1] - times[0])
 
     def neg_mag(u):
@@ -175,10 +174,9 @@ def direct_refine(times, values, f_guess, window):
     duration=st.floats(20.0, 60.0, **finite),
     cycles=st.floats(10.0, 1000.0, **finite),
     phase=st.floats(0.0, 6.3, **finite),
-    window=st.sampled_from(WINDOWS),
 )
 def test_blocked_dtft_refinement_matches_direct_sum(
-    tmp_path_factory, n, duration, cycles, phase, window
+    tmp_path_factory, n, duration, cycles, phase
 ):
     # records as long as the pipeline's, holding at least ten periods below
     # 0.8 x Nyquist; over a few periods the maximum is so flat that rounding
@@ -187,10 +185,10 @@ def test_blocked_dtft_refinement_matches_direct_sum(
     fresh = tone(freq, duration=duration, n=n, decay=25.0, phase=phase)
     path = fresh.to_csv(tmp_path_factory.mktemp("dtft") / "trace.csv")
     for trace in (fresh, SampledTrace.from_csv(path)):
-        spec = fft_spectrum(trace, window=window, zero_pad=4)
+        spec = fft_spectrum(trace, window="hann", zero_pad=4)
         guess = spec.freqs[1 + np.argmax(spec.magnitudes[1:])]
-        blocked = refine_peak_frequency(trace, guess, window=window)
-        direct = direct_refine(trace.times, trace.values, guess, window)
+        blocked = refine_peak_frequency(trace, guess)
+        direct = direct_refine(trace.times, trace.values, guess)
         assert blocked == pytest.approx(direct, abs=1e-9)
 
 
@@ -217,7 +215,7 @@ def _fig3_trace(n, t_end=30.0, t1_rho=25.0):
 
 @pytest.mark.parametrize("band", [(500.0, 600.0), (30.0, 20.0), (20.0, 20.0)],
                          ids=["above-nyquist", "reversed", "empty"])
-@pytest.mark.parametrize("fn", [analytic_envelope, fit_decay_time])
+@pytest.mark.parametrize("fn", [analytic_envelope])
 def test_envelope_rejects_a_band_it_cannot_use(fn, band):
     trace = _fig3_trace(6001)
     with pytest.raises(ValueError, match=rf"band \({band[0]}, {band[1]}\)"):
@@ -300,7 +298,7 @@ def test_fit_decay_time_trend_ignores_beat_nodes():
         grid,
         decay=DecayModel("exponential", 25.0),
     )
-    crossing = fit_decay_time(trace, band=(15.0, 30.0))
+    crossing = fit_decay_time(trace)
     trend = extract_beats(trace).decay_time
     # beat modulation drags the 1/e crossing far below the true constant
     assert crossing < 10.0

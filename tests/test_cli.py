@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import rabibeat
 from rabibeat.analysis import LINESHAPE_COLUMNS, LINESHAPE_HEADER
@@ -161,8 +167,23 @@ def test_explicit_out_beats_env_var(tmp_path, monkeypatch):
 
 def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["simulate", "--config", "nope", "--out", str(tmp_path)]) == 2
-    assert main(["analyze", "--config", "paper-fig4", "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--config", "paper-fig2", "--out", str(tmp_path)]) == 2
+    # the input trace is named on the command line only
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--config", "paper-fig4", "--out", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "required: --trace" in capsys.readouterr().err
+    trace_key = tmp_path / "trace-key.ini"
+    trace_key.write_text("[run]\nkind = analyze\n[analyze]\nmode = single\n"
+                         "trace = sim/trace.csv\n")
+    assert main(["analyze", "--config", str(trace_key), "--trace", "sim/trace.csv",
+                 "--out", str(tmp_path / "trace-key")]) == 2
+    assert "config error: analyze.trace: unknown key" in capsys.readouterr().err
+    # read by nothing, but still checked
+    assert main(["imaging-demo", "--config", "imaging-default", "--out",
+                 str(tmp_path / "width"), "--sweep", "imaging.center_width_um=-1"]) == 2
+    assert "config error: imaging.center_width_um: must be > 0, got -1.0" in (
+        capsys.readouterr().err)
     bad_esr = tmp_path / "esr.ini"
     bad_esr.write_text(
         "[run]\nkind = esr\n[esr]\ntransitions_mhz = 0.0\ncontrasts = 0.1\n"
@@ -267,7 +288,7 @@ def test_exit_code_2_on_malformed_trace(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "config error: analyze.trace: " in capsys.readouterr().err
+    assert "config error: --trace: " in capsys.readouterr().err
     # too few rows, with no warning from the reader on an empty body
     for name, body in (("header-only", ""), ("one-row", "0.0,1.0\n")):
         path = tmp_path / f"{name}.csv"
@@ -276,7 +297,7 @@ def test_exit_code_2_on_malformed_trace(tmp_path, capsys):
             warnings.simplefilter("error")
             assert main(["analyze", "--config", "paper-fig4", "--trace", str(path),
                          "--out", str(tmp_path / f"out-{name}")]) == 2
-        assert (f"config error: analyze.trace: {path}: fewer than two data rows"
+        assert (f"config error: --trace: {path}: fewer than two data rows"
                 in capsys.readouterr().err)
     # traces that parse but cannot be analyzed
     times = np.linspace(0.0, 10.0, 2001)
@@ -291,7 +312,7 @@ def test_exit_code_2_on_malformed_trace(tmp_path, capsys):
                      "--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "config error: analyze.trace: " in err and cause in err
+        assert "config error: --trace: " in err and cause in err
 
 
 def test_analyze_names_the_file_of_a_bad_trace_or_sidecar(tmp_path, capsys):
@@ -317,7 +338,7 @@ def test_analyze_names_the_file_of_a_bad_trace_or_sidecar(tmp_path, capsys):
         assert main(["analyze", "--config", "paper-fig4", "--trace", str(csv),
                      "--out", str(out)]) == 2
         assert not out.exists()
-        assert ("config error: analyze.trace: " + cause.format(csv=csv, side=side)
+        assert ("config error: --trace: " + cause.format(csv=csv, side=side)
                 in capsys.readouterr().err)
 
 
@@ -790,3 +811,49 @@ def test_single_tone_trace_analyzes_cleanly(tmp_path):
     report = read_json(out / "report.json")
     assert report["beat_frequencies_MHz"] == []
     assert report["recovered_detunings_MHz"] == []
+
+
+@given(
+    kind=st.sampled_from(["rabi-single", "rabi-vtype"]),
+    drive=st.floats(0.5, 300.0),
+    detunings=st.lists(st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
+                       max_size=3),
+    n_points=st.integers(2, 6001),
+    t_end=st.floats(0.05, 200.0),
+    t1_rho=st.none() | st.floats(0.01, 25.0),
+)
+@example(kind="rabi-single", drive=22.2, detunings=[2.18, 4.36], n_points=6001,
+         t_end=30.0, t1_rho=25.0)
+@example(kind="rabi-vtype", drive=42.0, detunings=[2.0, 4.1], n_points=6001,
+         t_end=30.0, t1_rho=None)
+# three samples pass the aliasing check, and analyze needs eight
+@example(kind="rabi-single", drive=0.5, detunings=[], n_points=3, t_end=1.0,
+         t1_rho=None)
+def test_accepted_round_trips_exit_0_or_name_their_cause(
+    kind, drive, detunings, n_points, t_end, t1_rho
+):
+    # simulate then analyze: each step exits 0, or 2 with the section.key
+    # or --trace at fault, never 1.  The V coupling is drive / (2 sqrt 2)
+    coupling = ("omega0_mhz = " if kind == "rabi-single" else "lambda_mhz = ") + repr(
+        drive if kind == "rabi-single" else drive / (2.0 * math.sqrt(2.0)))
+    decay = "none" if t1_rho is None else f"exponential\nt1_rho_us = {t1_rho!r}"
+    analyze = "paper-fig4" if kind == "rabi-single" else "paper-fig8"
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.ini"
+        config.write_text(
+            f"[run]\nkind = {kind}\n[drive]\n{coupling}\n[manifolds]\n"
+            f"detunings_mhz = {', '.join(map(repr, [0.0, *detunings]))}\n"
+            f"[grid]\nt_end_us = {t_end!r}\nn_points = {n_points}\n"
+            f"[decay]\nkind = {decay}\n"
+        )
+        for argv in (["simulate", "--config", str(config), "--out", f"{tmp}/sim"],
+                     ["analyze", "--config", analyze, "--trace",
+                      f"{tmp}/sim/trace.csv", "--out", f"{tmp}/ana"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(err):
+                code = main(argv)
+            assert code in (0, 2), err.getvalue()
+            if code == 2:
+                assert re.search(r"config error: ([a-z_]+\.[a-z0-9_]+|--trace): ",
+                                 err.getvalue()), err.getvalue()
+                break
