@@ -389,7 +389,10 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits after --help, --version or an error
+        return exc.code
     try:
         return _dispatch(args)
     except ConfigError as exc:

@@ -3,11 +3,12 @@
 Every CSV artifact is a columns file: a versioned header line such as
 ``# rabibeat-trace v1``, optional ``# key: value`` comment lines, a column
 line such as ``time_us,signal``, then one :func:`format_float` row per
-sample.  Both directions are exact to the bit: :func:`write_columns`
-prints each value as ``format_float`` does, in one numpy pass over all
-values, and :func:`read_columns` reads each field as ``float()`` does,
-with ``np.loadtxt`` for a file laid out as ``write_columns`` writes it
-and line by line for any other.  A trace's metadata travels in a
+sample.  Both directions are exact to the bit.  :func:`write_columns`
+prints each value as ``format_float`` does: one numpy pass computes the
+digits of a chunk of values, and most values are written as packed 19-byte
+records.  :func:`read_columns` reads each field as ``float()`` does, with
+``np.loadtxt`` for a file laid out as ``write_columns`` writes it and line
+by line for any other.  A trace's metadata travels in a
 JSON sidecar ``<stem>.meta.json`` with the top-level keys ``units``,
 ``drive``, ``decay`` and ``provenance``; all JSON goes through
 :func:`write_json`.  Equal inputs produce byte-identical files, and
@@ -38,25 +39,27 @@ def format_float(x: float) -> str:
     return _FLOAT.format(x)
 
 
-# write_columns formats a value with decimal exponent e in [-_EMAX - 1, _EMAX]
-# itself; every other value goes through format_float.  In that range the
-# scale 10**(12 - e) is a normal double and |x| * 10**(12 - e) cannot overflow.
+# write_columns formats zeros and every value with decimal exponent e in
+# [-_EMAX - 1, _EMAX] itself; subnormals, magnitudes outside 1e±_EMAX and
+# non-finite values go through format_float.  In that range the scale
+# 10**(12 - e) is a normal double and |x| * 10**(12 - e) cannot overflow.
+# Tables are indexed by e, a negative e counting from the end.
 _EMAX = 280
-_EXPONENTS = np.arange(-_EMAX - 1, _EMAX + 1, dtype=np.int64)
-# correctly rounded 10**(12 - e), indexed by e + _EMAX + 1
+_EXPONENTS = np.concatenate([np.arange(_EMAX + 1), np.arange(-_EMAX - 1, 0)])
+# correctly rounded 10**(12 - e)
 _SCALE = np.array([float(f"1e{12 - e}") for e in _EXPONENTS.tolist()])
 # The scaled mantissa y = |x| * _SCALE[e] carries two roundings, of the scale
 # and of the product, so |y - |x| * 10**(12 - e)| <= 2**-52 * y < 2.3e-3 for
 # y < 1e13.  np.rint(y) is then the correctly rounded mantissa unless y lies
-# within that distance of a half-integer; _TIE_BAND covers the bound with a
-# margin, and values inside it go through format_float.
+# within that distance of a half-integer.  _TIE_BAND covers the bound with a
+# margin.  A value inside it is rounded exactly by _round_exact where
+# 10**(12 - e) is a double, for e in _EXACT_E (10**22 is the largest such
+# power), and goes through format_float elsewhere.
 _TIE_BAND = 4e-3
-# Each value is laid out in 24 bytes, read as six 4-byte words:
-#   [sign, lead digit, ".", NUL] [4 digits] [4 digits] [4 digits]
-#   ["e", exponent sign, hundreds digit, tens] [ones, NUL, NUL, separator]
-# with NUL for a '+' sign and for a hundreds digit of 0.  Tables hold the
-# text of a word (or of the 8-byte exponent) and are gathered by value.
-_SLOTS = 24
+_EXACT_E = (-10, 12)
+# |x| in [_LOW, _HIGH] has a two-digit exponent, and unless it lies next to
+# a tie or a decade edge its text comes from the short path of _digits
+_LOW, _HIGH = 1e-99, float(np.nextafter(1e100, 0.0))
 # values formatted per numpy pass: the pass's temporaries stay in cache
 _CHUNK = 8192
 _U8 = np.uint8
@@ -68,51 +71,172 @@ def _digit_text(values, width: int) -> np.ndarray:
     return (values[:, None] // places % 10).astype(_U8) + _U8(ord("0"))
 
 
+# A value that prints at 18 characters (no sign, a two-digit exponent) is
+# one packed 19-byte record: "d.", three 4-digit groups, "e±dd" and the
+# separator.  Each table holds the text of a field, gathered by value.
+# _EXP2 holds only the last two digits of a three-digit exponent: those
+# records are spliced in whole.
+_RECORD = np.dtype({
+    "names": ["lead", "high", "mid", "low", "exp", "sep"],
+    "formats": [np.uint16, np.uint32, np.uint32, np.uint32, np.uint32, _U8],
+    "offsets": [0, 2, 6, 10, 14, 18], "itemsize": 19})
 _GROUP = _digit_text(np.arange(10_000, dtype=np.int64), 4).view(np.uint32)[:, 0]
+_DOT = np.zeros((10, 2), dtype=_U8)
+_DOT[:, 0] = np.arange(10, dtype=_U8) + _U8(ord("0"))
+_DOT[:, 1] = ord(".")
+_DOT = _DOT.view(np.uint16)[:, 0]
+_EXP2 = np.zeros((_EXPONENTS.size, 4), dtype=_U8)
+_EXP2[:, 0] = ord("e")
+_EXP2[:, 1] = np.where(_EXPONENTS < 0, _U8(ord("-")), _U8(ord("+")))
+_EXP2[:, 2:] = _digit_text(np.abs(_EXPONENTS) % 100, 2)
+_EXP2 = _EXP2.view(np.uint32)[:, 0]
+# A chunk with more wide records than one in _DENSE is laid out in 24-byte
+# slots instead, read as six 4-byte words, and its NULs are deleted:
+#   [sign, lead digit, ".", NUL] [4 digits] [4 digits] [4 digits]
+#   ["e", exponent sign, hundreds digit, tens] [ones, NUL, NUL, separator]
+# with NUL for a '+' sign and for a hundreds digit of 0.
+_DENSE = 20
+_SLOTS = 24
 _LEAD = np.zeros((2, 10, 4), dtype=_U8)
 _LEAD[1, :, 0] = ord("-")
-_LEAD[:, :, 1] = np.arange(10, dtype=_U8) + _U8(ord("0"))
-_LEAD[:, :, 2] = ord(".")
+_LEAD[:, :, 1:3] = _DOT.view(_U8).reshape(10, 2)
 _LEAD = _LEAD.view(np.uint32).reshape(20)
 _EXP = np.zeros((_EXPONENTS.size, 8), dtype=_U8)
-_EXP[:, 0] = ord("e")
-_EXP[:, 1] = np.where(_EXPONENTS < 0, _U8(ord("-")), _U8(ord("+")))
+_EXP[:, :2] = _EXP2.view(_U8).reshape(-1, 4)[:, :2]
 _EXP[:, 2:5] = _digit_text(np.abs(_EXPONENTS), 3)
 _EXP[np.abs(_EXPONENTS) < 100, 2] = 0
 _EXP = _EXP.view(np.uint64)[:, 0]
 
 
-def _format_rows(values: np.ndarray) -> bytes:
-    """The bytes of ``"".join(",".join(map(format_float, row)) + "\\n" for
-    row in values)`` for a 2-D float array, computed as one numpy pass."""
-    x = values.ravel()
-    a = np.abs(x)
-    fast = (a >= float(f"1e-{_EMAX}")) & (a < float(f"1e{_EMAX}"))
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    y = a * _SCALE[e + _EMAX + 1]
-    mantissa = np.rint(y)
-    # Next to a power of ten log10 can miss the decade by one; y then lies
-    # outside [1e12, 1e13) and the value falls back, as does a mantissa
-    # that rounds up to 1e13 and carries into the exponent.  (A computed
-    # y >= 1e12 whose exact value lies just below rounds to 1e12, which is
-    # the carried result of the decade below.)
-    slow = (~fast | (np.abs(y - mantissa) > 0.5 - _TIE_BAND)
-            | (y < 1e12) | (mantissa >= 1e13))
-    mantissa[slow] = 1e12
-    lead, rest = np.divmod(mantissa.astype(np.int64), np.int64(10**12))
-    high, rest = np.divmod(rest, np.int64(10**8))
-    mid, low = np.divmod(rest, np.int64(10**4))
+def _split(v):
+    """Veltkamp's split of ``v`` into halves of 26 bits, hi + lo == v."""
+    c = v * 134217729.0  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
 
+
+def _round_exact(a, scale):
+    """``(rint(a * scale), tie)``: the rounding of the exact product of the
+    doubles ``a`` and ``scale``, ties to even, and whether the rounded
+    product ``a * scale`` lies within _TIE_BAND of a half-integer.  Dekker's
+    two-product gives the rounding error of ``a * scale`` exactly."""
+    y = a * scale
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _split(scale)
+    error = ((a_hi * s_hi - y) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    floor = np.floor(y)
+    # y - floor - 0.5 is exact, so the sum has the sign of the exact excess
+    excess = y - floor - 0.5
+    above = excess + error
+    rounded = floor + ((above > 0) | ((above == 0) & (floor % 2 == 1)))
+    return rounded, np.abs(excess) < _TIE_BAND
+
+
+def _digits_rare(a):
+    """``(mantissa, e, slow)`` of magnitudes ``a`` that the short path of
+    :func:`_digits` leaves: zeros, |x| outside [_LOW, _HIGH], values next
+    to a decade edge or within _TIE_BAND of a rounding tie."""
+    vector = (a >= float(f"1e-{_EMAX}")) & (a < float(f"1e{_EMAX}"))
+    b = np.where(vector, a, 1.0)
+    e = np.floor(np.log10(b)).astype(np.intp)
+    # next to a power of ten log10 can miss the decade by one
+    y = b * _SCALE[e]
+    e += (y >= 1e13).astype(np.intp) - (y < 1e12)
+    # the exact product is |x| * 10**(12 - e) only for e in _EXACT_E; the
+    # rounding of the other products is the right one away from ties
+    mantissa, tie = _round_exact(b, _SCALE[e])
+    # a mantissa that rounds up to 1e13 carries into the exponent
+    carry = mantissa >= 1e13
+    mantissa[carry] = 1e12
+    slow = (~vector & (a != 0)) | (tie & ((e < _EXACT_E[0]) | (e > _EXACT_E[1])))
+    # a zero is 0e+00; format_float writes the values left slow
+    return mantissa * vector, e + carry, slow
+
+
+def _digits(x):
+    """``(mantissa, e, slow, wide)`` of the values ``x``: the 13-digit
+    mantissa of ``format_float(x)`` as an integer-valued float, the decimal
+    exponent, the indices of the values left to format_float, and the
+    indices of the values that are slow or have a three-digit exponent."""
+    a = np.abs(x)
+    # the short path: log10 of |x| clipped to [_LOW, _HIGH] (NaN to _HIGH)
+    clipped = np.fmax(np.fmin(a, _HIGH), _LOW)
+    e = np.floor(np.log10(clipped)).astype(np.intp)
+    y = clipped * _SCALE[e]
+    mantissa = np.rint(y)
+    rare = np.flatnonzero((np.abs(y - mantissa) > 0.5 - _TIE_BAND)
+                          | (np.abs(mantissa - 5.5e12) >= 4.5e12)
+                          | (clipped != a))
+    if rare.size == 0:
+        return mantissa, e, rare, rare
+    mantissa[rare], e[rare], slow = _digits_rare(a[rare])
+    return mantissa, e, rare[slow], rare[slow | (np.abs(e[rare]) >= 100)]
+
+
+def _groups(mantissa):
+    """The lead digit and the three 4-digit groups of ``mantissa``, as
+    indices.  Multiply and floor are exact here: 1e-4 rounds up and each
+    quotient stays below 1e9."""
+    groups = []
+    for _ in range(3):
+        quotient = np.floor(mantissa * 1e-4)
+        groups.append((mantissa - quotient * 1e4).astype(np.intp))
+        mantissa = quotient
+    return mantissa.astype(np.intp), *groups[::-1]
+
+
+def _format_rows(values: np.ndarray, records: np.ndarray) -> list:
+    """The bytes of ``"".join(",".join(map(format_float, row)) + "\\n" for
+    row in values)`` for a 2-D float array, as a list of bytes-like parts.
+
+    Each value is a packed record, and the few wide ones (a sign, a
+    three-digit exponent or format_float's text) are spliced in between
+    them; a chunk dense in wide records takes the padded layout instead.
+    ``records`` is a _RECORD array of at least as many rows, with the
+    separators set; the parts may be views of it."""
+    x = values.ravel()
+    mantissa, e, slow, wide = _digits(x)
+    lead, high, mid, low = _groups(mantissa)
+    negative = np.signbit(x)
+    spliced = negative.copy()
+    spliced[wide] = True
+    spliced = np.flatnonzero(spliced)
+    if spliced.size * _DENSE > x.size:
+        return [_padded(values.shape, x, negative, lead, high, mid, low, e, slow)]
+    flat = records[: len(values)].ravel()
+    flat["lead"] = _DOT[lead]
+    flat["high"] = _GROUP[high]
+    flat["mid"] = _GROUP[mid]
+    flat["low"] = _GROUP[low]
+    flat["exp"] = _EXP2[e]
+    text = memoryview(flat).cast("B")
+    parts, start, size, slow = [], 0, _RECORD.itemsize, set(slow.tolist())
+    for i in spliced.tolist():
+        parts.append(text[start : i * size])
+        start = (i + 1) * size
+        sep = text[start - 1 : start].tobytes()
+        if i in slow:
+            parts.append(format_float(float(x[i])).encode("ascii") + sep)
+        else:
+            sign = b"-" if negative[i] else b""
+            body = text[i * size : i * size + 14].tobytes()
+            parts.append(sign + body + b"e%+03d" % e[i] + sep)
+    parts.append(text[start:])
+    return parts
+
+
+def _padded(shape, x, negative, lead, high, mid, low, e, slow) -> bytes:
+    """The rows of :func:`_format_rows` from 24-byte slots with the NULs
+    deleted."""
     buf = np.empty((x.size, _SLOTS), dtype=_U8)
     words = buf.view(np.uint32)
-    words[:, 0] = _LEAD[np.signbit(x).astype(np.int64) * 10 + lead]
+    words[:, 0] = _LEAD[negative * 10 + lead]
     words[:, 1] = _GROUP[high]
     words[:, 2] = _GROUP[mid]
     words[:, 3] = _GROUP[low]
-    buf.view(np.uint64)[:, 2] = _EXP[e + _EMAX + 1]
+    buf.view(np.uint64)[:, 2] = _EXP[e]
     buf[:, -1] = ord(",")
-    buf.reshape(values.shape + (_SLOTS,))[:, -1, -1] = ord("\n")
+    buf.reshape(shape + (_SLOTS,))[:, -1, -1] = ord("\n")
     # format_float text is at most 20 bytes; NULs pad it to the slots
     texts = b"".join(format_float(v).encode("ascii").ljust(_SLOTS - 1, b"\0")
                      for v in x[slow].tolist())
@@ -132,10 +256,14 @@ def write_columns(path, header: str, columns: str, arrays, comments=None) -> Pat
     lines = [header, *(f"# {k}: {v}" for k, v in (comments or {}).items()), columns]
     rows = np.column_stack([np.asarray(a, dtype=np.float64) for a in arrays])
     step = max(1, _CHUNK // rows.shape[1])
-    path.write_bytes(b"".join([
-        ("\n".join(lines) + "\n").encode("ascii"),
-        *(_format_rows(rows[i : i + step]) for i in range(0, len(rows), step)),
-    ]))
+    # one record buffer for every chunk; each chunk is written before the next
+    records = np.empty((min(step, len(rows)), rows.shape[1]), dtype=_RECORD)
+    records["sep"] = ord(",")
+    records["sep"][:, -1] = ord("\n")
+    with path.open("wb") as file:
+        file.write(("\n".join(lines) + "\n").encode("ascii"))
+        for i in range(0, len(rows), step):
+            file.writelines(_format_rows(rows[i : i + step], records))
     return path
 
 

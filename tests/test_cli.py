@@ -169,9 +169,7 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["simulate", "--config", "nope", "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--config", "paper-fig2", "--out", str(tmp_path)]) == 2
     # the input trace is named on the command line only
-    with pytest.raises(SystemExit) as excinfo:
-        main(["analyze", "--config", "paper-fig4", "--out", str(tmp_path)])
-    assert excinfo.value.code == 2
+    assert main(["analyze", "--config", "paper-fig4", "--out", str(tmp_path)]) == 2
     assert "required: --trace" in capsys.readouterr().err
     trace_key = tmp_path / "trace-key.ini"
     trace_key.write_text("[run]\nkind = analyze\n[analyze]\nmode = single\n"
@@ -389,12 +387,17 @@ def test_exit_code_1_on_runtime_failure(tmp_path, monkeypatch):
 def test_seed_must_be_u64(capsys):
     # the error names the seed, not the private function that parses it
     for seed in ("-1", "18446744073709551616", "abc", "1.5"):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", "--config", "drift-demo", "--seed", seed])
-        assert excinfo.value.code == 2
+        assert main(["simulate", "--config", "drift-demo", "--seed", seed]) == 2
         err = capsys.readouterr().err
         assert "argument --seed: seed must" in err
         assert "_seed_arg" not in err
+
+
+def test_help_and_version_return_0(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"rabibeat {rabibeat.__version__}\n"
+    assert main(["simulate", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_determinism_across_runs(tmp_path):
@@ -501,9 +504,7 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
     simulate, esr, analyze = runs(tmp_path / "one")
     assert main(simulate) == 0
     capsys.readouterr()
-    with pytest.raises(SystemExit) as excinfo:
-        main(bad_seed)
-    assert excinfo.value.code == 2
+    assert main(bad_seed) == 2
     message = capsys.readouterr().err
     assert "argument --seed: seed must fit in an unsigned 64-bit int" in message
     assert main(esr) == 0
@@ -515,8 +516,7 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
         "import contextlib, io, json\nfrom rabibeat.cli import main\n"
         "err = io.StringIO()\n"
         "with contextlib.redirect_stderr(err):\n"
-        f"    try: main({bad_seed!r})\n"
-        "    except SystemExit as exc: code = exc.code\n"
+        f"    code = main({bad_seed!r})\n"
         "print(json.dumps([code, err.getvalue()]))\n"
     ))
     assert fresh == [2, message]

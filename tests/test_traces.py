@@ -1,10 +1,14 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rabibeat import traces
 from rabibeat.analysis import SPECTRUM_COLUMNS, SPECTRUM_HEADER, fft_spectrum
+from rabibeat.cli import main
 from rabibeat.config import load_config
 from rabibeat.evolve import rabi_trace_vtype
 from rabibeat.imaging import (
@@ -106,9 +110,13 @@ def assert_rows_formatted_as_format_float(directory, rows):
 
 
 @settings(max_examples=200)
-@given(st.integers(1, 3).flatmap(lambda width: st.lists(
-    st.lists(st.floats(), min_size=width, max_size=width), min_size=1, max_size=40)))
+@given(st.tuples(st.integers(1, 3), st.sampled_from([st.floats(), st.floats(0, 1e99)]))
+       .flatmap(lambda drawn: st.lists(st.lists(drawn[1], min_size=drawn[0],
+                                                max_size=drawn[0]),
+                                       min_size=1, max_size=40)))
 def test_write_columns_writes_every_double_as_format_float(tmp_path_factory, rows):
+    # st.floats(0, 1e99) rows are mostly packed records, st.floats() rows
+    # mostly padded ones
     assert_rows_formatted_as_format_float(tmp_path_factory.mktemp("rows"), rows)
 
 
@@ -131,6 +139,55 @@ def test_write_columns_is_exact_next_to_rounding_ties(tmp_path):
     ])
     values = np.concatenate([values, np.zeros(-values.size % 3)])
     assert_rows_formatted_as_format_float(tmp_path, values.reshape(-1, 3))
+
+
+def test_write_columns_packs_exact_ties_zeros_and_isolated_wide_records(
+        tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    # exact 13-digit ties (2k + 1) / 2 * 10**(e - 12): with 2k + 1 = j * 5**(12 - e)
+    # the value is j / 2**(13 - e), a double for odd j < 2**53 (so e >= -7)
+    exact = []
+    for e in range(-7, 13):
+        step = 5 ** (12 - e)
+        low, high = -(-(2 * 10**12 + 1) // step), (2 * 10**13 - 1) // step
+        high -= high % 2 == 0
+        exact += [math.ldexp(int(j) | 1, e - 13)
+                  for j in rng.integers(low, high + 1, size=30)]
+    for x, e in zip(exact, np.repeat(np.arange(-7, 13), 30)):
+        assert (Fraction(x) * Fraction(10) ** (12 - int(e))).denominator == 2
+    # the doubles nearest to ties, down to e = -10, where no exact tie exists
+    nearest = [float(f"{k}5e{e - 13}") for k, e in zip(
+        rng.integers(10**12, 10**13, size=400).tolist(),
+        rng.integers(-10, 13, size=400).tolist())]
+    ties = np.array(exact + nearest + [9.9999999999995e12, 1.0000000000005e-10])
+    edges = np.array([1e-10, 1e13])
+    pool = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+                           edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                           np.zeros(50)])
+    values = rng.choice(pool, size=3 * traces._CHUNK)
+    values[: pool.size] = pool
+    # one isolated wide record in each of the first two chunks
+    values[traces._CHUNK // 2] = -1.1102230246251565e-16
+    values[traces._CHUNK + 7] = 2.5e-120
+    calls = []
+
+    def counted(name):
+        original = getattr(traces, name)
+        monkeypatch.setattr(traces, name, lambda *a: calls.append(name) or original(*a))
+
+    counted("format_float")
+    counted("_padded")
+    assert_rows_formatted_as_format_float(tmp_path, values.reshape(-1, 2))
+    assert calls == []
+
+
+def test_simulated_presets_write_without_format_float(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(traces, "format_float",
+                        lambda x: calls.append(x) or format_float(x))
+    for preset in ("paper-fig3", "paper-fig7", "drift-demo"):
+        assert main(["simulate", "--config", preset, "--out", str(tmp_path / preset)]) == 0
+    assert calls == []
 
 
 def fig7_trace_csv(tmp_path):
