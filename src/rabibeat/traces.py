@@ -90,7 +90,8 @@ _EXP2[:, 0] = ord("e")
 _EXP2[:, 1] = np.where(_EXPONENTS < 0, _U8(ord("-")), _U8(ord("+")))
 _EXP2[:, 2:] = _digit_text(np.abs(_EXPONENTS) % 100, 2)
 _EXP2 = _EXP2.view(np.uint32)[:, 0]
-# A chunk with more wide records than one in _DENSE is laid out in 24-byte
+# A chunk with more wide records than one in _DENSE (splicing one costs
+# about as much as laying out 20 values this way) is laid out in 24-byte
 # slots instead, read as six 4-byte words, and its NULs are deleted:
 #   [sign, lead digit, ".", NUL] [4 digits] [4 digits] [4 digits]
 #   ["e", exponent sign, hundreds digit, tens] [ones, NUL, NUL, separator]
