@@ -137,8 +137,8 @@ def _digits_rare(a):
     """``(mantissa, e, slow)`` of magnitudes ``a`` that the short path of
     :func:`_digits` leaves: zeros, |x| outside [_LOW, _HIGH], values next
     to a decade edge or within _TIE_BAND of a rounding tie."""
-    vector = (a >= float(f"1e-{_EMAX}")) & (a < float(f"1e{_EMAX}"))
-    b = np.where(vector, a, 1.0)
+    in_range = (a >= float(f"1e-{_EMAX}")) & (a < float(f"1e{_EMAX}"))
+    b = np.where(in_range, a, 1.0)
     e = np.floor(np.log10(b)).astype(np.intp)
     # next to a power of ten log10 can miss the decade by one
     y = b * _SCALE[e]
@@ -149,9 +149,9 @@ def _digits_rare(a):
     # a mantissa that rounds up to 1e13 carries into the exponent
     carry = mantissa >= 1e13
     mantissa[carry] = 1e12
-    slow = (~vector & (a != 0)) | (tie & ((e < _EXACT_E[0]) | (e > _EXACT_E[1])))
+    slow = (~in_range & (a != 0)) | (tie & ((e < _EXACT_E[0]) | (e > _EXACT_E[1])))
     # a zero is 0e+00; format_float writes the values left slow
-    return mantissa * vector, e + carry, slow
+    return mantissa * in_range, e + carry, slow
 
 
 def _digits(x):
