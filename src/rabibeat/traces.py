@@ -6,9 +6,11 @@ line such as ``time_us,signal``, then one :func:`format_float` row per
 sample.  Both directions are exact to the bit.  :func:`write_columns`
 prints each value as ``format_float`` does: one numpy pass computes the
 digits of a chunk of values, and most values are written as packed 19-byte
-records.  :func:`read_columns` reads each field as ``float()`` does, with
-``np.loadtxt`` for a file laid out as ``write_columns`` writes it and line
-by line for any other.  A trace's metadata travels in a
+records.  :func:`read_columns` reads each field as ``float()`` does: in a
+file laid out as ``write_columns`` writes it, one numpy pass decodes the
+lines of packed records and the other lines are read line by line; such a
+file without a packed line goes to ``np.loadtxt``, and any other file is
+read line by line.  A trace's metadata travels in a
 JSON sidecar ``<stem>.meta.json`` with the top-level keys ``units``,
 ``drive``, ``decay`` and ``provenance``; all JSON goes through
 :func:`write_json`.  Equal inputs produce byte-identical files, and
@@ -281,15 +283,16 @@ def _add_comment(comments: dict, text: str) -> None:
         comments[key.strip()] = value.strip()
 
 
-def _loadtxt_layout(path: Path, data: bytes, header: str, columns: str):
-    """``(skiprows, comments)`` for a file np.loadtxt reads to the bit,
-    else None.
+def _layout(path: Path, data: bytes, header: str, columns: str):
+    """``(pos, skiprows, comments)`` of a file laid out as write_columns
+    writes it, with ``pos`` the offset of its first row, else None.
 
     That is a ``.csv`` file that starts with the header line, any number of
     ``# key: value`` lines and the column line, has its first row right
     after them and holds no line break but ``"\\n"`` and no ``"\\x1f"``.
-    (loadtxt picks a decompressor by suffix, and it warns on a body
-    without rows, which a first row right after the column line rules out.)
+    np.loadtxt reads such a file to the bit.  (loadtxt picks a decompressor
+    by suffix, and it warns on a body without rows, which a first row right
+    after the column line rules out.)
     """
     start = f"{header}\n".encode("ascii")
     if (path.suffix != ".csv" or not data.startswith(start)
@@ -308,47 +311,68 @@ def _loadtxt_layout(path: Path, data: bytes, header: str, columns: str):
     pos += len(column_line)
     if data[pos:pos + 1] in (b"", b"\n"):
         return None
-    return skiprows, comments
+    return pos, skiprows, comments
 
 
-def read_columns(path, header: str, columns: str):
-    """Parse a columns file into ``(arrays, comments)``: one float array
-    per column and the dict of ``# key: value`` lines.  Blank lines,
-    comment lines and repeats of the column line may stand anywhere after
-    the header, lines end as ``str.splitlines`` ends them, and every field
-    reads as ``float()`` reads it.  Errors name the file and line.
+def _decode(records, up, down):
+    """``(values, valid, window)`` of a flat _RECORD array: each field's
+    value, whether the field is packed (``d.``, three 4-digit groups and
+    ``e±dd``; its separator is not checked), and whether its exponent e
+    lies in [-10, 34].  ``up`` and ``down`` are the powers of ten that a
+    mantissa is multiplied and divided by, indexed by 34 - e.
 
-    A file laid out as :func:`write_columns` writes it (see
-    :func:`_loadtxt_layout`) is read by one ``np.loadtxt`` call.  Its C
-    parser converts each whitespace-stripped field with CPython's
-    ``PyOS_string_to_double``, the function behind ``float()``, so the
-    values are the same to the bit.  Every other file, and one that loadtxt
-    rejects or reads with fewer than two rows or another number of columns,
-    is read line by line with ``float()`` per field, which also reports the
-    line at fault."""
-    path = Path(path)
-    data = path.read_bytes()
-    if not data.isascii():
-        pos = int(np.flatnonzero(np.frombuffer(data, dtype=_U8) > 127)[0])
-        lineno = len((data[:pos].decode("ascii") + "x").splitlines())
-        raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}")
-    width = columns.count(",") + 1
-    layout = _loadtxt_layout(path, data, header, columns)
-    if layout is not None:
-        skiprows, comments = layout
-        try:
-            rows = np.loadtxt(path, delimiter=",", comments=None,
-                              skiprows=skiprows, ndmin=2, dtype=float)
-        except ValueError:
-            pass  # the line reader names the line at fault
-        else:
-            if rows.shape[0] >= 2 and rows.shape[1] == width:
-                return list(rows.T.copy()), comments
-    lines = data.decode("ascii").splitlines()
-    if not lines or lines[0].strip() != header:
-        raise ValueError(f"{path}:1: missing header {header!r}")
-    comments, fields = {}, []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    The checks and the digits are SWAR arithmetic on the little-endian
+    fields.  ``d.`` reads as 0x2E30 + d.  A word of four ASCII bytes holds
+    digits only if no byte gets its high bit set by adding 0x46 or by
+    subtracting 0x30; the digits d0..d3, d0 in the lowest byte, then give
+    the pairs 10·d0 + d1 and 10·d2 + d3 in bytes 0 and 2, and one multiply
+    combines them.  ``e±dd`` is checked and read as the digits ``00dd``."""
+    flat = records.view(_RECORD.newbyteorder("<"))
+    # one row for each of the uint32 fields high, mid, low and exp
+    words = np.ndarray((4, flat.size), dtype="<u4", buffer=flat,
+                       offset=_RECORD.fields["high"][1],
+                       strides=(4, _RECORD.itemsize)).copy()
+    sign = words[3] & np.uint32(0xFFFF)  # "e" and the exponent's sign
+    words[3] ^= sign ^ np.uint32(0x3030)
+    digits = words - np.uint32(0x30303030)
+    words += np.uint32(0x46464646)
+    words |= digits
+    high_bits = np.bitwise_or.reduce(words)
+    np.right_shift(digits, np.uint32(8), out=words)
+    digits *= np.uint32(10)
+    digits += words
+    digits &= np.uint32(0x00FF00FF)
+    digits *= np.uint32(1 + (100 << 16))
+    digits >>= np.uint32(16)
+    lead = flat["lead"] - np.uint16(0x2E30)
+    valid = ((lead < np.uint16(10))
+             & ((sign == np.uint32(0x2B65)) | (sign == np.uint32(0x2D65)))
+             & ((high_bits & np.uint32(0x80808080)) == 0))
+    # 34 - e as uint32: the sign byte less 44 is -1 for "+" and 1 for "-"
+    index = sign
+    index >>= np.uint32(8)
+    index -= np.uint32(44)
+    index *= digits[3]
+    index += np.uint32(34)
+    window = index <= np.uint32(44)
+    np.minimum(index, np.uint32(45), out=index)
+    mantissa = lead.astype(np.float64)
+    for group in digits[:3]:
+        mantissa *= 1e4
+        mantissa += group
+    # one of the two factors is 1, so one rounding
+    mantissa *= up[index]
+    mantissa /= down[index]
+    return mantissa, valid, window
+
+
+def _parse_lines(path, lines, columns: str, width: int, comments: dict) -> list:
+    """``[(lineno, values)]`` of the data rows among the ``(lineno, raw)``
+    pairs ``lines``, each field read by ``float()``.  Comment lines go into
+    ``comments``; blank and column lines are skipped.  The first line with
+    another number of fields raises, then the first field float() rejects."""
+    fields = []
+    for lineno, raw in lines:
         text = raw.strip()
         if text[:1] == "#":
             _add_comment(comments, text)
@@ -359,15 +383,151 @@ def read_columns(path, header: str, columns: str):
                              f"comma-separated fields, got {raw!r}")
         else:
             fields.append((lineno, text.split(",")))
-    values = []
+    rows = []
     for lineno, row in fields:  # after every row's field count is checked
         try:
-            values.append([float(text) for text in row])
+            rows.append((lineno, [float(text) for text in row]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if len(values) < 2:
+    return rows
+
+
+def _packed_lines(data: bytes, first, width: int):
+    """``(values, packed)`` of the lines of ``width`` records that start at
+    the offsets ``first`` and end in "\\n": the values of each line, and
+    whether it is one of packed fields with "," between them.  A packed
+    field outside the exponent window is read by float()."""
+    size = _RECORD.itemsize * width
+    if first.size == 0:
+        return np.empty((0, width)), np.empty(0, dtype=bool)
+    if first[-1] - first[0] == size * (first.size - 1):  # one run of lines
+        records = np.frombuffer(data, dtype=_RECORD, count=first.size * width,
+                                offset=int(first[0]))
+    else:
+        every = np.ndarray((len(data) - size + 1, size), dtype=_U8,
+                           buffer=data, strides=(1, 1))
+        records = every[first].view(_RECORD).ravel()
+    # 10**(e - 12) as up / down, by 34 - e in [0, 44]; 45 is out of the window
+    tens = np.array([10**k for k in range(23)], dtype=np.float64)
+    up = np.concatenate((tens[:0:-1], np.ones(24)))
+    down = np.concatenate((np.ones(22), tens, [1.0]))
+    values = np.empty(records.size)
+    valid = np.empty(records.size, dtype=bool)
+    window = np.empty(records.size, dtype=bool)
+    for i in range(0, records.size, _CHUNK):
+        chunk = slice(i, i + _CHUNK)
+        values[chunk], valid[chunk], window[chunk] = _decode(records[chunk], up, down)
+    valid = valid.reshape(-1, width)
+    valid[:, :-1] &= records["sep"].reshape(-1, width)[:, :-1] == ord(",")
+    packed = np.ones(first.size, dtype=bool)
+    packed[np.flatnonzero(~valid) // width] = False
+    for i in np.flatnonzero(~window).tolist():
+        if packed[i // width]:
+            at = int(first[i // width]) + i % width * _RECORD.itemsize
+            values[i] = float(data[at : at + _RECORD.itemsize - 1])
+    return values.reshape(-1, width), packed
+
+
+def _read_records(path, data: bytes, layout, columns: str, width: int):
+    """:func:`read_columns` of a file that passed :func:`_layout`, with
+    every line of ``width`` packed records decoded by :func:`_decode`;
+    None if no line is one.  Every other line goes to :func:`_parse_lines`.
+    """
+    pos, skiprows, comments = layout
+    if data.find(b"e", pos) < 0:  # every packed field has one
+        return None
+    size = _RECORD.itemsize * width
+    buf = np.frombuffer(data, dtype=_U8)
+    # The run of packed lines that ends the file, found without a scan:
+    # the whole slots of ``size`` bytes counted back from the end that have
+    # a "\n" before them and at their end, after the last slot that is not
+    # a packed line.
+    first = len(data) - (len(data) - pos) // size * size
+    breaks = np.flatnonzero(buf[first - 1 :: size] != _U8(10))
+    start = min(first + size * (int(breaks[-1]) + 1 if breaks.size else 0), len(data))
+    run, packed = _packed_lines(data, np.arange(start, len(data), size), width)
+    if not packed.all():
+        cut = int(np.flatnonzero(~packed)[-1]) + 1
+        start, run = start + size * cut, run[cut:]
+    # the lines before the run
+    ends = np.flatnonzero(buf[pos:start] == _U8(10)) + pos
+    if start == len(data) and not data.endswith(b"\n"):  # a last line without "\n"
+        ends = np.append(ends, len(data))
+    starts = np.concatenate(([pos], ends + 1))[:-1]
+    # lines of packed records' length that end in "\n", with the first "."
+    # and the last "e" in place (this sorts out most lines of other files)
+    lines = np.flatnonzero((ends - starts == size - 1) & (ends < len(data)))
+    lines = lines[(buf[starts[lines] + 1] == _U8(ord(".")))
+                  & (buf[ends[lines] - 4] == _U8(ord("e")))]
+    values, packed = _packed_lines(data, starts[lines], width)
+    if run.size == 0 and not packed.any():
+        return None
+    lines, values = lines[packed], values[packed]
+    other = np.ones(ends.size, dtype=bool)
+    other[lines] = False
+    parsed = _parse_lines(path, ((skiprows + 1 + i, data[starts[i]:ends[i]].decode("ascii"))
+                                 for i in np.flatnonzero(other).tolist()),
+                          columns, width, comments)
+    # the rows in line order: runs of packed rows with the others between
+    pieces = np.split(values, np.searchsorted(
+        lines, [lineno - skiprows - 1 for lineno, _ in parsed]))
+    table = np.concatenate([part for piece, (_, row) in zip(pieces, parsed)
+                            for part in (piece, [row])] + pieces[-1:] + [run])
+    if len(table) < 2:
         raise ValueError(f"{path}: fewer than two data rows")
-    return list(np.array(values).T.copy()), comments
+    return list(table.T.copy()), comments
+
+
+def read_columns(path, header: str, columns: str):
+    """Parse a columns file into ``(arrays, comments)``: one float array
+    per column and the dict of ``# key: value`` lines.  Blank lines,
+    comment lines and repeats of the column line may stand anywhere after
+    the header, lines end as ``str.splitlines`` ends them, and every field
+    reads as ``float()`` reads it.  Errors name the file and line.
+
+    In a file laid out as :func:`write_columns` writes it (see
+    :func:`_layout`), every line of packed 19-byte records is decoded in
+    one numpy pass by :func:`_decode`: each field is checked byte for byte
+    and, with its exponent e in [-10, 34], read as the 13-digit mantissa m
+    times or over an exact power of ten, m · 10**(e - 12).  m < 2**53 and
+    10**22 are exact doubles, so one correctly rounded operation gives the
+    double float() gives (Clinger's fast path).  Other fields of such lines
+    go to float(), and every other line to the line reader below, which
+    also names a line at fault.  Such a file without a packed line is read
+    by one ``np.loadtxt`` call.  Its C parser converts each
+    whitespace-stripped field with CPython's ``PyOS_string_to_double``, the
+    function behind ``float()``, so the values are the same to the bit.
+    Every other file, and one that loadtxt rejects or reads with fewer than
+    two rows or another number of columns, is read line by line with
+    ``float()`` per field."""
+    path = Path(path)
+    data = path.read_bytes()
+    if not data.isascii():
+        pos = int(np.flatnonzero(np.frombuffer(data, dtype=_U8) > 127)[0])
+        lineno = len((data[:pos].decode("ascii") + "x").splitlines())
+        raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}")
+    width = columns.count(",") + 1
+    layout = _layout(path, data, header, columns)
+    if layout is not None:
+        decoded = _read_records(path, data, layout, columns, width)
+        if decoded is not None:
+            return decoded
+        try:
+            rows = np.loadtxt(path, delimiter=",", comments=None,
+                              skiprows=layout[1], ndmin=2, dtype=float)
+        except ValueError:
+            pass  # the line reader names the line at fault
+        else:
+            if rows.shape[0] >= 2 and rows.shape[1] == width:
+                return list(rows.T.copy()), layout[2]
+    lines = data.decode("ascii").splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"{path}:1: missing header {header!r}")
+    comments = {}
+    rows = _parse_lines(path, enumerate(lines[1:], start=2), columns, width, comments)
+    if len(rows) < 2:
+        raise ValueError(f"{path}: fewer than two data rows")
+    return list(np.array([row for _, row in rows]).T.copy()), comments
 
 
 def _jsonable(obj):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rabibeat import traces
-from rabibeat.analysis import SPECTRUM_COLUMNS, SPECTRUM_HEADER, fft_spectrum
+from rabibeat.analysis import (
+    LINESHAPE_COLUMNS, LINESHAPE_HEADER, SPECTRUM_COLUMNS, SPECTRUM_HEADER,
+    fft_spectrum, synthesize_esr,
+)
 from rabibeat.cli import main
 from rabibeat.config import load_config
 from rabibeat.evolve import rabi_trace_vtype
@@ -220,8 +224,9 @@ def test_read_columns_skips_blank_and_comment_lines_anywhere(tmp_path):
     (t1, v1), comments = read_columns(messy, TRACE_HEADER, TRACE_COLUMNS)
     assert np.array_equal(t0, t1) and np.array_equal(v0, v1)
     assert comments == {"a": "3", "b": "two words"}
-    # a written trace is read by np.loadtxt; with a comment past row 1000
-    # the same rows go through the line reader, to the same bits
+    # a written trace decodes as packed records; with a comment past row
+    # 1000 the comment goes to the line reader and the rows around it still
+    # decode, to the same bits
     full = fig7_trace_csv(tmp_path)
     lines = full.read_text().splitlines()
     lines.insert(1500, "# k: v")
@@ -233,10 +238,12 @@ def test_read_columns_skips_blank_and_comment_lines_anywhere(tmp_path):
     assert t1.size == len(lines) - 3 and comments == {"k": "v"}
 
 
-def test_read_columns_reads_commented_files_with_loadtxt(tmp_path, monkeypatch):
+def test_read_columns_decodes_commented_files_and_loadtxt_reads_the_rest(
+        tmp_path, monkeypatch):
     # spectrum.csv and fieldmap.csv carry "# key: value" lines under the
-    # header; np.loadtxt reads them, and a .txt copy, which goes to the line
-    # reader, gives the same bits and comments
+    # header and decode as packed records; hand.csv has no packed row, so
+    # np.loadtxt reads it.  A .txt copy, which goes to the line reader,
+    # gives the same bits and comments
     trace = SampledTrace.from_csv(fig7_trace_csv(tmp_path))
     fmap = FieldMap.from_model(WaveguideGeometry(gap=10.0, drive_scale=20.0))
     hand = tmp_path / "hand.csv"
@@ -258,7 +265,7 @@ def test_read_columns_reads_commented_files_with_loadtxt(tmp_path, monkeypatch):
         slow, slow_comments = read_columns(copy, header, columns)
         assert fast_comments == slow_comments == expected
         assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
-    assert read == [path for path, *_ in files]
+    assert read == [hand]
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".txt"])
@@ -319,6 +326,155 @@ def test_read_columns_is_exact_across_the_fast_exponent_window(tmp_path):
     values = np.array(values) * np.where(rng.random(3000) < 0.5, -1.0, 1.0)
     edges = [float(f"{d}e{e}") for d in ("1", "9.999999999999") for e in (-11, -10, 34, 35)]
     read_back(tmp_path, np.concatenate([values, edges, -np.array(edges)]).reshape(-1, 2))
+
+
+def count_reads(monkeypatch):
+    """The paths read_columns hands to np.loadtxt and the texts it hands to
+    float(), collected as it runs."""
+    loadtxt, calls = np.loadtxt, {"loadtxt": [], "float": []}
+    monkeypatch.setattr(np, "loadtxt", lambda path, **kw: calls["loadtxt"].append(path)
+                        or loadtxt(path, **kw))
+    monkeypatch.setattr(traces, "float", lambda text: calls["float"].append(text)
+                        or float(text), raising=False)
+    return calls
+
+
+def float_per_field(path, columns):
+    """Each column of the rows below the column line, read by float()."""
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[lines.index(columns) + 1:]]
+    return [np.array([float(row[i]) for row in rows]) for i in range(len(rows[0]))]
+
+
+def fig7_trace():
+    cfg = load_config("paper-fig7")
+    return rabi_trace_vtype(cfg.drive["lambda_mhz"], cfg.manifolds, cfg.grid,
+                            decay=cfg.decay)
+
+
+def test_reading_a_written_trace_sends_only_out_of_window_fields_to_float(
+        tmp_path, monkeypatch):
+    # 12001 rows of packed records, three of them with a field outside the
+    # exponent window [-10, 34]: no np.loadtxt call, and float() sees just
+    # those three fields
+    trace = fig7_trace()
+    values = trace.values.copy()
+    values[[100, 5000, 12000]] = [2.5e-11, 4.0e35, 9.0e-99]
+    path = write_columns(tmp_path / "trace.csv", TRACE_HEADER, TRACE_COLUMNS,
+                         (trace.times, values))
+    calls = count_reads(monkeypatch)
+    columns, comments = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
+    assert trace.n == 12001 and comments == {}
+    assert calls == {"loadtxt": [], "float": [
+        b"2.500000000000e-11", b"4.000000000000e+35", b"9.000000000000e-99"]}
+    expected = float_per_field(path, TRACE_COLUMNS)
+    assert [a.tobytes() for a in columns] == [a.tobytes() for a in expected]
+
+
+def test_every_writer_artifact_reads_back_as_float(tmp_path, monkeypatch):
+    # a trace whose first row is spliced (a negative residue at t = 0),
+    # spectrum.csv, fieldmap.csv, and esr.csv with its negative
+    # frequencies: each field reads as float() reads it, without np.loadtxt
+    trace = fig7_trace()
+    values = trace.values.copy()
+    values[0] = -5.551115123126e-17
+    fmap = FieldMap.from_model(WaveguideGeometry(gap=10.0, drive_scale=20.0))
+    esr = synthesize_esr([0.0, 2.18, 4.36], [0.12] * 3, 0.8, np.linspace(-3.0, 7.5, 1051))
+    files = [
+        (write_columns(tmp_path / "trace.csv", TRACE_HEADER, TRACE_COLUMNS,
+                       (trace.times, values)), TRACE_HEADER, TRACE_COLUMNS),
+        (fft_spectrum(trace).to_csv(tmp_path / "spectrum.csv"),
+         SPECTRUM_HEADER, SPECTRUM_COLUMNS),
+        (fmap.to_csv(tmp_path / "fieldmap.csv"), FIELDMAP_HEADER, FIELDMAP_COLUMNS),
+        (esr.to_csv(tmp_path / "esr.csv"), LINESHAPE_HEADER, LINESHAPE_COLUMNS),
+    ]
+    assert files[0][0].read_text().splitlines()[2] == "0.000000000000e+00,-5.551115123126e-17"
+    assert files[3][0].read_text().splitlines()[2].startswith("-3.000000000000e+00,")
+    calls = count_reads(monkeypatch)
+    for path, header, columns in files:
+        arrays, _ = read_columns(path, header, columns)
+        expected = float_per_field(path, columns)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in expected]
+    assert calls["loadtxt"] == []
+
+
+def test_read_columns_reads_window_edges_wide_exponents_and_zeros_as_float(tmp_path):
+    # the first and last exponents of the window, their neighbours outside
+    # it, three-digit exponents and both zeros, each in a row of packed
+    # records where it is one
+    values = [float(f"{d}e{e}") for d in ("1", "9.999999999999") for e in (-11, -10, 34, 35)]
+    values += [1e-100, 9.999999999999e-100, 1e100, 2.5e-300, 1.7976931348623157e308,
+               0.0, -0.0]
+    read_back(tmp_path, [row for x in values for row in ([x, 0.5], [0.5, x])])
+
+
+def test_packed_lines_accept_exactly_the_packed_shape():
+    # every one-byte change of a packed field: a line is packed only if its
+    # field has the shape d.dddddddddddde±dd, and then its value is float()'s
+    base = b"1.234567890123e+05"
+    texts = [base[:i] + bytes([c]) + base[i + 1:] for i in range(len(base)) for c in range(128)]
+    texts += [b"0.000000000000e+00", b"0.000000000001e-10", b"9.999999999999e-11",
+              b"9.999999999999e+34", b"1.000000000000e+35", b"5.000000000000e-00"]
+    data = b"".join(text + b"\n" for text in texts)
+    values, packed = traces._packed_lines(data, np.arange(len(texts)) * 19, 1)
+    shape = re.compile(rb"[0-9]\.[0-9]{12}e[+-][0-9]{2}")
+    assert packed.tolist() == [bool(shape.fullmatch(text)) for text in texts]
+    for text, value in zip(np.array(texts, dtype=object)[packed], values[packed, 0]):
+        assert np.float64(value).tobytes() == np.float64(float(text)).tobytes()
+
+
+def read_outcome(path, header, columns):
+    """``read_columns`` as comparable data: the column bytes and comments,
+    or the error message with the path taken out."""
+    try:
+        arrays, comments = read_columns(path, header, columns)
+    except ValueError as exc:
+        return str(exc).replace(str(path), "<path>")
+    return [a.tobytes() for a in arrays], comments
+
+
+# packed rows, spliced rows (a sign, a three-digit exponent) and packed
+# fields outside the exponent window
+MUTATED_ROWS = np.array([[0.0, -5.551115123126e-17], [0.5, 0.25], [1.0, 1e-120],
+                         [1.5, 3.5e34], [2.0, 2.5e-11], [2.5, 0.75], [3.0, 4.5e35],
+                         [3.5, 1.0]])
+
+
+def test_read_columns_reads_a_last_line_without_a_line_break(tmp_path):
+    packed = np.array([[0.5, 0.25], [1.5, 3.5e34], [2.0, 2.5e-11], [3.5, 1.0]])
+    for rows in (MUTATED_ROWS, packed):
+        path = write_columns(tmp_path / "rows.csv", "# rows", "a,b", rows.T)
+        path.write_bytes(path.read_bytes()[:-1])
+        copy = path.with_suffix(".txt")
+        copy.write_bytes(path.read_bytes())
+        (a, b), _ = read_columns(path, "# rows", "a,b")
+        assert a.size == len(rows)
+        assert read_outcome(path, "# rows", "a,b") == read_outcome(copy, "# rows", "a,b")
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["substitute", "delete", "insert"]), st.integers(0, 10**6),
+       st.integers(0, 255))
+def test_read_columns_decodes_no_file_the_line_reader_rejects(
+        tmp_path_factory, change, at, byte):
+    # one byte of the body changed: the .csv reads to the same bits and
+    # comments as a .txt copy, which the line reader reads, or fails with
+    # the same message
+    directory = tmp_path_factory.mktemp("mutated")
+    path = write_columns(directory / "rows.csv", "# rows", "a,b", MUTATED_ROWS.T, {"k": "v"})
+    data = bytearray(path.read_bytes())
+    body = data.index(b"\na,b\n") + 5
+    at = body + at % (len(data) - body + (change == "insert"))
+    if change == "substitute":
+        data[at] = byte
+    elif change == "delete":
+        del data[at]
+    else:
+        data.insert(at, byte)
+    path.write_bytes(bytes(data))
+    copy = path.with_suffix(".txt")
+    copy.write_bytes(bytes(data))
+    assert read_outcome(path, "# rows", "a,b") == read_outcome(copy, "# rows", "a,b")
 
 
 @pytest.mark.parametrize("text", [
