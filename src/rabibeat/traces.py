@@ -8,9 +8,8 @@ prints each value as ``format_float`` does: one numpy pass computes the
 digits of a chunk of values, and most values are written as packed 19-byte
 records.  :func:`read_columns` reads each field as ``float()`` does: in a
 file laid out as ``write_columns`` writes it, one numpy pass decodes the
-lines of packed records and the other lines are read line by line; such a
-file without a packed line goes to ``np.loadtxt``, and any other file is
-read line by line.  A trace's metadata travels in a
+lines of packed records and ``np.loadtxt`` reads the other lines, and any
+other file is read line by line.  A trace's metadata travels in a
 JSON sidecar ``<stem>.meta.json`` with the top-level keys ``units``,
 ``drive``, ``decay`` and ``provenance``; all JSON goes through
 :func:`write_json`.  Equal inputs produce byte-identical files, and
@@ -428,11 +427,22 @@ def _packed_lines(data: bytes, first, width: int):
     return values.reshape(-1, width), packed
 
 
+def _loadtxt(source, skiprows: int = 0):
+    """The rows np.loadtxt reads from ``source`` (a path or a list of
+    lines), or None where it fails."""
+    try:
+        return np.loadtxt(source, delimiter=",", comments=None,
+                          skiprows=skiprows, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None  # the line reader names the line at fault
+
+
 def _read_records(path, data: bytes, layout, columns: str, width: int):
     """:func:`read_columns` of a file that passed :func:`_layout`, with
     every line of ``width`` packed records decoded by :func:`_decode`;
-    None if no line is one.  Every other line goes to :func:`_parse_lines`.
-    """
+    None if no line is one.  The other lines are read as a file without
+    packed lines is: by np.loadtxt if they are all data rows, else by
+    :func:`_parse_lines`."""
     pos, skiprows, comments = layout
     if data.find(b"e", pos) < 0:  # every packed field has one
         return None
@@ -442,9 +452,9 @@ def _read_records(path, data: bytes, layout, columns: str, width: int):
     # the whole slots of ``size`` bytes counted back from the end that have
     # a "\n" before them and at their end, after the last slot that is not
     # a packed line.
-    first = len(data) - (len(data) - pos) // size * size
-    breaks = np.flatnonzero(buf[first - 1 :: size] != _U8(10))
-    start = min(first + size * (int(breaks[-1]) + 1 if breaks.size else 0), len(data))
+    tail = len(data) - (len(data) - pos) // size * size
+    breaks = np.flatnonzero(buf[tail - 1 :: size] != _U8(10))
+    start = min(tail + size * (int(breaks[-1]) + 1 if breaks.size else 0), len(data))
     run, packed = _packed_lines(data, np.arange(start, len(data), size), width)
     if not packed.all():
         cut = int(np.flatnonzero(~packed)[-1]) + 1
@@ -465,14 +475,20 @@ def _read_records(path, data: bytes, layout, columns: str, width: int):
     lines, values = lines[packed], values[packed]
     other = np.ones(ends.size, dtype=bool)
     other[lines] = False
-    parsed = _parse_lines(path, ((skiprows + 1 + i, data[starts[i]:ends[i]].decode("ascii"))
-                                 for i in np.flatnonzero(other).tolist()),
-                          columns, width, comments)
-    # the rows in line order: runs of packed rows with the others between
-    pieces = np.split(values, np.searchsorted(
-        lines, [lineno - skiprows - 1 for lineno, _ in parsed]))
-    table = np.concatenate([part for piece, (_, row) in zip(pieces, parsed)
-                            for part in (piece, [row])] + pieces[-1:] + [run])
+    other = np.flatnonzero(other)
+    texts = [data[a:b].decode("ascii") for a, b in zip(starts[other].tolist(),
+                                                       ends[other].tolist())]
+    rows = np.empty((0, width))
+    if texts and all(texts):  # loadtxt skips empty lines
+        rows = _loadtxt(texts)
+    if rows is None or rows.shape != (len(texts), width):
+        parsed = _parse_lines(path, zip((other + skiprows + 1).tolist(), texts),
+                              columns, width, comments)
+        other = np.array([lineno - skiprows - 1 for lineno, _ in parsed], dtype=np.intp)
+        rows = np.array([row for _, row in parsed]).reshape(-1, width)
+    # the rows in line order, then the run
+    order = np.argsort(np.concatenate((lines, other)), kind="stable")
+    table = np.concatenate((np.concatenate((values, rows))[order], run))
     if len(table) < 2:
         raise ValueError(f"{path}: fewer than two data rows")
     return list(table.T.copy()), comments
@@ -492,14 +508,13 @@ def read_columns(path, header: str, columns: str):
     times or over an exact power of ten, m · 10**(e - 12).  m < 2**53 and
     10**22 are exact doubles, so one correctly rounded operation gives the
     double float() gives (Clinger's fast path).  Other fields of such lines
-    go to float(), and every other line to the line reader below, which
-    also names a line at fault.  Such a file without a packed line is read
-    by one ``np.loadtxt`` call.  Its C parser converts each
+    go to float().  The file's other lines, or the whole file if it has no
+    packed line, go to one ``np.loadtxt`` call.  Its C parser converts each
     whitespace-stripped field with CPython's ``PyOS_string_to_double``, the
     function behind ``float()``, so the values are the same to the bit.
-    Every other file, and one that loadtxt rejects or reads with fewer than
-    two rows or another number of columns, is read line by line with
-    ``float()`` per field."""
+    Every other file, and lines that loadtxt rejects or reads as another
+    number of rows or columns, are read line by line with ``float()`` per
+    field, which also names a line at fault."""
     path = Path(path)
     data = path.read_bytes()
     if not data.isascii():
@@ -512,14 +527,9 @@ def read_columns(path, header: str, columns: str):
         decoded = _read_records(path, data, layout, columns, width)
         if decoded is not None:
             return decoded
-        try:
-            rows = np.loadtxt(path, delimiter=",", comments=None,
-                              skiprows=layout[1], ndmin=2, dtype=float)
-        except ValueError:
-            pass  # the line reader names the line at fault
-        else:
-            if rows.shape[0] >= 2 and rows.shape[1] == width:
-                return list(rows.T.copy()), layout[2]
+        rows = _loadtxt(path, layout[1])
+        if rows is not None and rows.shape[0] >= 2 and rows.shape[1] == width:
+            return list(rows.T.copy()), layout[2]
     lines = data.decode("ascii").splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}:1: missing header {header!r}")

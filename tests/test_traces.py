@@ -194,11 +194,14 @@ def test_simulated_presets_write_without_format_float(tmp_path, monkeypatch):
     assert calls == []
 
 
-def fig7_trace_csv(tmp_path):
+def fig7_trace():
     cfg = load_config("paper-fig7")
-    trace = rabi_trace_vtype(cfg.drive["lambda_mhz"], cfg.manifolds, cfg.grid,
-                             decay=cfg.decay)
-    return trace.to_csv(tmp_path / "fig7.csv")
+    return rabi_trace_vtype(cfg.drive["lambda_mhz"], cfg.manifolds, cfg.grid,
+                            decay=cfg.decay)
+
+
+def fig7_trace_csv(tmp_path):
+    return fig7_trace().to_csv(tmp_path / "fig7.csv")
 
 
 def test_read_columns_matches_float_per_field(tmp_path):
@@ -346,12 +349,6 @@ def float_per_field(path, columns):
     return [np.array([float(row[i]) for row in rows]) for i in range(len(rows[0]))]
 
 
-def fig7_trace():
-    cfg = load_config("paper-fig7")
-    return rabi_trace_vtype(cfg.drive["lambda_mhz"], cfg.manifolds, cfg.grid,
-                            decay=cfg.decay)
-
-
 def test_reading_a_written_trace_sends_only_out_of_window_fields_to_float(
         tmp_path, monkeypatch):
     # 12001 rows of packed records, three of them with a field outside the
@@ -374,7 +371,8 @@ def test_reading_a_written_trace_sends_only_out_of_window_fields_to_float(
 def test_every_writer_artifact_reads_back_as_float(tmp_path, monkeypatch):
     # a trace whose first row is spliced (a negative residue at t = 0),
     # spectrum.csv, fieldmap.csv, and esr.csv with its negative
-    # frequencies: each field reads as float() reads it, without np.loadtxt
+    # frequencies: each field reads as float() reads it, and np.loadtxt
+    # sees just the rows that are not packed records
     trace = fig7_trace()
     values = trace.values.copy()
     values[0] = -5.551115123126e-17
@@ -390,12 +388,17 @@ def test_every_writer_artifact_reads_back_as_float(tmp_path, monkeypatch):
     ]
     assert files[0][0].read_text().splitlines()[2] == "0.000000000000e+00,-5.551115123126e-17"
     assert files[3][0].read_text().splitlines()[2].startswith("-3.000000000000e+00,")
-    calls = count_reads(monkeypatch)
+    packed_row = re.compile(r"[0-9]\.[0-9]{12}e[+-][0-9]{2}(,[0-9]\.[0-9]{12}e[+-][0-9]{2})*")
+    calls, wide = count_reads(monkeypatch), []
     for path, header, columns in files:
         arrays, _ = read_columns(path, header, columns)
         expected = float_per_field(path, columns)
         assert [a.tobytes() for a in arrays] == [a.tobytes() for a in expected]
-    assert calls["loadtxt"] == []
+        lines = path.read_text().splitlines()
+        wide.append([line for line in lines[lines.index(columns) + 1:]
+                     if not packed_row.fullmatch(line)])
+    assert len(wide[0]) == 1 and len(wide[3]) == 300
+    assert calls["loadtxt"] == [rows for rows in wide if rows]
 
 
 def test_read_columns_reads_window_edges_wide_exponents_and_zeros_as_float(tmp_path):
@@ -440,11 +443,17 @@ MUTATED_ROWS = np.array([[0.0, -5.551115123126e-17], [0.5, 0.25], [1.0, 1e-120],
                          [3.5, 1.0]])
 
 
-def test_read_columns_reads_a_last_line_without_a_line_break(tmp_path):
+@pytest.mark.parametrize("edit", ["drop the last line break", "add an empty line"])
+def test_read_columns_reads_edited_files_as_the_line_reader(tmp_path, edit):
     packed = np.array([[0.5, 0.25], [1.5, 3.5e34], [2.0, 2.5e-11], [3.5, 1.0]])
     for rows in (MUTATED_ROWS, packed):
         path = write_columns(tmp_path / "rows.csv", "# rows", "a,b", rows.T)
-        path.write_bytes(path.read_bytes()[:-1])
+        data = path.read_bytes()
+        if edit == "add an empty line":
+            second = data.index(b"\n", data.index(b"a,b\n") + 4) + 1
+            path.write_bytes(data[:second] + b"\n" + data[second:])
+        else:
+            path.write_bytes(data[:-1])
         copy = path.with_suffix(".txt")
         copy.write_bytes(path.read_bytes())
         (a, b), _ = read_columns(path, "# rows", "a,b")
