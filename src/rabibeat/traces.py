@@ -437,6 +437,23 @@ def _loadtxt(source, skiprows: int = 0):
         return None  # the line reader names the line at fault
 
 
+def _may_pack(data: bytes, pos: int) -> bool:
+    """Whether ``data[pos:]`` may hold a packed field: False when none of
+    its first 64 "e" bytes has a "." 13 bytes before it, an exponent sign
+    after it and a separator 4 bytes after it, and no other "e" follows.
+    This spares a file of plain decimals, or of a few numbers in another
+    exponent form, the search for packed lines."""
+    at = data.find(b"e", pos)
+    for _ in range(64):
+        if at < 0:
+            return False
+        if (data[at - 13] == ord(".") and data[at + 1:at + 2] in (b"+", b"-")
+                and data[at + 4:at + 5] in (b",", b"\n")):
+            return True
+        at = data.find(b"e", at + 1)
+    return True
+
+
 def _read_records(path, data: bytes, layout, columns: str, width: int):
     """:func:`read_columns` of a file that passed :func:`_layout`, with
     every line of ``width`` packed records decoded by :func:`_decode`;
@@ -444,7 +461,7 @@ def _read_records(path, data: bytes, layout, columns: str, width: int):
     packed lines is: by np.loadtxt if they are all data rows, else by
     :func:`_parse_lines`."""
     pos, skiprows, comments = layout
-    if data.find(b"e", pos) < 0:  # every packed field has one
+    if not _may_pack(data, pos):
         return None
     size = _RECORD.itemsize * width
     buf = np.frombuffer(data, dtype=_U8)
