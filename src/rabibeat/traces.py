@@ -8,8 +8,8 @@ prints each value as ``format_float`` does: one numpy pass computes the
 digits of a chunk of values, and most values are written as packed 19-byte
 records.  :func:`read_columns` reads each field as ``float()`` does: in a
 file laid out as ``write_columns`` writes it, one numpy pass decodes the
-lines of packed records and ``np.loadtxt`` reads the other lines, and any
-other file is read line by line.  A trace's metadata travels in a
+lines of packed records that end the file and ``np.loadtxt`` reads the
+lines before them, and any other file is read line by line.  A trace's metadata travels in a
 JSON sidecar ``<stem>.meta.json`` with the top-level keys ``units``,
 ``drive``, ``decay`` and ``provenance``; all JSON goes through
 :func:`write_json`.  Equal inputs produce byte-identical files, and
@@ -391,21 +391,12 @@ def _parse_lines(path, lines, columns: str, width: int, comments: dict) -> list:
     return rows
 
 
-def _packed_lines(data: bytes, first, width: int):
-    """``(values, packed)`` of the lines of ``width`` records that start at
-    the offsets ``first`` and end in "\\n": the values of each line, and
-    whether it is one of packed fields with "," between them.  A packed
+def _packed_lines(data: bytes, start: int, width: int):
+    """``(values, packed)`` of the lines of ``width`` records from ``start``
+    to the end of ``data``, each ending in "\\n": the values of each line,
+    and whether it is one of packed fields with "," between them.  A packed
     field outside the exponent window is read by float()."""
-    size = _RECORD.itemsize * width
-    if first.size == 0:
-        return np.empty((0, width)), np.empty(0, dtype=bool)
-    if first[-1] - first[0] == size * (first.size - 1):  # one run of lines
-        records = np.frombuffer(data, dtype=_RECORD, count=first.size * width,
-                                offset=int(first[0]))
-    else:
-        every = np.ndarray((len(data) - size + 1, size), dtype=_U8,
-                           buffer=data, strides=(1, 1))
-        records = every[first].view(_RECORD).ravel()
+    records = np.frombuffer(data, dtype=_RECORD, offset=start)
     # 10**(e - 12) as up / down, by 34 - e in [0, 44]; 45 is out of the window
     tens = np.array([10**k for k in range(23)], dtype=np.float64)
     up = np.concatenate((tens[:0:-1], np.ones(24)))
@@ -418,11 +409,10 @@ def _packed_lines(data: bytes, first, width: int):
         values[chunk], valid[chunk], window[chunk] = _decode(records[chunk], up, down)
     valid = valid.reshape(-1, width)
     valid[:, :-1] &= records["sep"].reshape(-1, width)[:, :-1] == ord(",")
-    packed = np.ones(first.size, dtype=bool)
-    packed[np.flatnonzero(~valid) // width] = False
+    packed = valid.all(axis=1)
     for i in np.flatnonzero(~window).tolist():
         if packed[i // width]:
-            at = int(first[i // width]) + i % width * _RECORD.itemsize
+            at = start + i * _RECORD.itemsize
             values[i] = float(data[at : at + _RECORD.itemsize - 1])
     return values.reshape(-1, width), packed
 
@@ -437,75 +427,39 @@ def _loadtxt(source, skiprows: int = 0):
         return None  # the line reader names the line at fault
 
 
-def _may_pack(data: bytes, pos: int) -> bool:
-    """Whether ``data[pos:]`` may hold a packed field: False when none of
-    its first 64 "e" bytes has a "." 13 bytes before it, an exponent sign
-    after it and a separator 4 bytes after it, and no other "e" follows.
-    This spares a file of plain decimals, or of a few numbers in another
-    exponent form, the search for packed lines."""
-    at = data.find(b"e", pos)
-    for _ in range(64):
-        if at < 0:
-            return False
-        if (data[at - 13] == ord(".") and data[at + 1:at + 2] in (b"+", b"-")
-                and data[at + 4:at + 5] in (b",", b"\n")):
-            return True
-        at = data.find(b"e", at + 1)
-    return True
-
-
 def _read_records(path, data: bytes, layout, columns: str, width: int):
     """:func:`read_columns` of a file that passed :func:`_layout`, with
-    every line of ``width`` packed records decoded by :func:`_decode`;
-    None if no line is one.  The other lines are read as a file without
-    packed lines is: by np.loadtxt if they are all data rows, else by
-    :func:`_parse_lines`."""
+    the run of lines of ``width`` packed records that ends the file decoded
+    by :func:`_decode`; None if the last line is not one.  The lines before
+    the run are read as a file without packed lines is: by np.loadtxt if
+    they are all data rows, else by :func:`_parse_lines`."""
     pos, skiprows, comments = layout
-    if not _may_pack(data, pos):
-        return None
     size = _RECORD.itemsize * width
-    buf = np.frombuffer(data, dtype=_U8)
-    # The run of packed lines that ends the file, found without a scan:
-    # the whole slots of ``size`` bytes counted back from the end that have
-    # a "\n" before them and at their end, after the last slot that is not
-    # a packed line.
+    # The run, found without a scan: of the slots of ``size`` bytes counted
+    # back from the end, those after the last one without a "\n" before it
+    # and at its end, then those after the last one that is not a packed line.
     tail = len(data) - (len(data) - pos) // size * size
-    breaks = np.flatnonzero(buf[tail - 1 :: size] != _U8(10))
-    start = min(tail + size * (int(breaks[-1]) + 1 if breaks.size else 0), len(data))
-    run, packed = _packed_lines(data, np.arange(start, len(data), size), width)
+    ends = np.frombuffer(data, dtype=_U8)[tail - 1 :: size]
+    breaks = np.flatnonzero(ends != _U8(10))
+    start = tail + size * (int(breaks[-1]) + 1 if breaks.size else 0)
+    if start >= len(data):
+        return None
+    run, packed = _packed_lines(data, start, width)
     if not packed.all():
         cut = int(np.flatnonzero(~packed)[-1]) + 1
         start, run = start + size * cut, run[cut:]
-    # the lines before the run
-    ends = np.flatnonzero(buf[pos:start] == _U8(10)) + pos
-    if start == len(data) and not data.endswith(b"\n"):  # a last line without "\n"
-        ends = np.append(ends, len(data))
-    starts = np.concatenate(([pos], ends + 1))[:-1]
-    # lines of packed records' length that end in "\n", with the first "."
-    # and the last "e" in place (this sorts out most lines of other files)
-    lines = np.flatnonzero((ends - starts == size - 1) & (ends < len(data)))
-    lines = lines[(buf[starts[lines] + 1] == _U8(ord(".")))
-                  & (buf[ends[lines] - 4] == _U8(ord("e")))]
-    values, packed = _packed_lines(data, starts[lines], width)
-    if run.size == 0 and not packed.any():
+    if run.size == 0:
         return None
-    lines, values = lines[packed], values[packed]
-    other = np.ones(ends.size, dtype=bool)
-    other[lines] = False
-    other = np.flatnonzero(other)
-    texts = [data[a:b].decode("ascii") for a, b in zip(starts[other].tolist(),
-                                                       ends[other].tolist())]
+    # the lines before the run: data[start - 1] is a "\n" unless start == pos
+    texts = data[pos:start].decode("ascii").split("\n")[:-1]
     rows = np.empty((0, width))
     if texts and all(texts):  # loadtxt skips empty lines
         rows = _loadtxt(texts)
     if rows is None or rows.shape != (len(texts), width):
-        parsed = _parse_lines(path, zip((other + skiprows + 1).tolist(), texts),
+        parsed = _parse_lines(path, enumerate(texts, start=skiprows + 1),
                               columns, width, comments)
-        other = np.array([lineno - skiprows - 1 for lineno, _ in parsed], dtype=np.intp)
         rows = np.array([row for _, row in parsed]).reshape(-1, width)
-    # the rows in line order, then the run
-    order = np.argsort(np.concatenate((lines, other)), kind="stable")
-    table = np.concatenate((np.concatenate((values, rows))[order], run))
+    table = np.concatenate((rows, run))
     if len(table) < 2:
         raise ValueError(f"{path}: fewer than two data rows")
     return list(table.T.copy()), comments
@@ -519,16 +473,19 @@ def read_columns(path, header: str, columns: str):
     reads as ``float()`` reads it.  Errors name the file and line.
 
     In a file laid out as :func:`write_columns` writes it (see
-    :func:`_layout`), every line of packed 19-byte records is decoded in
-    one numpy pass by :func:`_decode`: each field is checked byte for byte
-    and, with its exponent e in [-10, 34], read as the 13-digit mantissa m
-    times or over an exact power of ten, m · 10**(e - 12).  m < 2**53 and
-    10**22 are exact doubles, so one correctly rounded operation gives the
-    double float() gives (Clinger's fast path).  Other fields of such lines
-    go to float().  The file's other lines, or the whole file if it has no
-    packed line, go to one ``np.loadtxt`` call.  Its C parser converts each
-    whitespace-stripped field with CPython's ``PyOS_string_to_double``, the
-    function behind ``float()``, so the values are the same to the bit.
+    :func:`_layout`), the run of lines of packed 19-byte records that ends
+    the file is decoded in one numpy pass by :func:`_decode`: each field is
+    checked byte for byte and, with its exponent e in [-10, 34], read as
+    the 13-digit mantissa m times or over an exact power of ten,
+    m · 10**(e - 12).  m < 2**53 and 10**22 are exact doubles, so one
+    correctly rounded operation gives the double float() gives (Clinger's
+    fast path).  Other fields of such lines go to float().  The lines
+    before the run (the writer's spliced rows with a sign or a three-digit
+    exponent, which its artifacts carry in their first rows), or the whole
+    file if its last line is not packed, go to one ``np.loadtxt`` call.
+    Its C parser converts each whitespace-stripped field with CPython's
+    ``PyOS_string_to_double``, the function behind ``float()``, so the
+    values are the same to the bit.
     Every other file, and lines that loadtxt rejects or reads as another
     number of rows or columns, are read line by line with ``float()`` per
     field, which also names a line at fault."""
