@@ -435,6 +435,8 @@ def _read_records(path, data: bytes, layout, columns: str, width: int):
     they are all data rows, else by :func:`_parse_lines`."""
     pos, skiprows, comments = layout
     size = _RECORD.itemsize * width
+    if len(data) - pos < size or data[-1] != 10 or data[-size - 1] != 10:
+        return None  # the last slot is not a line, so there is no run
     # The run, found without a scan: of the slots of ``size`` bytes counted
     # back from the end, those after the last one without a "\n" before it
     # and at its end, then those after the last one that is not a packed line.
