@@ -409,7 +409,9 @@ def _packed_lines(data: bytes, start: int, width: int):
         values[chunk], valid[chunk], window[chunk] = _decode(records[chunk], up, down)
     valid = valid.reshape(-1, width)
     valid[:, :-1] &= records["sep"].reshape(-1, width)[:, :-1] == ord(",")
-    packed = valid.all(axis=1)
+    # (valid.all(axis=1) takes some 30 times as long on two columns)
+    packed = np.ones(len(valid), dtype=bool)
+    packed[np.flatnonzero(~valid) // width] = False
     for i in np.flatnonzero(~window).tolist():
         if packed[i // width]:
             at = start + i * _RECORD.itemsize
