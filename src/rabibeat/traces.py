@@ -9,10 +9,10 @@ digits of a chunk of values, and most values are written as packed 19-byte
 records.  :func:`read_columns` reads each field as ``float()`` does: in a
 file laid out as ``write_columns`` writes it, one numpy pass decodes the
 lines of packed records that end the file and ``np.loadtxt`` reads the
-lines before them, and any other file is read line by line.  A trace's metadata travels in a
-JSON sidecar ``<stem>.meta.json`` with the top-level keys ``units``,
-``drive``, ``decay`` and ``provenance``; all JSON goes through
-:func:`write_json`.  Equal inputs produce byte-identical files, and
+lines before them, and any other file is read line by line.  A trace's
+metadata travels in a JSON sidecar ``<stem>.meta.json`` with the top-level
+keys ``units``, ``drive``, ``decay`` and ``provenance``; all JSON goes
+through :func:`write_json`.  Equal inputs produce byte-identical files, and
 parse -> re-serialize is the identity on files this module wrote.
 """
 from __future__ import annotations
