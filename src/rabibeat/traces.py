@@ -456,9 +456,8 @@ def _read_records(path, data: bytes, layout, columns: str, width: int):
         return None
     # the lines before the run: data[start - 1] is a "\n" unless start == pos
     texts = data[pos:start].decode("ascii").split("\n")[:-1]
-    rows = np.empty((0, width))
-    if texts and all(texts):  # loadtxt skips empty lines
-        rows = _loadtxt(texts)
+    # _layout rules out an empty first line, on which loadtxt would warn
+    rows = _loadtxt(texts) if texts else np.empty((0, width))
     if rows is None or rows.shape != (len(texts), width):
         parsed = _parse_lines(path, enumerate(texts, start=skiprows + 1),
                               columns, width, comments)

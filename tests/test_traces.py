@@ -461,6 +461,12 @@ def test_read_columns_reads_edited_files_as_the_line_reader(tmp_path, edit):
         assert read_outcome(path, "# rows", "a,b") == read_outcome(copy, "# rows", "a,b")
 
 
+def test_read_columns_needs_two_rows_of_packed_records(tmp_path):
+    path = write_columns(tmp_path / "one.csv", "# rows", "a,b", ([0.5], [0.25]))
+    with pytest.raises(ValueError, match="fewer than two data rows"):
+        read_columns(path, "# rows", "a,b")
+
+
 @settings(max_examples=300)
 @given(st.sampled_from(["substitute", "delete", "insert"]), st.integers(0, 10**6),
        st.integers(0, 255))
