@@ -446,8 +446,6 @@ def _read_records(path, data: bytes, layout, columns: str, width: int):
     ends = np.frombuffer(data, dtype=_U8)[tail - 1 :: size]
     breaks = np.flatnonzero(ends != _U8(10))
     start = tail + size * (int(breaks[-1]) + 1 if breaks.size else 0)
-    if start >= len(data):
-        return None
     run, packed = _packed_lines(data, start, width)
     if not packed.all():
         cut = int(np.flatnonzero(~packed)[-1]) + 1
