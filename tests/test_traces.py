@@ -467,6 +467,40 @@ def test_read_columns_needs_two_rows_of_packed_records(tmp_path):
         read_columns(path, "# rows", "a,b")
 
 
+def test_read_columns_names_a_short_row_before_the_packed_rows(tmp_path):
+    # np.loadtxt reads the lone first row as one column; the line reader
+    # names it
+    path = write_columns(tmp_path / "rows.csv", "# rows", "a,b",
+                         ([0.0, 0.5, 1.0], [-5.5e-17, 0.25, 0.75]))
+    lines = path.read_text().splitlines()
+    lines[2] = "-1.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="rows.csv:3: expected 2 comma-separated fields"):
+        read_columns(path, "# rows", "a,b")
+
+
+@pytest.mark.parametrize("form, decoded", [("%.6e", 0), ("%+.11e", 1)])
+def test_read_columns_sends_a_file_without_a_packed_last_row_to_loadtxt(
+        tmp_path, monkeypatch, form, decoded):
+    # another program's CSV reads as before the decoder, by np.loadtxt from
+    # its path; a %+.11e row has a packed row's length, so only that file
+    # is decoded first
+    trace = fig7_trace()
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join([TRACE_HEADER, TRACE_COLUMNS, *(
+        f"{form},{form}" % row for row in zip(trace.times.tolist(), trace.values.tolist()))])
+        + "\n")
+    starts, packed_lines = [], traces._packed_lines
+    monkeypatch.setattr(traces, "_packed_lines",
+                        lambda data, start, width: starts.append(start)
+                        or packed_lines(data, start, width))
+    calls = count_reads(monkeypatch)
+    columns, _ = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
+    assert calls == {"loadtxt": [path], "float": []} and len(starts) == decoded
+    expected = float_per_field(path, TRACE_COLUMNS)
+    assert [a.tobytes() for a in columns] == [a.tobytes() for a in expected]
+
+
 @settings(max_examples=300)
 @given(st.sampled_from(["substitute", "delete", "insert"]), st.integers(0, 10**6),
        st.integers(0, 255))
