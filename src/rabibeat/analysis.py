@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -186,12 +187,15 @@ def fft_spectrum(
         raise ValueError(f"need at least 8 samples, got {trace.n}")
     if zero_pad < 1:
         raise ValueError(f"zero_pad must be >= 1, got {zero_pad}")
-    x = trace.values - trace.values.mean()
-    w = _window_array(window, trace.n)
+    if window == "hann" and isinstance(trace, _HannRecord):
+        xw, gain = trace.windowed, trace.gain
+    else:
+        w = _window_array(window, trace.n)
+        xw, gain = (trace.values - trace.values.mean()) * w, w.sum()
     n_fft = trace.n
     if zero_pad > 1:
         n_fft = _next_fast_len(int(zero_pad) * trace.n)
-    mags = np.abs(np.fft.rfft(x * w, n=n_fft)) * (2.0 / w.sum())
+    mags = np.abs(np.fft.rfft(xw, n=n_fft)) * (2.0 / gain)
     freqs = np.fft.rfftfreq(n_fft, d=trace.dt)
     return Spectrum(freqs, mags, window)
 
@@ -263,75 +267,149 @@ def find_peaks(
     return peaks
 
 
+class _HannRecord(SampledTrace):
+    """A uniform trace that carries its mean-removed, Hann-windowed samples
+    ``windowed`` and the window's sum ``gain``, so that a spectrum and every
+    refinement of one record window it once."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require_uniform(self)
+        w = np.hanning(self.n)
+        self.windowed = (self.values - self.values.mean()) * w
+        self.gain = w.sum()
+
+    @classmethod
+    def of(cls, trace: SampledTrace) -> "_HannRecord":
+        if isinstance(trace, cls):
+            return trace
+        return cls(trace.times, trace.values, trace.meta)
+
+    @cached_property
+    def _blocks(self):
+        """``(anchors, offsets, blocks)``: sample j = b * B + m, B =
+        ``_BLOCK``, sits at anchors[b] + offsets[m] after the first sample,
+        with anchors[b] its block's first time and offsets[m] m mean steps;
+        ``blocks[b, m]`` is its windowed value, zero past the record."""
+        anchors = self.times[::_BLOCK] - self.times[0]
+        blocks = np.zeros(anchors.size * _BLOCK, dtype=complex)
+        blocks[: self.n] = self.windowed
+        return anchors, self.dt * np.arange(_BLOCK), blocks.reshape(-1, _BLOCK)
+
+    def neg_power(self, f: float):
+        """-g(f) = -|X(f)|^2 and its first two derivatives in f, for the
+        DTFT X(f) = sum_j x_j exp(-2 pi i f t_j) of the windowed record,
+        with t_j = anchors[b] + offsets[m].
+
+        Three matrix-vector products S_k = blocks @ (offsets**k * p), p the
+        in-block phasors, and three dot products with the anchor phasors e
+        give X = e . S_0, Y = e . (a S_0 + S_1) and Z = e . (a**2 S_0 +
+        2 a S_1 + S_2), so that X' = -2 pi i Y and X'' = -4 pi**2 Z; then
+        g' = 2 Re(conj(X) X') and g'' = 2 (|X'|**2 + Re(conj(X) X'')).
+        The products are three matrix-vector products, not one matrix
+        product, whose tiling can change with the BLAS thread count.
+        """
+        anchors, offsets, blocks = self._blocks
+        w = -2.0 * np.pi * f
+        p = _phasors(w * offsets)
+        s0 = blocks @ p
+        s1 = blocks @ (offsets * p)
+        s2 = blocks @ (offsets * offsets * p)
+        e = _phasors(w * anchors)
+        y_terms = anchors * s0 + s1
+        x = complex(e @ s0)
+        y = complex(e @ y_terms)
+        z = complex(e @ (anchors * (y_terms + s1) + s2))
+        g = x.real * x.real + x.imag * x.imag
+        slope = 4.0 * np.pi * (x.conjugate() * y).imag
+        curvature = 8.0 * np.pi**2 * (abs(y) ** 2 - (x.conjugate() * z).real)
+        return -g, -slope, -curvature
+
+
 def refine_peak_frequency(trace: SampledTrace, f_guess: float) -> float:
     """Refine a spectral peak position by maximizing the Hann-windowed DTFT
-    magnitude within one raw resolution bandwidth 1/duration of ``f_guess``.
+    power g(f) = |X(f)|^2 within one raw resolution bandwidth 1/duration of
+    ``f_guess`` (and above zero).
 
     Grid-free: accuracy is limited by spectral leakage, not bin width.
     The trace must be uniform in the sense of
-    :meth:`SampledTrace.is_uniform`.  The DTFT sum runs in blocks of
-    B = ``_BLOCK`` samples: sample j = b * B + m is taken as m mean steps
-    after its block anchor times[b * B], so each evaluation is anchor
-    phasors . (blocks @ in-block phasors), not one complex exponential per
-    sample.  A bounded Brent search over the offset from ``f_guess`` ends
-    with one :func:`_parabola_step`.
+    :meth:`SampledTrace.is_uniform`.  Newton steps on the closed-form g'
+    and g'' (:meth:`_HannRecord.neg_power`) start at ``f_guess`` and run
+    as :func:`_newton` through ``scipy.optimize.minimize_scalar``; each
+    evaluation is a pass over the record in blocks of ``_BLOCK`` samples,
+    and the iteration typically ends after two to five of them.  A
+    maximum beyond the search window returns the window's edge.
     """
     import scipy.optimize  # here, so that only a refinement loads it
 
-    _require_uniform(trace)
-    x = trace.values - trace.values.mean()
-    xw = x * np.hanning(trace.n)
-    anchors = trace.times[::_BLOCK]
-    offsets = trace.dt * np.arange(_BLOCK)
-    blocks = np.zeros(anchors.size * _BLOCK, dtype=complex)
-    blocks[: trace.n] = xw
-    blocks = blocks.reshape(anchors.size, _BLOCK)
-    half_width = 1.0 / trace.duration
-    lo = max(f_guess - half_width, 0.0)
-    hi = f_guess + half_width
-
-    def neg_mag(u):
-        w = -2.0 * np.pi * (f_guess + u)
-        return -abs(_phasors(w * anchors) @ (blocks @ _phasors(w * offsets)))
-
-    # bounded Brent stops at sqrt(eps) * |x| + xatol / 3, so it searches the
-    # offset from f_guess: near x = f ~ 22 MHz the relative term alone would
-    # be ~3e-7 MHz and xatol would have no effect
+    record = _HannRecord.of(trace)
+    half_width = 1.0 / record.duration
     res = scipy.optimize.minimize_scalar(
-        neg_mag, bounds=(lo - f_guess, hi - f_guess), method="bounded",
-        options={"xatol": 1e-10},
+        record.neg_power, method=_newton,
+        bounds=(max(f_guess - half_width, 0.0), f_guess + half_width),
+        options={"x0": f_guess, "xtol": 1e-7 * half_width},
     )
-    return float(f_guess + _parabola_step(neg_mag, res.x, res.fun,
-                                          1e-3 / trace.duration))
+    return float(res.x)
 
 
-def _parabola_step(fun, x, fx, h):
-    """Vertex of the parabola through ``fun`` at x - h, x and x + h, when it
-    is a minimum within h of x; else x.
+def _newton(fun, x0, bounds, xtol, maxiter=100, **unknown):
+    """Minimize ``fun`` over ``bounds`` by safeguarded Newton steps from
+    ``x0``: a method for ``scipy.optimize.minimize_scalar``, with ``fun``
+    returning the value and its first two derivatives.
 
-    Within ~1e-9 MHz of a DTFT maximum the magnitude is flat to rounding,
-    so a bracketing search ends at a point rounding chose.  Over h = 1e-3 /
-    duration the magnitude falls ~1e-6 relative, far above rounding, and
-    the vertex through those points lands within ~1e-12 MHz of the maximum.
+    The sign of each slope shrinks the bracket [lo, hi] that holds the
+    minimum.  A step where the curvature is not positive, or that would
+    leave the bracket, becomes a bisection on the slope's sign: to the
+    midpoint of the bracket, or to its far end while that has not been
+    evaluated, so that a minimum beyond the bounds returns the bound.  A
+    Newton step of at most ``xtol`` is the last one; its point is not
+    evaluated, and ``fun`` of the result is the quadratic model's value.
+    The search also ends at a bracket no wider than ``xtol``, and after
+    ``maxiter`` evaluations without success.
     """
-    below, above = fun(x - h), fun(x + h)
-    curvature = below - 2.0 * fx + above
-    step = 0.5 * h * (below - above) / curvature if curvature > 0 else 0.0
-    return x + step if abs(step) <= h else x
+    from scipy.optimize import OptimizeResult
+
+    lo, hi = bounds
+    seen_lo = seen_hi = False  # whether lo, hi are evaluated points
+    x, success = float(x0), True
+    for nfev in range(1, maxiter + 1):
+        value, slope, curvature = fun(x)
+        if slope < 0:
+            lo, seen_lo = x, True
+        elif slope > 0:
+            hi, seen_hi = x, True
+        if slope == 0 or hi - lo <= xtol:
+            break
+        step = -slope / curvature if curvature > 0 else math.nan
+        if abs(step) <= xtol:
+            value += step * (slope + 0.5 * curvature * step)
+            x += step
+            break
+        if lo < x + step < hi:
+            x += step
+        elif slope < 0:
+            x = 0.5 * (lo + hi) if seen_hi else hi
+        else:
+            x = 0.5 * (lo + hi) if seen_lo else lo
+    else:
+        success = False
+    return OptimizeResult(x=x, fun=value, nfev=nfev, nit=nfev, success=success)
 
 
 def dominant_frequency(trace: SampledTrace) -> float:
     """Frequency in MHz of a trace's strongest spectral line.
 
-    The strongest bin of a Hann-windowed, 4x zero-padded spectrum seeds a
-    grid-free :func:`refine_peak_frequency`, which windows the same way.
-    Bins up to 2/duration, the half-width of the Hann main lobe, are skipped:
-    when the trace decays within a small part of the record the window
-    nearly hides the oscillation, and the lobe of the leftover mean there
-    can be the larger.  A trace with no line above the rounding of its
-    values (a constant one) raises ValueError.
+    One mean-removed, Hann-windowed record of the trace gives both the
+    search spectrum, 4x zero-padded, and the grid-free
+    :func:`refine_peak_frequency` that its strongest bin seeds.  Bins up to
+    2/duration, the half-width of the Hann main lobe, are skipped: when the
+    trace decays within a small part of the record the window nearly hides
+    the oscillation, and the lobe of the leftover mean there can be the
+    larger.  A trace with no line above the rounding of its values (a
+    constant one) raises ValueError.
     """
-    spectrum = fft_spectrum(trace, window="hann", zero_pad=4)
+    record = _HannRecord.of(trace)
+    spectrum = fft_spectrum(record, window="hann", zero_pad=4)
     above = spectrum.freqs > 2.0 / trace.duration
     freqs, mags = spectrum.freqs[above], spectrum.magnitudes[above]
     i = int(np.argmax(mags))
@@ -339,7 +417,7 @@ def dominant_frequency(trace: SampledTrace) -> float:
     # window's side lobes spread far below 1e-14 of its values
     if mags[i] <= 1e-14 * np.abs(trace.values).max():
         raise ValueError("no spectral peak: the trace does not oscillate")
-    return refine_peak_frequency(trace, freqs[i])
+    return refine_peak_frequency(record, freqs[i])
 
 
 # |z|^2 holds the differences of the kept bins, up to +/-(k_b - k_a) bins,
@@ -513,7 +591,8 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
     # modulates the envelope by ~20% peak-to-peak, so 10% is a safe floor.
     if flat.mean() > 0 and np.ptp(flat) >= 0.1 * flat.mean():
         q = flat**2
-        sub = SampledTrace(times, q - q.mean())
+        # one windowed record for the beat spectrum and every refinement
+        sub = _HannRecord(times, q - q.mean())
         spec = fft_spectrum(sub, window="hann", zero_pad=8)
         sel = (spec.freqs >= f_min) & (spec.freqs <= f_max)
         masked = Spectrum(

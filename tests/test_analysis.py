@@ -9,7 +9,9 @@ import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
 from rabibeat.analysis import (
+    _HannRecord,
     _moving_average,
+    _newton,
     _next_fast_len,
     _parabolic_refine,
     Lineshape,
@@ -24,6 +26,7 @@ from rabibeat.analysis import (
     resolution_estimate,
     synthesize_esr,
 )
+from rabibeat.cli import main
 from rabibeat.evolve import (
     DecayModel,
     ManifoldSpec,
@@ -149,23 +152,25 @@ def test_refine_peak_frequency_reaches_its_tolerance_at_rabi_frequencies():
 
 
 def direct_refine(times, values, f_guess):
-    """Oracle: the DTFT refinement as one direct sum over the samples."""
-    x = values - values.mean()
-    xw = x * np.hanning(x.size)
+    """Oracle: the refinement's Newton search, with X(f) and its derivatives
+    in f as direct sums over the samples instead of blocked products."""
+    xw = (values - values.mean()) * np.hanning(values.size)
+    t = times - times[0]
+
+    def neg_power(f):
+        e = xw * np.exp(-2j * np.pi * f * t)
+        x, dx, ddx = e.sum(), (-2j * np.pi * t * e).sum(), (-4 * np.pi**2 * t * t * e).sum()
+        g1 = 2 * (np.conj(x) * dx).real
+        g2 = 2 * (abs(dx) ** 2 + (np.conj(x) * ddx).real)
+        return -abs(x) ** 2, -g1, -g2
+
     half_width = 1.0 / (times[-1] - times[0])
-
-    def neg_mag(u):
-        return -abs(np.sum(xw * np.exp(-2j * np.pi * (f_guess + u) * times)))
-
     res = scipy.optimize.minimize_scalar(
-        neg_mag, bounds=(max(f_guess - half_width, 0.0) - f_guess, half_width),
-        method="bounded", options={"xatol": 1e-10},
+        neg_power, method=_newton,
+        bounds=(max(f_guess - half_width, 0.0), f_guess + half_width),
+        options={"x0": f_guess, "xtol": 1e-7 * half_width},
     )
-    h = 1e-3 * half_width
-    below, above = neg_mag(res.x - h), neg_mag(res.x + h)
-    curvature = below - 2.0 * res.fun + above
-    step = 0.5 * h * (below - above) / curvature if curvature > 0 else 0.0
-    return float(f_guess + (res.x + step if abs(step) <= h else res.x))
+    return float(res.x)
 
 
 @settings(max_examples=30)
@@ -190,6 +195,87 @@ def test_blocked_dtft_refinement_matches_direct_sum(
         blocked = refine_peak_frequency(trace, guess)
         direct = direct_refine(trace.times, trace.values, guess)
         assert blocked == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def refined_traces(tmp_path_factory):
+    """The paper-fig3 and paper-fig7 traces as analyze reads them, a
+    4-manifold V-type trace and a beat-pipeline-shaped single-type one."""
+    out = tmp_path_factory.mktemp("presets")
+    traces = {}
+    for name in ("paper-fig3", "paper-fig7"):
+        assert main(["simulate", "--config", name, "--out", str(out / name)]) == 0
+        traces[name] = SampledTrace.from_csv(out / name / "trace.csv")
+    traces["vtype-4"] = rabi_trace_vtype(
+        14.0, ManifoldSpec((0.0, 2.0, 4.0, 6.0)), TimeGrid(0.0, 25.0, 9911),
+        decay=DecayModel("exponential", 25.0))
+    traces["single-3"] = rabi_trace_incoherent(
+        25.0, ManifoldSpec((0.0, 2.0, 4.0)), TimeGrid(0.0, 25.0, 11854),
+        decay=DecayModel("exponential", 30.0))
+    return traces
+
+
+def long_double_slope(trace, f):
+    """The sign of g'(f) = 2 Re(conj(X) X') of the Hann-windowed record, as
+    direct sums in long double."""
+    t = trace.times.astype(np.longdouble)
+    xw = ((trace.values - trace.values.mean()) * np.hanning(trace.n)).astype(np.longdouble)
+    phase = 2 * np.pi * np.longdouble(f) * t
+    cos, sin = np.cos(phase), np.sin(phase)
+    # X = sum xw (cos - i sin) and X' / (2 pi) = -sum t xw (sin + i cos)
+    re, im = np.sum(xw * cos), -np.sum(xw * sin)
+    d_re, d_im = -np.sum(t * xw * sin), -np.sum(t * xw * cos)
+    return np.sign(re * d_re + im * d_im)
+
+
+def test_dominant_frequency_is_a_maximum_to_1e_12(refined_traces, monkeypatch):
+    # g' changes sign across f (1 -/+ 1e-12) on every trace, and Newton
+    # steps get there in a few DTFT evaluations per refinement
+    minimize_scalar, evaluations = scipy.optimize.minimize_scalar, []
+
+    def counted(*args, **kwargs):
+        res = minimize_scalar(*args, **kwargs)
+        evaluations.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", counted)
+    for name, trace in refined_traces.items():
+        f = dominant_frequency(trace)
+        assert long_double_slope(trace, f * (1 - 1e-12)) == 1, name
+        assert long_double_slope(trace, f * (1 + 1e-12)) == -1, name
+    assert len(evaluations) == 4 and max(evaluations) <= 12
+
+
+@pytest.mark.parametrize("offset", [0.9, -0.9])
+def test_refinement_bisects_where_the_power_is_convex(offset):
+    # 0.9 / duration off the peak g'' >= 0, so Newton steps would climb the
+    # wrong way; the search still ends at the peak a good seed reaches
+    trace = tone(5.3137, duration=20.0, n=4001)
+    peak = refine_peak_frequency(trace, 5.3137)
+    seed = peak + offset / trace.duration
+    assert _HannRecord.of(trace).neg_power(seed)[2] <= 0
+    refined = refine_peak_frequency(trace, seed)
+    assert refined == pytest.approx(peak, rel=1e-12)
+    assert abs(refined - seed) <= 1.0 / trace.duration
+
+
+@pytest.mark.parametrize("seed_bins", [0.6, 0.9])
+def test_refinement_below_one_bin_searches_from_zero(seed_bins):
+    # a line 1.5 bins above zero, seeded below one bin: the search window
+    # [0, seed + 1 / duration] holds its peak
+    trace = tone(1.5 / 20.0, duration=20.0, n=4001, phase=0.3)
+    peak = refine_peak_frequency(trace, 1.5 / 20.0)
+    refined = refine_peak_frequency(trace, seed_bins / trace.duration)
+    assert refined == pytest.approx(peak, rel=1e-12)
+    assert 0.0 <= refined <= (seed_bins + 1.0) / trace.duration
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_refinement_returns_the_edge_below_a_peak_beyond_it(side):
+    trace = tone(5.3137, duration=20.0, n=4001)
+    peak = refine_peak_frequency(trace, 5.3137)
+    seed = peak - side * 1.5 / trace.duration
+    assert refine_peak_frequency(trace, seed) == seed + side * (1.0 / trace.duration)
 
 
 def test_refine_peak_frequency_requires_uniform_sampling():
