@@ -306,8 +306,8 @@ class _HannRecord(SampledTrace):
         give X = e . S_0, Y = e . (a S_0 + S_1) and Z = e . (a**2 S_0 +
         2 a S_1 + S_2), so that X' = -2 pi i Y and X'' = -4 pi**2 Z; then
         g' = 2 Re(conj(X) X') and g'' = 2 (|X'|**2 + Re(conj(X) X'')).
-        The products are three matrix-vector products, not one matrix
-        product, whose tiling can change with the BLAS thread count.
+        They are not one matrix product, whose tiling, and so its bytes, can
+        change with the BLAS thread count.
         """
         anchors, offsets, blocks = self._blocks
         w = -2.0 * np.pi * f
@@ -352,7 +352,7 @@ def refine_peak_frequency(trace: SampledTrace, f_guess: float) -> float:
     return float(res.x)
 
 
-def _newton(fun, x0, bounds, xtol, maxiter=100, **unknown):
+def _newton(fun, x0, bounds, xtol, **unknown):
     """Minimize ``fun`` over ``bounds`` by safeguarded Newton steps from
     ``x0``: a method for ``scipy.optimize.minimize_scalar``, with ``fun``
     returning the value and its first two derivatives.
@@ -365,14 +365,14 @@ def _newton(fun, x0, bounds, xtol, maxiter=100, **unknown):
     Newton step of at most ``xtol`` is the last one; its point is not
     evaluated, and ``fun`` of the result is the quadratic model's value.
     The search also ends at a bracket no wider than ``xtol``, and after
-    ``maxiter`` evaluations without success.
+    100 evaluations without success.
     """
     from scipy.optimize import OptimizeResult
 
     lo, hi = bounds
     seen_lo = seen_hi = False  # whether lo, hi are evaluated points
     x, success = float(x0), True
-    for nfev in range(1, maxiter + 1):
+    for nfev in range(1, 101):
         value, slope, curvature = fun(x)
         if slope < 0:
             lo, seen_lo = x, True

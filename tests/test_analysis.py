@@ -248,8 +248,8 @@ def test_dominant_frequency_is_a_maximum_to_1e_12(refined_traces, monkeypatch):
 
 @pytest.mark.parametrize("offset", [0.9, -0.9])
 def test_refinement_bisects_where_the_power_is_convex(offset):
-    # 0.9 / duration off the peak g'' >= 0, so Newton steps would climb the
-    # wrong way; the search still ends at the peak a good seed reaches
+    # 0.9 / duration off the peak g'' >= 0, where a Newton step heads away
+    # from the peak; the search still ends where a good seed's does
     trace = tone(5.3137, duration=20.0, n=4001)
     peak = refine_peak_frequency(trace, 5.3137)
     seed = peak + offset / trace.duration
@@ -271,7 +271,7 @@ def test_refinement_below_one_bin_searches_from_zero(seed_bins):
 
 
 @pytest.mark.parametrize("side", [1, -1])
-def test_refinement_returns_the_edge_below_a_peak_beyond_it(side):
+def test_refinement_returns_the_window_edge_nearest_a_peak_beyond_it(side):
     trace = tone(5.3137, duration=20.0, n=4001)
     peak = refine_peak_frequency(trace, 5.3137)
     seed = peak - side * 1.5 / trace.duration

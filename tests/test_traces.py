@@ -588,7 +588,7 @@ def test_read_columns_leaves_a_lone_carriage_return_to_the_line_reader(
         tmp_path, monkeypatch):
     path = write_columns(tmp_path / "rows.csv", "# rows", "a,b", MUTATED_ROWS.T, {"k": "v"})
     data = path.read_bytes().replace(b"\n", b"\r\n")
-    # the second row's line ends in a lone "\r"
+    # the first row's line ends in a lone "\r"
     second = data.index(b"\r\n", data.index(b"a,b\r\n") + 5)
     lone = data[:second + 1] + data[second + 2:]
     path.write_bytes(lone)
