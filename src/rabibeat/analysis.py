@@ -187,15 +187,12 @@ def fft_spectrum(
         raise ValueError(f"need at least 8 samples, got {trace.n}")
     if zero_pad < 1:
         raise ValueError(f"zero_pad must be >= 1, got {zero_pad}")
-    if window == "hann" and isinstance(trace, _HannRecord):
-        xw, gain = trace.windowed, trace.gain
-    else:
-        w = _window_array(window, trace.n)
-        xw, gain = (trace.values - trace.values.mean()) * w, w.sum()
+    x = trace.values - trace.values.mean()
+    w = _window_array(window, trace.n)
     n_fft = trace.n
     if zero_pad > 1:
         n_fft = _next_fast_len(int(zero_pad) * trace.n)
-    mags = np.abs(np.fft.rfft(xw, n=n_fft)) * (2.0 / gain)
+    mags = np.abs(np.fft.rfft(x * w, n=n_fft)) * (2.0 / w.sum())
     freqs = np.fft.rfftfreq(n_fft, d=trace.dt)
     return Spectrum(freqs, mags, window)
 
@@ -268,16 +265,12 @@ def find_peaks(
 
 
 class _HannRecord(SampledTrace):
-    """A uniform trace that carries its mean-removed, Hann-windowed samples
-    ``windowed`` and the window's sum ``gain``, so that a spectrum and every
-    refinement of one record window it once."""
+    """A uniform trace whose Hann-windowed DTFT blocks are built at its
+    first refinement and shared by every later one."""
 
     def __post_init__(self):
         super().__post_init__()
         _require_uniform(self)
-        w = np.hanning(self.n)
-        self.windowed = (self.values - self.values.mean()) * w
-        self.gain = w.sum()
 
     @classmethod
     def of(cls, trace: SampledTrace) -> "_HannRecord":
@@ -290,10 +283,11 @@ class _HannRecord(SampledTrace):
         """``(anchors, offsets, blocks)``: sample j = b * B + m, B =
         ``_BLOCK``, sits at anchors[b] + offsets[m] after the first sample,
         with anchors[b] its block's first time and offsets[m] m mean steps;
-        ``blocks[b, m]`` is its windowed value, zero past the record."""
+        ``blocks[b, m]`` is its mean-removed, Hann-windowed value, zero
+        past the record."""
         anchors = self.times[::_BLOCK] - self.times[0]
         blocks = np.zeros(anchors.size * _BLOCK, dtype=complex)
-        blocks[: self.n] = self.windowed
+        blocks[: self.n] = (self.values - self.values.mean()) * np.hanning(self.n)
         return anchors, self.dt * np.arange(_BLOCK), blocks.reshape(-1, _BLOCK)
 
     def neg_power(self, f: float):
@@ -362,16 +356,16 @@ def _newton(fun, x0, bounds, xtol, **unknown):
     leave the bracket, becomes a bisection on the slope's sign: to the
     midpoint of the bracket, or to its far end while that has not been
     evaluated, so that a minimum beyond the bounds returns the bound.  A
-    Newton step of at most ``xtol`` is the last one; its point is not
-    evaluated, and ``fun`` of the result is the quadratic model's value.
-    The search also ends at a bracket no wider than ``xtol``, and after
-    100 evaluations without success.
+    Newton step of at most ``xtol`` is the last one, and its point is not
+    evaluated: ``fun`` of the result is the value at the last evaluated
+    point.  The search also ends at a bracket no wider than ``xtol``, and
+    after 100 evaluations.
     """
     from scipy.optimize import OptimizeResult
 
     lo, hi = bounds
     seen_lo = seen_hi = False  # whether lo, hi are evaluated points
-    x, success = float(x0), True
+    x = float(x0)
     for nfev in range(1, 101):
         value, slope, curvature = fun(x)
         if slope < 0:
@@ -382,7 +376,6 @@ def _newton(fun, x0, bounds, xtol, **unknown):
             break
         step = -slope / curvature if curvature > 0 else math.nan
         if abs(step) <= xtol:
-            value += step * (slope + 0.5 * curvature * step)
             x += step
             break
         if lo < x + step < hi:
@@ -391,25 +384,21 @@ def _newton(fun, x0, bounds, xtol, **unknown):
             x = 0.5 * (lo + hi) if seen_hi else hi
         else:
             x = 0.5 * (lo + hi) if seen_lo else lo
-    else:
-        success = False
-    return OptimizeResult(x=x, fun=value, nfev=nfev, nit=nfev, success=success)
+    return OptimizeResult(x=x, fun=value, nfev=nfev)
 
 
 def dominant_frequency(trace: SampledTrace) -> float:
     """Frequency in MHz of a trace's strongest spectral line.
 
-    One mean-removed, Hann-windowed record of the trace gives both the
-    search spectrum, 4x zero-padded, and the grid-free
-    :func:`refine_peak_frequency` that its strongest bin seeds.  Bins up to
-    2/duration, the half-width of the Hann main lobe, are skipped: when the
-    trace decays within a small part of the record the window nearly hides
-    the oscillation, and the lobe of the leftover mean there can be the
-    larger.  A trace with no line above the rounding of its values (a
-    constant one) raises ValueError.
+    The strongest bin of a Hann-windowed, 4x zero-padded spectrum seeds a
+    grid-free :func:`refine_peak_frequency`, which windows the same way.
+    Bins up to 2/duration, the half-width of the Hann main lobe, are skipped:
+    when the trace decays within a small part of the record the window
+    nearly hides the oscillation, and the lobe of the leftover mean there
+    can be the larger.  A trace with no line above the rounding of its
+    values (a constant one) raises ValueError.
     """
-    record = _HannRecord.of(trace)
-    spectrum = fft_spectrum(record, window="hann", zero_pad=4)
+    spectrum = fft_spectrum(trace, window="hann", zero_pad=4)
     above = spectrum.freqs > 2.0 / trace.duration
     freqs, mags = spectrum.freqs[above], spectrum.magnitudes[above]
     i = int(np.argmax(mags))
@@ -417,7 +406,7 @@ def dominant_frequency(trace: SampledTrace) -> float:
     # window's side lobes spread far below 1e-14 of its values
     if mags[i] <= 1e-14 * np.abs(trace.values).max():
         raise ValueError("no spectral peak: the trace does not oscillate")
-    return refine_peak_frequency(record, freqs[i])
+    return refine_peak_frequency(trace, freqs[i])
 
 
 # |z|^2 holds the differences of the kept bins, up to +/-(k_b - k_a) bins,
@@ -591,7 +580,7 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
     # modulates the envelope by ~20% peak-to-peak, so 10% is a safe floor.
     if flat.mean() > 0 and np.ptp(flat) >= 0.1 * flat.mean():
         q = flat**2
-        # one windowed record for the beat spectrum and every refinement
+        # one record, so the beat refinements share its DTFT blocks
         sub = _HannRecord(times, q - q.mean())
         spec = fft_spectrum(sub, window="hann", zero_pad=8)
         sel = (spec.freqs >= f_min) & (spec.freqs <= f_max)

@@ -489,21 +489,13 @@ def read_columns(path, header: str, columns: str):
     values are the same to the bit.
     Every other file, and lines that loadtxt rejects or reads as another
     number of rows or columns, are read line by line with ``float()`` per
-    field, which also names a line at fault.  A file whose every ``"\\r"``
-    starts a ``"\\r\\n"`` line end reads as its copy with ``"\\n"`` ends,
-    so it takes the same path."""
+    field, which also names a line at fault."""
     path = Path(path)
     data = path.read_bytes()
     if not data.isascii():
         pos = int(np.flatnonzero(np.frombuffer(data, dtype=_U8) > 127)[0])
         lineno = len((data[:pos].decode("ascii") + "x").splitlines())
         raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}")
-    if b"\r" in data:
-        # "\r\n" line ends read as "\n" ones; a lone "\r" is left to the
-        # line reader, which counts it as a line break
-        lf = data.replace(b"\r\n", b"\n")
-        if b"\r" not in lf:
-            data = lf
     width = columns.count(",") + 1
     layout = _layout(path, data, header, columns)
     if layout is not None:

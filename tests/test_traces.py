@@ -560,43 +560,3 @@ def test_read_columns_ends_lines_as_splitlines_does(tmp_path):
         read_columns(bad, TRACE_HEADER, TRACE_COLUMNS)
     assert str(excinfo.value) == (
         f"{bad}:{lineno}: could not convert string to float: 'four'")
-
-
-@pytest.mark.parametrize("form", ["packed", "%.6e"])
-def test_read_columns_reads_crlf_files_as_their_lf_copy(tmp_path, monkeypatch, form):
-    # "\r\n" line ends take the path the "\n" file takes: the record decoder
-    # for the packed paper-fig7 trace, np.loadtxt for another program's CSV
-    trace = fig7_trace()
-    lf = tmp_path / "lf.csv"
-    if form == "packed":
-        write_columns(lf, TRACE_HEADER, TRACE_COLUMNS, (trace.times, trace.values),
-                      {"model": "vtype"})
-    else:
-        lf.write_text("\n".join([TRACE_HEADER, "# model: vtype", TRACE_COLUMNS, *(
-            f"{form},{form}" % row for row in zip(trace.times.tolist(), trace.values.tolist()))])
-            + "\n")
-    crlf = tmp_path / "crlf.csv"
-    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-    expected = read_outcome(lf, TRACE_HEADER, TRACE_COLUMNS)
-    calls = count_reads(monkeypatch)
-    assert read_outcome(crlf, TRACE_HEADER, TRACE_COLUMNS) == expected
-    assert expected[1] == {"model": "vtype"}
-    assert calls == {"loadtxt": [] if form == "packed" else [crlf], "float": []}
-
-
-def test_read_columns_leaves_a_lone_carriage_return_to_the_line_reader(
-        tmp_path, monkeypatch):
-    path = write_columns(tmp_path / "rows.csv", "# rows", "a,b", MUTATED_ROWS.T, {"k": "v"})
-    data = path.read_bytes().replace(b"\n", b"\r\n")
-    # the first row's line ends in a lone "\r"
-    second = data.index(b"\r\n", data.index(b"a,b\r\n") + 5)
-    lone = data[:second + 1] + data[second + 2:]
-    path.write_bytes(lone)
-    calls = count_reads(monkeypatch)
-    (a, b), comments = read_columns(path, "# rows", "a,b")
-    assert a.tobytes() == MUTATED_ROWS[:, 0].tobytes() and comments == {"k": "v"}
-    assert calls["loadtxt"] == [] and len(calls["float"]) == MUTATED_ROWS.size
-    # the fourth row is on line 7 only if the lone "\r" ends a line
-    path.write_bytes(lone.replace(b"3.5", b"three", 1))
-    with pytest.raises(ValueError, match=re.escape(f"{path}:7: could not convert")):
-        read_columns(path, "# rows", "a,b")
