@@ -150,7 +150,8 @@ def _window_array(name: str, n: int) -> np.ndarray:
 
 
 def _require_uniform(trace: SampledTrace):
-    if not trace.is_uniform():
+    # a _HannRecord was checked when it was built
+    if not isinstance(trace, _HannRecord) and not trace.is_uniform():
         raise ValueError("trace is not uniformly sampled")
 
 
@@ -265,17 +266,17 @@ def find_peaks(
 
 
 class _HannRecord(SampledTrace):
-    """A uniform trace whose Hann-windowed DTFT blocks are built at its
-    first refinement and shared by every later one."""
+    """A uniform trace, checked once by :meth:`of`, whose Hann-windowed DTFT
+    blocks are built at its first refinement and shared by every later one."""
 
     def __post_init__(self):
-        super().__post_init__()
-        _require_uniform(self)
+        pass  # the trace's arrays were validated when it was built
 
     @classmethod
     def of(cls, trace: SampledTrace) -> "_HannRecord":
         if isinstance(trace, cls):
             return trace
+        _require_uniform(trace)
         return cls(trace.times, trace.values, trace.meta)
 
     @cached_property
@@ -398,6 +399,7 @@ def dominant_frequency(trace: SampledTrace) -> float:
     can be the larger.  A trace with no line above the rounding of its
     values (a constant one) raises ValueError.
     """
+    trace = _HannRecord.of(trace)
     spectrum = fft_spectrum(trace, window="hann", zero_pad=4)
     above = spectrum.freqs > 2.0 / trace.duration
     freqs, mags = spectrum.freqs[above], spectrum.magnitudes[above]
@@ -554,6 +556,7 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
     """
     if mode not in ("single", "vtype"):
         raise ValueError(f"mode must be 'single' or 'vtype', got {mode!r}")
+    trace = _HannRecord.of(trace)
     base = dominant_frequency(trace)
     duration = trace.duration
     f_min = 1.5 / duration
@@ -581,7 +584,7 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
     if flat.mean() > 0 and np.ptp(flat) >= 0.1 * flat.mean():
         q = flat**2
         # one record, so the beat refinements share its DTFT blocks
-        sub = _HannRecord(times, q - q.mean())
+        sub = _HannRecord.of(SampledTrace(times, q - q.mean()))
         spec = fft_spectrum(sub, window="hann", zero_pad=8)
         sel = (spec.freqs >= f_min) & (spec.freqs <= f_max)
         masked = Spectrum(

@@ -6,10 +6,11 @@ line such as ``time_us,signal``, then one :func:`format_float` row per
 sample.  Both directions are exact to the bit.  :func:`write_columns`
 prints each value as ``format_float`` does: one numpy pass computes the
 digits of a chunk of values, and most values are written as packed 19-byte
-records.  :func:`read_columns` reads each field as ``float()`` does: in a
-file laid out as ``write_columns`` writes it, one numpy pass decodes the
-lines of packed records that end the file and ``np.loadtxt`` reads the
-lines before them, and any other file is read line by line.  A trace's
+records.  :func:`read_columns` reads each field as ``float()`` does, in
+one flow: in a ``.csv`` file one numpy pass decodes the run of packed
+lines that ends the file, possibly empty, and one ``np.loadtxt`` call
+reads the rows of the lines before it; lines that are not all rows, and
+files with another suffix, are read line by line.  A trace's
 metadata travels in a JSON sidecar ``<stem>.meta.json`` with the top-level
 keys ``units``, ``drive``, ``decay`` and ``provenance``; all JSON goes
 through :func:`write_json`.  Equal inputs produce byte-identical files, and
@@ -269,9 +270,9 @@ def write_columns(path, header: str, columns: str, arrays, comments=None) -> Pat
     return path
 
 
-# the line breaks of str.splitlines besides "\n" ("\x85" is not ASCII), and
-# "\x1f", which np.loadtxt strips from a field's ends and float() does not
-_NOT_FOR_LOADTXT = b"\r\v\f\x1c\x1d\x1e\x1f"
+# np.loadtxt strips "\x1f" from a field's ends and float() does not; the
+# other ASCII bytes where they differ end a line for str.splitlines
+_NOT_FOR_LOADTXT = "\x1f"
 
 
 def _add_comment(comments: dict, text: str) -> None:
@@ -280,37 +281,6 @@ def _add_comment(comments: dict, text: str) -> None:
     key, sep, value = text[1:].partition(":")
     if sep:
         comments[key.strip()] = value.strip()
-
-
-def _layout(path: Path, data: bytes, header: str, columns: str):
-    """``(pos, skiprows, comments)`` of a file laid out as write_columns
-    writes it, with ``pos`` the offset of its first row, else None.
-
-    That is a ``.csv`` file that starts with the header line, any number of
-    ``# key: value`` lines and the column line, has its first row right
-    after them and holds no line break but ``"\\n"`` and no ``"\\x1f"``.
-    np.loadtxt reads such a file to the bit.  (loadtxt picks a decompressor
-    by suffix, and it warns on a body without rows, which a first row right
-    after the column line rules out.)
-    """
-    start = f"{header}\n".encode("ascii")
-    if (path.suffix != ".csv" or not data.startswith(start)
-            or any(byte in data for byte in _NOT_FOR_LOADTXT)):
-        return None
-    pos, skiprows, comments = len(start), 2, {}
-    while data.startswith(b"#", pos):
-        end = data.find(b"\n", pos)
-        if end < 0:
-            return None
-        _add_comment(comments, data[pos:end].decode("ascii").strip())
-        pos, skiprows = end + 1, skiprows + 1
-    column_line = f"{columns}\n".encode("ascii")
-    if not data.startswith(column_line, pos):
-        return None
-    pos += len(column_line)
-    if data[pos:pos + 1] in (b"", b"\n"):
-        return None
-    return pos, skiprows, comments
 
 
 def _decode(records, up, down):
@@ -365,11 +335,12 @@ def _decode(records, up, down):
     return mantissa, valid, window
 
 
-def _parse_lines(path, lines, columns: str, width: int, comments: dict) -> list:
-    """``[(lineno, values)]`` of the data rows among the ``(lineno, raw)``
-    pairs ``lines``, each field read by ``float()``.  Comment lines go into
-    ``comments``; blank and column lines are skipped.  The first line with
-    another number of fields raises, then the first field float() rejects."""
+def _parse_lines(path, lines, columns: str, width: int, comments: dict):
+    """The data rows among the ``(lineno, raw)`` pairs ``lines``, as an
+    array of ``width`` columns, each field read by ``float()``.  Comment
+    lines go into ``comments``; blank and column lines are skipped.  The
+    first line with another number of fields raises, then the first field
+    float() rejects."""
     fields = []
     for lineno, raw in lines:
         text = raw.strip()
@@ -385,10 +356,10 @@ def _parse_lines(path, lines, columns: str, width: int, comments: dict) -> list:
     rows = []
     for lineno, row in fields:  # after every row's field count is checked
         try:
-            rows.append((lineno, [float(text) for text in row]))
+            rows.append([float(text) for text in row])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return rows
+    return np.array(rows).reshape(-1, width)
 
 
 def _packed_lines(data: bytes, start: int, width: int):
@@ -419,51 +390,29 @@ def _packed_lines(data: bytes, start: int, width: int):
     return values.reshape(-1, width), packed
 
 
-def _loadtxt(source, skiprows: int = 0):
-    """The rows np.loadtxt reads from ``source`` (a path or a list of
-    lines), or None where it fails."""
-    try:
-        return np.loadtxt(source, delimiter=",", comments=None,
-                          skiprows=skiprows, ndmin=2, dtype=np.float64)
-    except ValueError:
-        return None  # the line reader names the line at fault
-
-
-def _read_records(path, data: bytes, layout, columns: str, width: int):
-    """:func:`read_columns` of a file that passed :func:`_layout`, with
-    the run of lines of ``width`` packed records that ends the file decoded
-    by :func:`_decode`; None if the last line is not one.  The lines before
-    the run are read as a file without packed lines is: by np.loadtxt if
-    they are all data rows, else by :func:`_parse_lines`."""
-    pos, skiprows, comments = layout
+def _packed_run(data: bytes, width: int):
+    """``(start, values)`` of the run of lines of ``width`` packed records
+    that ends ``data`` after its first line: the offset of the run's first
+    line and the values :func:`_packed_lines` reads from the run.  The run
+    may be empty."""
     size = _RECORD.itemsize * width
-    if len(data) - pos < size or data[-1] != 10 or data[-size - 1] != 10:
-        return None  # the last slot is not a line, so there is no run
-    # The run, found without a scan: of the slots of ``size`` bytes counted
-    # back from the end, those after the last one without a "\n" before it
-    # and at its end, then those after the last one that is not a packed line.
-    tail = len(data) - (len(data) - pos) // size * size
-    ends = np.frombuffer(data, dtype=_U8)[tail - 1 :: size]
-    breaks = np.flatnonzero(ends != _U8(10))
-    start = tail + size * (int(breaks[-1]) + 1 if breaks.size else 0)
+    tail = len(data) - (len(data) - data.find(b"\n") - 1) // size * size
+    start = len(data)
+    if tail < len(data) and data[-1] == 10:
+        # The run, found without a scan: of the slots of ``size`` bytes
+        # counted back from the end, those after the last one without a
+        # "\n" before it and at its end, then those after the last one that
+        # is not a packed line.
+        ends = np.frombuffer(data, dtype=_U8)[tail - 1 :: size]
+        breaks = np.flatnonzero(ends != _U8(10))
+        start = tail + size * (int(breaks[-1]) + 1 if breaks.size else 0)
+    if start == len(data):
+        return start, np.empty((0, width))
     run, packed = _packed_lines(data, start, width)
     if not packed.all():
         cut = int(np.flatnonzero(~packed)[-1]) + 1
         start, run = start + size * cut, run[cut:]
-    if run.size == 0:
-        return None
-    # the lines before the run: data[start - 1] is a "\n" unless start == pos
-    texts = data[pos:start].decode("ascii").split("\n")[:-1]
-    # _layout rules out an empty first line, on which loadtxt would warn
-    rows = _loadtxt(texts) if texts else np.empty((0, width))
-    if rows is None or rows.shape != (len(texts), width):
-        parsed = _parse_lines(path, enumerate(texts, start=skiprows + 1),
-                              columns, width, comments)
-        rows = np.array([row for _, row in parsed]).reshape(-1, width)
-    table = np.concatenate((rows, run))
-    if len(table) < 2:
-        raise ValueError(f"{path}: fewer than two data rows")
-    return list(table.T.copy()), comments
+    return start, run
 
 
 def read_columns(path, header: str, columns: str):
@@ -473,23 +422,27 @@ def read_columns(path, header: str, columns: str):
     the header, lines end as ``str.splitlines`` ends them, and every field
     reads as ``float()`` reads it.  Errors name the file and line.
 
-    In a file laid out as :func:`write_columns` writes it (see
-    :func:`_layout`), the run of lines of packed 19-byte records that ends
-    the file is decoded in one numpy pass by :func:`_decode`: each field is
-    checked byte for byte and, with its exponent e in [-10, 34], read as
-    the 13-digit mantissa m times or over an exact power of ten,
+    A ``.csv`` file is read in one flow.  The run of lines of packed
+    19-byte records that ends it (:func:`_packed_run`; it may be empty) is
+    decoded in one numpy pass by :func:`_decode`: each field is checked
+    byte for byte and, with its exponent e in [-10, 34], read as the
+    13-digit mantissa m times or over an exact power of ten,
     m · 10**(e - 12).  m < 2**53 and 10**22 are exact doubles, so one
     correctly rounded operation gives the double float() gives (Clinger's
-    fast path).  Other fields of such lines go to float().  The lines
-    before the run (the writer's spliced rows with a sign or a three-digit
-    exponent, which its artifacts carry in their first rows), or the whole
-    file if its last line is not packed, go to one ``np.loadtxt`` call.
-    Its C parser converts each whitespace-stripped field with CPython's
-    ``PyOS_string_to_double``, the function behind ``float()``, so the
-    values are the same to the bit.
-    Every other file, and lines that loadtxt rejects or reads as another
-    number of rows or columns, are read line by line with ``float()`` per
-    field, which also names a line at fault."""
+    fast path).  Other fields of such lines go to float().  The text
+    before the run is split into lines.  After the header, the
+    ``# key: value`` lines and the column line come the rows that are not
+    packed: the writer's spliced rows with a sign or a three-digit
+    exponent, which its artifacts carry in their first rows, or every row
+    of another program's file.  They go to one ``np.loadtxt`` call on the
+    list of lines.  Its C parser converts each whitespace-stripped field
+    with CPython's ``PyOS_string_to_double``, the function behind
+    ``float()``, so the values are the same to the bit.
+    Lines that are not all rows (a blank or comment line, a repeated
+    column line), that hold a ``"\\x1f"`` or that loadtxt rejects or reads
+    as another number of rows or columns, and every file with another
+    suffix, are read by :func:`_parse_lines` with ``float()`` per field,
+    which also names a line at fault."""
     path = Path(path)
     data = path.read_bytes()
     if not data.isascii():
@@ -497,22 +450,32 @@ def read_columns(path, header: str, columns: str):
         lineno = len((data[:pos].decode("ascii") + "x").splitlines())
         raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}")
     width = columns.count(",") + 1
-    layout = _layout(path, data, header, columns)
-    if layout is not None:
-        decoded = _read_records(path, data, layout, columns, width)
-        if decoded is not None:
-            return decoded
-        rows = _loadtxt(path, layout[1])
-        if rows is not None and rows.shape[0] >= 2 and rows.shape[1] == width:
-            return list(rows.T.copy()), layout[2]
-    lines = data.decode("ascii").splitlines()
+    csv = path.suffix == ".csv"
+    start, run = _packed_run(data, width) if csv else (len(data), np.empty((0, width)))
+    text = data[:start].decode("ascii")
+    lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}:1: missing header {header!r}")
-    comments = {}
-    rows = _parse_lines(path, enumerate(lines[1:], start=2), columns, width, comments)
-    if len(rows) < 2:
+    comments, head = {}, 1
+    while head < len(lines) and lines[head].startswith("#"):
+        _add_comment(comments, lines[head].strip())
+        head += 1
+    body, rows = lines[head + 1:], None
+    # loadtxt warns on a list without rows, which a first row rules out
+    if (csv and lines[head:head + 1] == [columns] and body and body[0]
+            and _NOT_FOR_LOADTXT not in text):
+        try:
+            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
+                              dtype=np.float64)
+        except ValueError:
+            pass  # the line reader names the line at fault
+    if rows is None or rows.shape != (len(body), width):
+        rows = _parse_lines(path, enumerate(lines[head:], start=head + 1),
+                            columns, width, comments)
+    table = np.concatenate((rows, run))
+    if len(table) < 2:
         raise ValueError(f"{path}: fewer than two data rows")
-    return list(np.array([row for _, row in rows]).T.copy()), comments
+    return list(table.T.copy()), comments
 
 
 def _jsonable(obj):

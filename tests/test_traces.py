@@ -245,8 +245,8 @@ def test_read_columns_decodes_commented_files_and_loadtxt_reads_the_rest(
         tmp_path, monkeypatch):
     # spectrum.csv and fieldmap.csv carry "# key: value" lines under the
     # header and decode as packed records; hand.csv has no packed row, so
-    # np.loadtxt reads it.  A .txt copy, which goes to the line reader,
-    # gives the same bits and comments
+    # np.loadtxt reads its rows.  A .txt copy, which goes to the line
+    # reader, gives the same bits and comments
     trace = SampledTrace.from_csv(fig7_trace_csv(tmp_path))
     fmap = FieldMap.from_model(WaveguideGeometry(gap=10.0, drive_scale=20.0))
     hand = tmp_path / "hand.csv"
@@ -260,7 +260,7 @@ def test_read_columns_decodes_commented_files_and_loadtxt_reads_the_rest(
         (hand, "# rows", "a,b", {"a": "3", "b": "two words"}),
     ]
     loadtxt, read = np.loadtxt, []
-    monkeypatch.setattr(np, "loadtxt", lambda path, **kw: read.append(path) or loadtxt(path, **kw))
+    monkeypatch.setattr(np, "loadtxt", lambda rows, **kw: read.append(rows) or loadtxt(rows, **kw))
     for path, header, columns, expected in files:
         copy = path.with_suffix(".txt")
         copy.write_bytes(path.read_bytes())
@@ -268,7 +268,7 @@ def test_read_columns_decodes_commented_files_and_loadtxt_reads_the_rest(
         slow, slow_comments = read_columns(copy, header, columns)
         assert fast_comments == slow_comments == expected
         assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
-    assert read == [hand]
+    assert read == [["0.0,1.0", "0.5,2.0"]]
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".txt"])
@@ -332,11 +332,11 @@ def test_read_columns_is_exact_across_the_fast_exponent_window(tmp_path):
 
 
 def count_reads(monkeypatch):
-    """The paths read_columns hands to np.loadtxt and the texts it hands to
-    float(), collected as it runs."""
+    """The lists of lines read_columns hands to np.loadtxt and the texts it
+    hands to float(), collected as it runs."""
     loadtxt, calls = np.loadtxt, {"loadtxt": [], "float": []}
-    monkeypatch.setattr(np, "loadtxt", lambda path, **kw: calls["loadtxt"].append(path)
-                        or loadtxt(path, **kw))
+    monkeypatch.setattr(np, "loadtxt", lambda rows, **kw: calls["loadtxt"].append(rows)
+                        or loadtxt(rows, **kw))
     monkeypatch.setattr(traces, "float", lambda text: calls["float"].append(text)
                         or float(text), raising=False)
     return calls
@@ -482,9 +482,9 @@ def test_read_columns_names_a_short_row_before_the_packed_rows(tmp_path):
 @pytest.mark.parametrize("form, decoded", [("%.6e", 0), ("%+.11e", 1)])
 def test_read_columns_sends_a_file_without_a_packed_last_row_to_loadtxt(
         tmp_path, monkeypatch, form, decoded):
-    # another program's CSV reads as before the decoder, by np.loadtxt from
-    # its path; a %+.11e row has a packed row's length, so only that file
-    # is decoded first
+    # another program's CSV reads as before the decoder, by one np.loadtxt
+    # call on its rows; a %+.11e row has a packed row's length, so only that
+    # file is decoded first
     trace = fig7_trace()
     path = tmp_path / "trace.csv"
     path.write_text("\n".join([TRACE_HEADER, TRACE_COLUMNS, *(
@@ -496,7 +496,8 @@ def test_read_columns_sends_a_file_without_a_packed_last_row_to_loadtxt(
                         or packed_lines(data, start, width))
     calls = count_reads(monkeypatch)
     columns, _ = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
-    assert calls == {"loadtxt": [path], "float": []} and len(starts) == decoded
+    rows = path.read_text().splitlines()[2:]
+    assert calls == {"loadtxt": [rows], "float": []} and len(starts) == decoded
     expected = float_per_field(path, TRACE_COLUMNS)
     assert [a.tobytes() for a in columns] == [a.tobytes() for a in expected]
 
@@ -560,3 +561,18 @@ def test_read_columns_ends_lines_as_splitlines_does(tmp_path):
         read_columns(bad, TRACE_HEADER, TRACE_COLUMNS)
     assert str(excinfo.value) == (
         f"{bad}:{lineno}: could not convert string to float: 'four'")
+
+
+def test_read_columns_reads_a_crlf_file_by_one_loadtxt_call(tmp_path, monkeypatch):
+    # CRLF line ends leave no run of packed lines: the rows go to one
+    # np.loadtxt call, no field to float(), and read to the bits of the LF
+    # original, which the decoder reads
+    path = fig7_trace_csv(tmp_path)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    expected, _ = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
+    calls = count_reads(monkeypatch)
+    columns, comments = read_columns(crlf, TRACE_HEADER, TRACE_COLUMNS)
+    assert comments == {} and len(calls["loadtxt"]) == 1 and calls["float"] == []
+    assert len(calls["loadtxt"][0]) == expected[0].size == 12001
+    assert [a.tobytes() for a in columns] == [a.tobytes() for a in expected]
