@@ -330,27 +330,22 @@ def refine_peak_frequency(trace: SampledTrace, f_guess: float) -> float:
     The trace must be uniform in the sense of
     :meth:`SampledTrace.is_uniform`.  Newton steps on the closed-form g'
     and g'' (:meth:`_HannRecord.neg_power`) start at ``f_guess`` and run
-    as :func:`_newton` through ``scipy.optimize.minimize_scalar``; each
-    evaluation is a pass over the record in blocks of ``_BLOCK`` samples,
-    and the iteration typically ends after two to five of them.  A
-    maximum beyond the search window returns the window's edge.
+    in :func:`_newton`, in plain numpy; each evaluation is a pass over the
+    record in blocks of ``_BLOCK`` samples, and the iteration typically
+    ends after two to five of them.  A maximum beyond the search window
+    returns the window's edge.
     """
-    import scipy.optimize  # here, so that only a refinement loads it
-
     record = _HannRecord.of(trace)
     half_width = 1.0 / record.duration
-    res = scipy.optimize.minimize_scalar(
-        record.neg_power, method=_newton,
-        bounds=(max(f_guess - half_width, 0.0), f_guess + half_width),
-        options={"x0": f_guess, "xtol": 1e-7 * half_width},
-    )
-    return float(res.x)
+    x, _ = _newton(record.neg_power, f_guess, max(f_guess - half_width, 0.0),
+                   f_guess + half_width, 1e-7 * half_width)
+    return float(x)
 
 
-def _newton(fun, x0, bounds, xtol, **unknown):
-    """Minimize ``fun`` over ``bounds`` by safeguarded Newton steps from
-    ``x0``: a method for ``scipy.optimize.minimize_scalar``, with ``fun``
-    returning the value and its first two derivatives.
+def _newton(fun, x0, lo, hi, xtol):
+    """``(x, nfev)``: the minimizer of ``fun`` over [lo, hi] by safeguarded
+    Newton steps from ``x0``, and the number of evaluations of ``fun``,
+    which returns the value and its first two derivatives.
 
     The sign of each slope shrinks the bracket [lo, hi] that holds the
     minimum.  A step where the curvature is not positive, or that would
@@ -358,17 +353,13 @@ def _newton(fun, x0, bounds, xtol, **unknown):
     midpoint of the bracket, or to its far end while that has not been
     evaluated, so that a minimum beyond the bounds returns the bound.  A
     Newton step of at most ``xtol`` is the last one, and its point is not
-    evaluated: ``fun`` of the result is the value at the last evaluated
-    point.  The search also ends at a bracket no wider than ``xtol``, and
-    after 100 evaluations.
+    evaluated.  The search also ends at a zero slope, at a bracket no
+    wider than ``xtol``, and after 100 evaluations.
     """
-    from scipy.optimize import OptimizeResult
-
-    lo, hi = bounds
     seen_lo = seen_hi = False  # whether lo, hi are evaluated points
     x = float(x0)
     for nfev in range(1, 101):
-        value, slope, curvature = fun(x)
+        _, slope, curvature = fun(x)
         if slope < 0:
             lo, seen_lo = x, True
         elif slope > 0:
@@ -385,7 +376,7 @@ def _newton(fun, x0, bounds, xtol, **unknown):
             x = 0.5 * (lo + hi) if seen_hi else hi
         else:
             x = 0.5 * (lo + hi) if seen_lo else lo
-    return OptimizeResult(x=x, fun=value, nfev=nfev)
+    return x, nfev
 
 
 def dominant_frequency(trace: SampledTrace) -> float:

@@ -1,10 +1,10 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 import scipy.ndimage
-import scipy.optimize
 import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
@@ -165,12 +165,9 @@ def direct_refine(times, values, f_guess):
         return -abs(x) ** 2, -g1, -g2
 
     half_width = 1.0 / (times[-1] - times[0])
-    res = scipy.optimize.minimize_scalar(
-        neg_power, method=_newton,
-        bounds=(max(f_guess - half_width, 0.0), f_guess + half_width),
-        options={"x0": f_guess, "xtol": 1e-7 * half_width},
-    )
-    return float(res.x)
+    x, _ = _newton(neg_power, f_guess, max(f_guess - half_width, 0.0),
+                   f_guess + half_width, 1e-7 * half_width)
+    return float(x)
 
 
 @settings(max_examples=30)
@@ -231,14 +228,14 @@ def long_double_slope(trace, f):
 def test_dominant_frequency_is_a_maximum_to_1e_12(refined_traces, monkeypatch):
     # g' changes sign across f (1 -/+ 1e-12) on every trace, and Newton
     # steps get there in a few DTFT evaluations per refinement
-    minimize_scalar, evaluations = scipy.optimize.minimize_scalar, []
+    evaluations = []
 
-    def counted(*args, **kwargs):
-        res = minimize_scalar(*args, **kwargs)
-        evaluations.append(res.nfev)
-        return res
+    def counted(*args):
+        x, nfev = _newton(*args)
+        evaluations.append(nfev)
+        return x, nfev
 
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar", counted)
+    monkeypatch.setattr("rabibeat.analysis._newton", counted)
     for name, trace in refined_traces.items():
         f = dominant_frequency(trace)
         assert long_double_slope(trace, f * (1 - 1e-12)) == 1, name
@@ -257,6 +254,87 @@ def test_refinement_bisects_where_the_power_is_convex(offset):
     refined = refine_peak_frequency(trace, seed)
     assert refined == pytest.approx(peak, rel=1e-12)
     assert abs(refined - seed) <= 1.0 / trace.duration
+
+
+def recorded(fun):
+    """``fun``, and the list of the points it is evaluated at."""
+    points = []
+
+    def wrapped(x):
+        points.append(x)
+        return fun(x)
+
+    return wrapped, points
+
+
+def test_newton_ends_at_a_zero_slope():
+    # the Newton step from 0.5 lands exactly on the minimum of (x - 1)^2;
+    # (x - 1)^4 has no curvature there either, so only the slope ends it
+    fun, points = recorded(lambda x: ((x - 1) ** 2, 2 * (x - 1), 2.0))
+    assert _newton(fun, 0.5, 0.0, 2.0, 1e-9) == (1.0, 2)
+    assert points == [0.5, 1.0]
+    fun, points = recorded(lambda x: ((x - 1) ** 4, 4 * (x - 1) ** 3, 12 * (x - 1) ** 2))
+    assert _newton(fun, 1.0, 0.0, 2.0, 1e-9) == (1.0, 1)
+
+
+def test_newton_ends_when_the_bracket_is_xtol_wide():
+    # |x - 0.3| has no curvature, so [0, 0.9] halves from its second
+    # evaluation on: ten halvings take it to 0.9 / 2**10 <= 1e-3 < 0.9 / 2**9
+    fun, points = recorded(lambda x: (abs(x - 0.3), math.copysign(1.0, x - 0.3), 0.0))
+    x, nfev = _newton(fun, 0.9, 0.0, 1.0, 1e-3)
+    assert nfev == len(points) == 12
+    assert x == points[-1] and abs(x - 0.3) <= 1e-3
+
+
+def test_newton_does_not_evaluate_its_last_step():
+    # exp(x) - 2x has its minimum at ln 2; the step of at most xtol is taken
+    # from the last evaluated point and not evaluated
+    def fun(x):
+        return math.exp(x) - 2 * x, math.exp(x) - 2, math.exp(x)
+
+    counted, points = recorded(fun)
+    x, nfev = _newton(counted, 2.0, 0.0, 3.0, 1e-6)
+    assert nfev == len(points)
+    _, slope, curvature = fun(points[-1])
+    assert 0 < abs(slope / curvature) <= 1e-6
+    assert x == points[-1] - slope / curvature != points[-1]
+    assert x == pytest.approx(math.log(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("center, bound", [(5.0, 1.0), (-5.0, 0.0)])
+def test_newton_returns_the_bound_beyond_which_the_minimum_lies(center, bound):
+    # the Newton step leaves [0, 1], so the search goes to the unevaluated
+    # bound, whose slope closes the bracket there
+    fun, points = recorded(lambda x: ((x - center) ** 2, 2 * (x - center), 2.0))
+    assert _newton(fun, 0.5, 0.0, 1.0, 1e-9) == (bound, 2)
+    assert points == [0.5, bound]
+
+
+def test_newton_only_bisects_without_positive_curvature():
+    # sqrt|x - c| is concave on each side of its minimum: after the far
+    # bound, every evaluation is at the midpoint of the bracket so far
+    c = 0.3
+
+    def fun(x):
+        r = abs(x - c)
+        return math.sqrt(r), math.copysign(0.5 / math.sqrt(r), x - c), -0.25 * r**-1.5
+
+    counted, points = recorded(fun)
+    x, nfev = _newton(counted, 0.9, 0.0, 1.0, 1e-6)
+    assert points[:2] == [0.9, 0.0] and nfev == len(points) > 10
+    lo, hi = 0.0, 0.9
+    for point in points[2:]:
+        assert point == 0.5 * (lo + hi)
+        lo, hi = (point, hi) if point < c else (lo, point)
+    assert x == points[-1] and hi - lo <= 1e-6
+
+
+def test_newton_stops_after_100_evaluations():
+    # -log x has positive curvature and a Newton step of x, so each step
+    # doubles x and none reaches the bound or the tolerance
+    fun, points = recorded(lambda x: (-math.log(x), -1 / x, x**-2))
+    assert _newton(fun, 1.0, 1.0, 1e300, 1e-9) == (2.0**100, 100)
+    assert points == [2.0**k for k in range(100)]
 
 
 @pytest.mark.parametrize("seed_bins", [0.6, 0.9])

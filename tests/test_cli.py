@@ -623,9 +623,9 @@ def test_analyze_is_independent_of_blas_threads(tmp_path):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
 
-def test_only_a_peak_refinement_imports_scipy(tmp_path):
-    # the CLI starts on numpy alone; analyze loads scipy.optimize for its
-    # first refinement, and nothing loads scipy.signal or its dependencies
+def test_no_command_imports_scipy(tmp_path):
+    # the CLI runs on numpy alone: no stage of a fresh interpreter loads any
+    # scipy module, the peak refinements of analyze and imaging-demo included
     trace = str(tmp_path / "sim" / "trace.csv")
     stages = [
         ("simulate", ["simulate", "--config", "paper-fig3", "--out", str(tmp_path / "sim")]),
@@ -633,6 +633,11 @@ def test_only_a_peak_refinement_imports_scipy(tmp_path):
         ("esr", ["esr", "--config", "paper-fig2", "--out", str(tmp_path / "esr")]),
         ("analyze", ["analyze", "--config", "paper-fig4", "--trace", trace,
                      "--out", str(tmp_path / "ana")]),
+        ("imaging-demo", ["imaging-demo", "--config", "imaging-default",
+                          "--out", str(tmp_path / "img")]),
+        ("drift-sweep", ["simulate", "--config", "drift-demo",
+                         "--sweep", "drift.sigma_relative=4e-4,8e-4",
+                         "--out", str(tmp_path / "sweep")]),
     ]
     script = (
         "import json, sys\n"
@@ -646,29 +651,25 @@ def test_only_a_peak_refinement_imports_scipy(tmp_path):
         "print(json.dumps(loaded))\n"
     )
     loaded = json.loads(run_fresh(script).splitlines()[-1])
-    for stage in ("import", "simulate", "drift", "esr"):
-        assert loaded[stage] == [], stage
-    assert not {"scipy.signal", "scipy.stats", "scipy.ndimage"} & set(loaded["analyze"])
+    assert loaded == {stage: [] for stage in ["import"] + [name for name, _ in stages]}
 
 
-def test_sweep_threads_make_the_first_optimizer_import(tmp_path):
-    # in a fresh interpreter the first imaging-demo variant imports
-    # scipy.optimize at its first refinement, on the calling thread; the
-    # sweep's files must equal those of a run that imported it beforehand
+def test_imaging_sweep_is_the_same_with_scipy_loaded(tmp_path):
+    # an imaging-demo sweep in a fresh interpreter leaves scipy unloaded,
+    # and its files equal those of a run with scipy.optimize preloaded
     argv = ["imaging-demo", "--config", "imaging-default",
             "--sweep", "imaging.t1_rho_us=20,25,30", "--out"]
-    lazy = ("import sys\nimport rabibeat.cli\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
-            + run_main([argv + [str(tmp_path / "lazy")]]))
-    run_fresh(lazy)
-    run_fresh("import scipy.optimize\n" + run_main([argv + [str(tmp_path / "eager")]]))
-    files = sorted(p.relative_to(tmp_path / "lazy")
-                   for p in (tmp_path / "lazy").rglob("*") if p.is_file())
+    bare = (run_main([argv + [str(tmp_path / "bare")]])
+            + "import sys\nassert 'scipy' not in sys.modules\n")
+    run_fresh(bare)
+    run_fresh("import scipy.optimize\n" + run_main([argv + [str(tmp_path / "scipy")]]))
+    files = sorted(p.relative_to(tmp_path / "bare")
+                   for p in (tmp_path / "bare").rglob("*") if p.is_file())
     assert len(files) == 16
-    assert files == sorted(p.relative_to(tmp_path / "eager")
-                           for p in (tmp_path / "eager").rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(tmp_path / "scipy")
+                           for p in (tmp_path / "scipy").rglob("*") if p.is_file())
     for rel in files:
-        assert (tmp_path / "lazy" / rel).read_bytes() == (tmp_path / "eager" / rel).read_bytes()
+        assert (tmp_path / "bare" / rel).read_bytes() == (tmp_path / "scipy" / rel).read_bytes()
 
 
 def test_sweep_writes_variant_directories(tmp_path, monkeypatch):
