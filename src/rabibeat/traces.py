@@ -5,8 +5,11 @@ Every CSV artifact is a columns file: a versioned header line such as
 line such as ``time_us,signal``, then one :func:`format_float` row per
 sample.  Both directions are exact to the bit.  :func:`write_columns`
 prints each value as ``format_float`` does: one numpy pass computes the
-digits of a chunk of values, and most values are written as packed 19-byte
-records.  :func:`read_columns` reads each field as ``float()`` does, in
+digits of a chunk of values and lays each value out as a packed 19-byte
+record, one ``np.insert`` adds the "-" of each negative value and the
+hundreds digit of each three-digit exponent, and ``format_float``'s own
+text replaces the records of the few values it must write.
+:func:`read_columns` reads each field as ``float()`` does, in
 one flow: in a ``.csv`` file one numpy pass decodes the run of packed
 lines that ends the file, possibly empty, and one ``np.loadtxt`` call
 reads the rows of the lines before it; lines that are not all rows, and
@@ -76,8 +79,9 @@ def _digit_text(values, width: int) -> np.ndarray:
 # A value that prints at 18 characters (no sign, a two-digit exponent) is
 # one packed 19-byte record: "d.", three 4-digit groups, "e±dd" and the
 # separator.  Each table holds the text of a field, gathered by value.
-# _EXP2 holds only the last two digits of a three-digit exponent: those
-# records are spliced in whole.
+# _EXP2 holds only the last two digits of an exponent; a three-digit one
+# gets its hundreds digit, _HUNDREDS, inserted after the "e±", at byte
+# _HUNDREDS_AT of the record.
 _RECORD = np.dtype({
     "names": ["lead", "high", "mid", "low", "exp", "sep"],
     "formats": [np.uint16, np.uint32, np.uint32, np.uint32, np.uint32, _U8],
@@ -92,23 +96,8 @@ _EXP2[:, 0] = ord("e")
 _EXP2[:, 1] = np.where(_EXPONENTS < 0, _U8(ord("-")), _U8(ord("+")))
 _EXP2[:, 2:] = _digit_text(np.abs(_EXPONENTS) % 100, 2)
 _EXP2 = _EXP2.view(np.uint32)[:, 0]
-# A chunk with more wide records than one in _DENSE (splicing one costs
-# about as much as laying out 20 values this way) is laid out in 24-byte
-# slots instead, read as six 4-byte words, and its NULs are deleted:
-#   [sign, lead digit, ".", NUL] [4 digits] [4 digits] [4 digits]
-#   ["e", exponent sign, hundreds digit, tens] [ones, NUL, NUL, separator]
-# with NUL for a '+' sign and for a hundreds digit of 0.
-_DENSE = 20
-_SLOTS = 24
-_LEAD = np.zeros((2, 10, 4), dtype=_U8)
-_LEAD[1, :, 0] = ord("-")
-_LEAD[:, :, 1:3] = _DOT.view(_U8).reshape(10, 2)
-_LEAD = _LEAD.view(np.uint32).reshape(20)
-_EXP = np.zeros((_EXPONENTS.size, 8), dtype=_U8)
-_EXP[:, :2] = _EXP2.view(_U8).reshape(-1, 4)[:, :2]
-_EXP[:, 2:5] = _digit_text(np.abs(_EXPONENTS), 3)
-_EXP[np.abs(_EXPONENTS) < 100, 2] = 0
-_EXP = _EXP.view(np.uint64)[:, 0]
+_HUNDREDS = _digit_text(np.abs(_EXPONENTS) // 100, 1)[:, 0]
+_HUNDREDS_AT = 16
 
 
 def _split(v):
@@ -157,10 +146,9 @@ def _digits_rare(a):
 
 
 def _digits(x):
-    """``(mantissa, e, slow, wide)`` of the values ``x``: the 13-digit
-    mantissa of ``format_float(x)`` as an integer-valued float, the decimal
-    exponent, the indices of the values left to format_float, and the
-    indices of the values that are slow or have a three-digit exponent."""
+    """``(mantissa, e, slow)`` of the values ``x``: the 13-digit mantissa
+    of ``format_float(x)`` as an integer-valued float, the decimal exponent
+    and the indices of the values left to format_float."""
     a = np.abs(x)
     # the short path: log10 of |x| clipped to [_LOW, _HIGH] (NaN to _HIGH)
     clipped = np.fmax(np.fmin(a, _HIGH), _LOW)
@@ -171,9 +159,9 @@ def _digits(x):
                           | (np.abs(mantissa - 5.5e12) >= 4.5e12)
                           | (clipped != a))
     if rare.size == 0:
-        return mantissa, e, rare, rare
+        return mantissa, e, rare
     mantissa[rare], e[rare], slow = _digits_rare(a[rare])
-    return mantissa, e, rare[slow], rare[slow | (np.abs(e[rare]) >= 100)]
+    return mantissa, e, rare[slow]
 
 
 def _groups(mantissa):
@@ -192,59 +180,41 @@ def _format_rows(values: np.ndarray, records: np.ndarray) -> list:
     """The bytes of ``"".join(",".join(map(format_float, row)) + "\\n" for
     row in values)`` for a 2-D float array, as a list of bytes-like parts.
 
-    Each value is a packed record, and the few wide ones (a sign, a
-    three-digit exponent or format_float's text) are spliced in between
-    them; a chunk dense in wide records takes the padded layout instead.
-    ``records`` is a _RECORD array of at least as many rows, with the
-    separators set; the parts may be views of it."""
+    Each value is laid out as a packed record.  One np.insert adds the
+    bytes a wider value needs: a "-" before a negative record and the
+    hundreds digit of a three-digit exponent.  format_float's text then
+    replaces the records of the slow values, at offsets shifted by the
+    bytes inserted before them.  ``records`` is a _RECORD array of at least
+    as many rows, with the separators set; the parts may be views of it."""
     x = values.ravel()
-    mantissa, e, slow, wide = _digits(x)
+    mantissa, e, slow = _digits(x)
     lead, high, mid, low = _groups(mantissa)
-    negative = np.signbit(x)
-    spliced = negative.copy()
-    spliced[wide] = True
-    spliced = np.flatnonzero(spliced)
-    if spliced.size * _DENSE > x.size:
-        return [_padded(values.shape, x, negative, lead, high, mid, low, e, slow)]
     flat = records[: len(values)].ravel()
     flat["lead"] = _DOT[lead]
     flat["high"] = _GROUP[high]
     flat["mid"] = _GROUP[mid]
     flat["low"] = _GROUP[low]
     flat["exp"] = _EXP2[e]
-    text = memoryview(flat).cast("B")
-    parts, start, size, slow = [], 0, _RECORD.itemsize, set(slow.tolist())
-    for i in spliced.tolist():
-        parts.append(text[start : i * size])
-        start = (i + 1) * size
-        sep = text[start - 1 : start].tobytes()
-        if i in slow:
-            parts.append(format_float(float(x[i])).encode("ascii") + sep)
-        else:
-            sign = b"-" if negative[i] else b""
-            body = text[i * size : i * size + 14].tobytes()
-            parts.append(sign + body + b"e%+03d" % e[i] + sep)
+    negative, three = np.signbit(x), np.abs(e) >= 100
+    # format_float's text replaces a slow record whole: nothing goes into it
+    negative[slow] = three[slow] = False
+    size = _RECORD.itemsize
+    offsets = np.sort(np.concatenate((np.flatnonzero(negative) * size,
+                                      np.flatnonzero(three) * size + _HUNDREDS_AT)))
+    text = flat.view(_U8)
+    if offsets.size:  # with no offsets np.insert still masks the whole chunk
+        index, byte = np.divmod(offsets, size)
+        text = np.insert(text, offsets,
+                         np.where(byte, _HUNDREDS[e[index]], _U8(ord("-"))))
+    text = memoryview(text)
+    parts, start = [], 0
+    shifts = np.searchsorted(offsets, slow * size)
+    for i, shift in zip(slow.tolist(), shifts.tolist()):
+        begin = i * size + shift
+        parts += [text[start:begin], format_float(float(x[i])).encode("ascii")]
+        start = begin + size - 1  # at the record's separator
     parts.append(text[start:])
     return parts
-
-
-def _padded(shape, x, negative, lead, high, mid, low, e, slow) -> bytes:
-    """The rows of :func:`_format_rows` from 24-byte slots with the NULs
-    deleted."""
-    buf = np.empty((x.size, _SLOTS), dtype=_U8)
-    words = buf.view(np.uint32)
-    words[:, 0] = _LEAD[negative * 10 + lead]
-    words[:, 1] = _GROUP[high]
-    words[:, 2] = _GROUP[mid]
-    words[:, 3] = _GROUP[low]
-    buf.view(np.uint64)[:, 2] = _EXP[e]
-    buf[:, -1] = ord(",")
-    buf.reshape(shape + (_SLOTS,))[:, -1, -1] = ord("\n")
-    # format_float text is at most 20 bytes; NULs pad it to the slots
-    texts = b"".join(format_float(v).encode("ascii").ljust(_SLOTS - 1, b"\0")
-                     for v in x[slow].tolist())
-    buf[slow, :-1] = np.frombuffer(texts, dtype=_U8).reshape(-1, _SLOTS - 1)
-    return buf.tobytes().translate(None, b"\0")
 
 
 def meta_path_for(csv_path) -> Path:
@@ -432,8 +402,8 @@ def read_columns(path, header: str, columns: str):
     fast path).  Other fields of such lines go to float().  The text
     before the run is split into lines.  After the header, the
     ``# key: value`` lines and the column line come the rows that are not
-    packed: the writer's spliced rows with a sign or a three-digit
-    exponent, which its artifacts carry in their first rows, or every row
+    packed: the writer's rows with an inserted sign or hundreds digit,
+    which its artifacts carry in their first rows, or every row
     of another program's file.  They go to one ``np.loadtxt`` call on the
     list of lines.  Its C parser converts each whitespace-stripped field
     with CPython's ``PyOS_string_to_double``, the function behind

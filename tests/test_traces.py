@@ -119,8 +119,9 @@ def assert_rows_formatted_as_format_float(directory, rows):
                                                 max_size=drawn[0]),
                                        min_size=1, max_size=40)))
 def test_write_columns_writes_every_double_as_format_float(tmp_path_factory, rows):
-    # st.floats(0, 1e99) rows are mostly packed records, st.floats() rows
-    # mostly padded ones
+    # st.floats(0, 1e99) rows are mostly plain packed records; st.floats()
+    # rows mostly get a sign or a hundreds digit inserted, or are spliced
+    # format_float text
     assert_rows_formatted_as_format_float(tmp_path_factory.mktemp("rows"), rows)
 
 
@@ -174,15 +175,43 @@ def test_write_columns_packs_exact_ties_zeros_and_isolated_wide_records(
     values[traces._CHUNK // 2] = -1.1102230246251565e-16
     values[traces._CHUNK + 7] = 2.5e-120
     calls = []
-
-    def counted(name):
-        original = getattr(traces, name)
-        monkeypatch.setattr(traces, name, lambda *a: calls.append(name) or original(*a))
-
-    counted("format_float")
-    counted("_padded")
+    monkeypatch.setattr(traces, "format_float",
+                        lambda x: calls.append(x) or format_float(x))
     assert_rows_formatted_as_format_float(tmp_path, values.reshape(-1, 2))
     assert calls == []
+
+
+def test_write_columns_inserts_signs_and_exponent_digits_in_dense_chunks(
+        tmp_path, monkeypatch):
+    rng = np.random.default_rng(29)
+    # an ESR scan: a half-negative frequency column beside a positive signal
+    freqs = np.linspace(-15.0, 15.0, traces._CHUNK)
+    esr = np.column_stack([freqs, 1 - 0.3 / (1 + (freqs / 0.7) ** 2)])
+    # three-digit exponents of either sign on values of either sign, with
+    # 13-digit mantissas, so none is next to a rounding tie
+    digits = rng.integers(10**12, 10**13, size=2 * traces._CHUNK).tolist()
+    exponents = (rng.choice([-1, 1], size=len(digits))
+                 * rng.integers(100, 280, size=len(digits))).tolist()
+    signs = rng.choice(["", "-"], size=len(digits)).tolist()
+    wide = np.array([float(f"{s}{d}e{e - 12}")
+                     for s, d, e in zip(signs, digits, exponents)]).reshape(-1, 2)
+    # a negative, three-digit or slow value on either side of the chunk
+    # edge; the ties are slow, as their exponents lie outside [-10, 12]
+    slow = [5e-324, -np.inf, np.inf, np.nan, 1.2345678901235e-20,
+            -1.2345678901235e-120]
+    special = [-2.5, -0.0, 3e-120, -7e250, *slow]
+    calls = []
+    monkeypatch.setattr(traces, "format_float",
+                        lambda x: calls.append(x) or format_float(x))
+    for table in (esr, wide):
+        for k in range(len(special)):
+            edge = [k, (k + 1) % len(special)]
+            rows = table.copy()
+            rows.flat[traces._CHUNK - 1 : traces._CHUNK + 1] = [special[j] for j in edge]
+            calls.clear()
+            assert_rows_formatted_as_format_float(tmp_path, rows)
+            assert list(map(format_float, calls)) == [
+                format_float(special[j]) for j in edge if j >= len(special) - len(slow)]
 
 
 def test_simulated_presets_write_without_format_float(tmp_path, monkeypatch):
