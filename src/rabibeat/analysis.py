@@ -67,6 +67,9 @@ class Spectrum:
         self.magnitudes = np.asarray(self.magnitudes, dtype=float)
         if self.freqs.shape != self.magnitudes.shape:
             raise ValueError("freqs and magnitudes must have equal shape")
+        if self.freqs.size < 2:
+            raise ValueError(f"a spectrum needs at least two bins, got "
+                             f"{self.freqs.size}: its bin width is their spacing")
         if self.freqs[0] != 0.0 or np.any(np.diff(self.freqs) <= 0):
             raise ValueError("frequency grid must ascend from zero")
 

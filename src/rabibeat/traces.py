@@ -9,11 +9,10 @@ digits of a chunk of values and lays each value out as a packed 19-byte
 record, one ``np.insert`` adds the "-" of each negative value and the
 hundreds digit of each three-digit exponent, and ``format_float``'s own
 text replaces the records of the few values it must write.
-:func:`read_columns` reads each field as ``float()`` does, in
-one flow: in a ``.csv`` file one numpy pass decodes the run of packed
-lines that ends the file, possibly empty, and one ``np.loadtxt`` call
-reads the rows of the lines before it; lines that are not all rows, and
-files with another suffix, are read line by line.  A trace's
+:func:`read_columns` reads each field as ``float()`` does, with two
+readers: one numpy pass decodes the run of packed lines that ends a
+``.csv`` file, possibly empty, and a line reader reads the lines before
+it, and every file with another suffix, with ``float()`` per field.  A trace's
 metadata travels in a JSON sidecar ``<stem>.meta.json`` with the top-level
 keys ``units``, ``drive``, ``decay`` and ``provenance``; all JSON goes
 through :func:`write_json`.  Equal inputs produce byte-identical files, and
@@ -240,11 +239,6 @@ def write_columns(path, header: str, columns: str, arrays, comments=None) -> Pat
     return path
 
 
-# np.loadtxt strips "\x1f" from a field's ends and float() does not; the
-# other ASCII bytes where they differ end a line for str.splitlines
-_NOT_FOR_LOADTXT = "\x1f"
-
-
 def _add_comment(comments: dict, text: str) -> None:
     """Record a stripped ``# key: value`` line; a comment without ":" is
     skipped."""
@@ -392,27 +386,20 @@ def read_columns(path, header: str, columns: str):
     the header, lines end as ``str.splitlines`` ends them, and every field
     reads as ``float()`` reads it.  Errors name the file and line.
 
-    A ``.csv`` file is read in one flow.  The run of lines of packed
-    19-byte records that ends it (:func:`_packed_run`; it may be empty) is
+    Two readers share a file.  The run of lines of packed 19-byte records
+    that ends a ``.csv`` file (:func:`_packed_run`; it may be empty) is
     decoded in one numpy pass by :func:`_decode`: each field is checked
     byte for byte and, with its exponent e in [-10, 34], read as the
     13-digit mantissa m times or over an exact power of ten,
     m · 10**(e - 12).  m < 2**53 and 10**22 are exact doubles, so one
     correctly rounded operation gives the double float() gives (Clinger's
     fast path).  Other fields of such lines go to float().  The text
-    before the run is split into lines.  After the header, the
-    ``# key: value`` lines and the column line come the rows that are not
-    packed: the writer's rows with an inserted sign or hundreds digit,
-    which its artifacts carry in their first rows, or every row
-    of another program's file.  They go to one ``np.loadtxt`` call on the
-    list of lines.  Its C parser converts each whitespace-stripped field
-    with CPython's ``PyOS_string_to_double``, the function behind
-    ``float()``, so the values are the same to the bit.
-    Lines that are not all rows (a blank or comment line, a repeated
-    column line), that hold a ``"\\x1f"`` or that loadtxt rejects or reads
-    as another number of rows or columns, and every file with another
-    suffix, are read by :func:`_parse_lines` with ``float()`` per field,
-    which also names a line at fault."""
+    before the run, and all of a file with another suffix, is split into
+    lines and read by :func:`_parse_lines` with ``float()`` per field,
+    which also names a line at fault.  In a file :func:`write_columns`
+    wrote, its rows run to the last one with an inserted sign or hundreds
+    digit, one of the first rows in the package's artifacts; in another
+    program's file they are every row."""
     path = Path(path)
     data = path.read_bytes()
     if not data.isascii():
@@ -422,26 +409,11 @@ def read_columns(path, header: str, columns: str):
     width = columns.count(",") + 1
     csv = path.suffix == ".csv"
     start, run = _packed_run(data, width) if csv else (len(data), np.empty((0, width)))
-    text = data[:start].decode("ascii")
-    lines = text.splitlines()
+    lines = data[:start].decode("ascii").splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}:1: missing header {header!r}")
-    comments, head = {}, 1
-    while head < len(lines) and lines[head].startswith("#"):
-        _add_comment(comments, lines[head].strip())
-        head += 1
-    body, rows = lines[head + 1:], None
-    # loadtxt warns on a list without rows, which a first row rules out
-    if (csv and lines[head:head + 1] == [columns] and body and body[0]
-            and _NOT_FOR_LOADTXT not in text):
-        try:
-            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
-                              dtype=np.float64)
-        except ValueError:
-            pass  # the line reader names the line at fault
-    if rows is None or rows.shape != (len(body), width):
-        rows = _parse_lines(path, enumerate(lines[head:], start=head + 1),
-                            columns, width, comments)
+    comments = {}
+    rows = _parse_lines(path, enumerate(lines[1:], start=2), columns, width, comments)
     table = np.concatenate((rows, run))
     if len(table) < 2:
         raise ValueError(f"{path}: fewer than two data rows")

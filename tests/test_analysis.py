@@ -609,6 +609,15 @@ def test_spectrum_bin_width_is_the_grid_spacing():
     assert band.bin_width == spec.bin_width
 
 
+@pytest.mark.parametrize("bins", [0, 1])
+def test_spectrum_rejects_fewer_than_two_bins(bins):
+    # bin_width is the spacing of the first two bins; an empty grid has no
+    # first bin to start from zero either
+    spec = fft_spectrum(tone(5.0), window="hann", zero_pad=1)
+    with pytest.raises(ValueError, match=f"at least two bins, got {bins}"):
+        Spectrum(spec.freqs[:bins], spec.magnitudes[:bins], spec.window)
+
+
 def test_spectrum_csv_round_trip(tmp_path):
     trace = tone(5.0)
     spec = fft_spectrum(trace, window="hann", zero_pad=2)

@@ -270,11 +270,11 @@ def test_read_columns_skips_blank_and_comment_lines_anywhere(tmp_path):
     assert t1.size == len(lines) - 3 and comments == {"k": "v"}
 
 
-def test_read_columns_decodes_commented_files_and_loadtxt_reads_the_rest(
+def test_read_columns_decodes_commented_files_and_the_line_reader_reads_the_rest(
         tmp_path, monkeypatch):
     # spectrum.csv and fieldmap.csv carry "# key: value" lines under the
     # header and decode as packed records; hand.csv has no packed row, so
-    # np.loadtxt reads its rows.  A .txt copy, which goes to the line
+    # float() reads each of its fields.  A .txt copy, which goes to the line
     # reader, gives the same bits and comments
     trace = SampledTrace.from_csv(fig7_trace_csv(tmp_path))
     fmap = FieldMap.from_model(WaveguideGeometry(gap=10.0, drive_scale=20.0))
@@ -288,21 +288,24 @@ def test_read_columns_decodes_commented_files_and_loadtxt_reads_the_rest(
          {"model": "edge-cutoff waveguide profile"}),
         (hand, "# rows", "a,b", {"a": "3", "b": "two words"}),
     ]
-    loadtxt, read = np.loadtxt, []
-    monkeypatch.setattr(np, "loadtxt", lambda rows, **kw: read.append(rows) or loadtxt(rows, **kw))
+    read = []
     for path, header, columns, expected in files:
         copy = path.with_suffix(".txt")
         copy.write_bytes(path.read_bytes())
+        calls = count_reads(monkeypatch)
         fast, fast_comments = read_columns(path, header, columns)
+        read.append([text for text in calls if isinstance(text, str)])
+        monkeypatch.undo()
         slow, slow_comments = read_columns(copy, header, columns)
         assert fast_comments == slow_comments == expected
         assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
-    assert read == [["0.0,1.0", "0.5,2.0"]]
+    assert read == [[], [], ["0.0", "1.0", "0.5", "2.0"]]
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".txt"])
 def test_read_columns_reads_plain_text_under_any_suffix(tmp_path, suffix):
-    # np.loadtxt would open the first three names with a decompressor
+    # no suffix names a decompressor: .gz, .bz2 and .xz files are read as
+    # the plain text they hold
     path = tmp_path / f"rows{suffix}"
     path.write_text("# rows\na,b\n1.0,2.0\n3.0,4.0\n")
     (a, b), _ = read_columns(path, "# rows", "a,b")
@@ -313,7 +316,7 @@ def test_read_columns_reads_plain_text_under_any_suffix(tmp_path, suffix):
     ("oops,2.0", "could not convert string to float: 'oops'"),
     ("1.0,2.0,3.0", "expected 2 comma-separated fields, got '1.0,2.0,3.0'"),
     ("1.0", "expected 2 comma-separated fields, got '1.0'"),
-    # np.loadtxt strips "\x1f" from a field, float() does not
+    # str.strip counts "\x1f" as whitespace, float() does not
     ("1.0,\x1f2.0", "could not convert string to float: '\\x1f2.0'"),
 ])
 def test_read_columns_names_the_line_past_row_1000(tmp_path, bad_row, cause):
@@ -361,12 +364,11 @@ def test_read_columns_is_exact_across_the_fast_exponent_window(tmp_path):
 
 
 def count_reads(monkeypatch):
-    """The lists of lines read_columns hands to np.loadtxt and the texts it
-    hands to float(), collected as it runs."""
-    loadtxt, calls = np.loadtxt, {"loadtxt": [], "float": []}
-    monkeypatch.setattr(np, "loadtxt", lambda rows, **kw: calls["loadtxt"].append(rows)
-                        or loadtxt(rows, **kw))
-    monkeypatch.setattr(traces, "float", lambda text: calls["float"].append(text)
+    """The texts read_columns hands to float(), collected as it runs: the
+    line reader's fields as str, the decoder's out-of-window packed fields
+    as bytes."""
+    calls = []
+    monkeypatch.setattr(traces, "float", lambda text: calls.append(text)
                         or float(text), raising=False)
     return calls
 
@@ -381,8 +383,7 @@ def float_per_field(path, columns):
 def test_reading_a_written_trace_sends_only_out_of_window_fields_to_float(
         tmp_path, monkeypatch):
     # 12001 rows of packed records, three of them with a field outside the
-    # exponent window [-10, 34]: no np.loadtxt call, and float() sees just
-    # those three fields
+    # exponent window [-10, 34]: float() sees just those three fields
     trace = fig7_trace()
     values = trace.values.copy()
     values[[100, 5000, 12000]] = [2.5e-11, 4.0e35, 9.0e-99]
@@ -391,8 +392,7 @@ def test_reading_a_written_trace_sends_only_out_of_window_fields_to_float(
     calls = count_reads(monkeypatch)
     columns, comments = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
     assert trace.n == 12001 and comments == {}
-    assert calls == {"loadtxt": [], "float": [
-        b"2.500000000000e-11", b"4.000000000000e+35", b"9.000000000000e-99"]}
+    assert calls == [b"2.500000000000e-11", b"4.000000000000e+35", b"9.000000000000e-99"]
     expected = float_per_field(path, TRACE_COLUMNS)
     assert [a.tobytes() for a in columns] == [a.tobytes() for a in expected]
 
@@ -400,8 +400,8 @@ def test_reading_a_written_trace_sends_only_out_of_window_fields_to_float(
 def test_every_writer_artifact_reads_back_as_float(tmp_path, monkeypatch):
     # a trace whose first row is spliced (a negative residue at t = 0),
     # spectrum.csv, fieldmap.csv, and esr.csv with its negative
-    # frequencies: each field reads as float() reads it, and np.loadtxt
-    # sees just the rows that are not packed records
+    # frequencies: each field reads as float() reads it, and float() sees
+    # just the fields of the rows that are not packed records
     trace = fig7_trace()
     values = trace.values.copy()
     values[0] = -5.551115123126e-17
@@ -418,16 +418,18 @@ def test_every_writer_artifact_reads_back_as_float(tmp_path, monkeypatch):
     assert files[0][0].read_text().splitlines()[2] == "0.000000000000e+00,-5.551115123126e-17"
     assert files[3][0].read_text().splitlines()[2].startswith("-3.000000000000e+00,")
     packed_row = re.compile(r"[0-9]\.[0-9]{12}e[+-][0-9]{2}(,[0-9]\.[0-9]{12}e[+-][0-9]{2})*")
-    calls, wide = count_reads(monkeypatch), []
     for path, header, columns in files:
+        calls = count_reads(monkeypatch)
         arrays, _ = read_columns(path, header, columns)
+        monkeypatch.undo()
         expected = float_per_field(path, columns)
         assert [a.tobytes() for a in arrays] == [a.tobytes() for a in expected]
         lines = path.read_text().splitlines()
-        wide.append([line for line in lines[lines.index(columns) + 1:]
-                     if not packed_row.fullmatch(line)])
-    assert len(wide[0]) == 1 and len(wide[3]) == 300
-    assert calls["loadtxt"] == [rows for rows in wide if rows]
+        wide = [line for line in lines[lines.index(columns) + 1:]
+                if not packed_row.fullmatch(line)]
+        assert [text for text in calls if isinstance(text, str)] == [
+            text for line in wide for text in line.split(",")]
+        assert len(wide) == {"trace.csv": 1, "esr.csv": 300}.get(path.name, 0)
 
 
 def test_read_columns_reads_window_edges_wide_exponents_and_zeros_as_float(tmp_path):
@@ -497,7 +499,7 @@ def test_read_columns_needs_two_rows_of_packed_records(tmp_path):
 
 
 def test_read_columns_names_a_short_row_before_the_packed_rows(tmp_path):
-    # np.loadtxt reads the lone first row as one column; the line reader
+    # a first row of one field, before the packed rows: the line reader
     # names it
     path = write_columns(tmp_path / "rows.csv", "# rows", "a,b",
                          ([0.0, 0.5, 1.0], [-5.5e-17, 0.25, 0.75]))
@@ -509,10 +511,10 @@ def test_read_columns_names_a_short_row_before_the_packed_rows(tmp_path):
 
 
 @pytest.mark.parametrize("form, decoded", [("%.6e", 0), ("%+.11e", 1)])
-def test_read_columns_sends_a_file_without_a_packed_last_row_to_loadtxt(
+def test_read_columns_sends_a_file_without_a_packed_last_row_to_the_line_reader(
         tmp_path, monkeypatch, form, decoded):
-    # another program's CSV reads as before the decoder, by one np.loadtxt
-    # call on its rows; a %+.11e row has a packed row's length, so only that
+    # another program's CSV reads as before the decoder, by float() on
+    # every field; a %+.11e row has a packed row's length, so only that
     # file is decoded first
     trace = fig7_trace()
     path = tmp_path / "trace.csv"
@@ -526,7 +528,8 @@ def test_read_columns_sends_a_file_without_a_packed_last_row_to_loadtxt(
     calls = count_reads(monkeypatch)
     columns, _ = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
     rows = path.read_text().splitlines()[2:]
-    assert calls == {"loadtxt": [rows], "float": []} and len(starts) == decoded
+    assert calls == [text for row in rows for text in row.split(",")]
+    assert len(starts) == decoded
     expected = float_per_field(path, TRACE_COLUMNS)
     assert [a.tobytes() for a in columns] == [a.tobytes() for a in expected]
 
@@ -592,16 +595,17 @@ def test_read_columns_ends_lines_as_splitlines_does(tmp_path):
         f"{bad}:{lineno}: could not convert string to float: 'four'")
 
 
-def test_read_columns_reads_a_crlf_file_by_one_loadtxt_call(tmp_path, monkeypatch):
-    # CRLF line ends leave no run of packed lines: the rows go to one
-    # np.loadtxt call, no field to float(), and read to the bits of the LF
-    # original, which the decoder reads
+def test_read_columns_reads_a_crlf_file_by_the_line_reader(tmp_path, monkeypatch):
+    # CRLF line ends leave no run of packed lines: every field goes to
+    # float(), and reads to the bits of the LF original, which the decoder
+    # reads
     path = fig7_trace_csv(tmp_path)
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     expected, _ = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
     calls = count_reads(monkeypatch)
     columns, comments = read_columns(crlf, TRACE_HEADER, TRACE_COLUMNS)
-    assert comments == {} and len(calls["loadtxt"]) == 1 and calls["float"] == []
-    assert len(calls["loadtxt"][0]) == expected[0].size == 12001
+    rows = crlf.read_text().splitlines()[2:]
+    assert comments == {} and len(rows) == expected[0].size == 12001
+    assert calls == [text for row in rows for text in row.split(",")]
     assert [a.tobytes() for a in columns] == [a.tobytes() for a in expected]
