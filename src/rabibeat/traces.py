@@ -6,9 +6,9 @@ line such as ``time_us,signal``, then one :func:`format_float` row per
 sample.  Both directions are exact to the bit.  :func:`write_columns`
 prints each value as ``format_float`` does: one numpy pass computes the
 digits of a chunk of values and lays each value out as a packed 19-byte
-record, one ``np.insert`` adds the "-" of each negative value and the
-hundreds digit of each three-digit exponent, and ``format_float``'s own
-text replaces the records of the few values it must write.
+record, one ``np.insert`` adds the "-" of each negative value, and
+``format_float``'s own text replaces the records of the few values it must
+write, among them every value with a three-digit exponent.
 :func:`read_columns` reads each field as ``float()`` does, with two
 readers: one numpy pass decodes the run of packed lines that ends a
 ``.csv`` file, possibly empty, and a line reader reads the lines before
@@ -43,13 +43,12 @@ def format_float(x: float) -> str:
     return _FLOAT.format(x)
 
 
-# write_columns formats zeros and every value with decimal exponent e in
-# [-_EMAX - 1, _EMAX] itself; subnormals, magnitudes outside 1e±_EMAX and
-# non-finite values go through format_float.  In that range the scale
-# 10**(12 - e) is a normal double and |x| * 10**(12 - e) cannot overflow.
-# Tables are indexed by e, a negative e counting from the end.
-_EMAX = 280
-_EXPONENTS = np.concatenate([np.arange(_EMAX + 1), np.arange(-_EMAX - 1, 0)])
+# write_columns formats zeros and every value with a two-digit decimal
+# exponent e itself; three-digit exponents, subnormals and non-finite values
+# go through format_float.  Tables are indexed by e, a negative e counting
+# from the end, and reach e = ±100, one past the two-digit range, where
+# log10 misses a decade.
+_EXPONENTS = np.concatenate([np.arange(101), np.arange(-100, 0)])
 # correctly rounded 10**(12 - e)
 _SCALE = np.array([float(f"1e{12 - e}") for e in _EXPONENTS.tolist()])
 # The scaled mantissa y = |x| * _SCALE[e] carries two roundings, of the scale
@@ -61,8 +60,9 @@ _SCALE = np.array([float(f"1e{12 - e}") for e in _EXPONENTS.tolist()])
 # power), and goes through format_float elsewhere.
 _TIE_BAND = 4e-3
 _EXACT_E = (-10, 12)
-# |x| in [_LOW, _HIGH] has a two-digit exponent, and unless it lies next to
-# a tie or a decade edge its text comes from the short path of _digits
+# |x| in [_LOW, _HIGH] has a two-digit exponent unless it rounds up to
+# 1e+100, and unless it lies next to a tie or a decade edge its text comes
+# from the short path of _digits
 _LOW, _HIGH = 1e-99, float(np.nextafter(1e100, 0.0))
 # values formatted per numpy pass: the pass's temporaries stay in cache
 _CHUNK = 8192
@@ -78,9 +78,6 @@ def _digit_text(values, width: int) -> np.ndarray:
 # A value that prints at 18 characters (no sign, a two-digit exponent) is
 # one packed 19-byte record: "d.", three 4-digit groups, "e±dd" and the
 # separator.  Each table holds the text of a field, gathered by value.
-# _EXP2 holds only the last two digits of an exponent; a three-digit one
-# gets its hundreds digit, _HUNDREDS, inserted after the "e±", at byte
-# _HUNDREDS_AT of the record.
 _RECORD = np.dtype({
     "names": ["lead", "high", "mid", "low", "exp", "sep"],
     "formats": [np.uint16, np.uint32, np.uint32, np.uint32, np.uint32, _U8],
@@ -90,13 +87,11 @@ _DOT = np.zeros((10, 2), dtype=_U8)
 _DOT[:, 0] = np.arange(10, dtype=_U8) + _U8(ord("0"))
 _DOT[:, 1] = ord(".")
 _DOT = _DOT.view(np.uint16)[:, 0]
-_EXP2 = np.zeros((_EXPONENTS.size, 4), dtype=_U8)
-_EXP2[:, 0] = ord("e")
-_EXP2[:, 1] = np.where(_EXPONENTS < 0, _U8(ord("-")), _U8(ord("+")))
-_EXP2[:, 2:] = _digit_text(np.abs(_EXPONENTS) % 100, 2)
-_EXP2 = _EXP2.view(np.uint32)[:, 0]
-_HUNDREDS = _digit_text(np.abs(_EXPONENTS) // 100, 1)[:, 0]
-_HUNDREDS_AT = 16
+_EXP = np.zeros((_EXPONENTS.size, 4), dtype=_U8)
+_EXP[:, 0] = ord("e")
+_EXP[:, 1] = np.where(_EXPONENTS < 0, _U8(ord("-")), _U8(ord("+")))
+_EXP[:, 2:] = _digit_text(np.abs(_EXPONENTS), 2)
+_EXP = _EXP.view(np.uint32)[:, 0]
 
 
 def _split(v):
@@ -127,7 +122,7 @@ def _digits_rare(a):
     """``(mantissa, e, slow)`` of magnitudes ``a`` that the short path of
     :func:`_digits` leaves: zeros, |x| outside [_LOW, _HIGH], values next
     to a decade edge or within _TIE_BAND of a rounding tie."""
-    in_range = (a >= float(f"1e-{_EMAX}")) & (a < float(f"1e{_EMAX}"))
+    in_range = (a >= _LOW) & (a <= _HIGH)
     b = np.where(in_range, a, 1.0)
     e = np.floor(np.log10(b)).astype(np.intp)
     # next to a power of ten log10 can miss the decade by one
@@ -140,8 +135,10 @@ def _digits_rare(a):
     carry = mantissa >= 1e13
     mantissa[carry] = 1e12
     slow = (~in_range & (a != 0)) | (tie & ((e < _EXACT_E[0]) | (e > _EXACT_E[1])))
-    # a zero is 0e+00; format_float writes the values left slow
-    return mantissa * in_range, e + carry, slow
+    e += carry
+    # a zero is 0e+00; format_float writes the values left slow, and those
+    # that carry to a three-digit exponent
+    return mantissa * in_range, e, slow | (e == 100)
 
 
 def _digits(x):
@@ -179,12 +176,12 @@ def _format_rows(values: np.ndarray, records: np.ndarray) -> list:
     """The bytes of ``"".join(",".join(map(format_float, row)) + "\\n" for
     row in values)`` for a 2-D float array, as a list of bytes-like parts.
 
-    Each value is laid out as a packed record.  One np.insert adds the
-    bytes a wider value needs: a "-" before a negative record and the
-    hundreds digit of a three-digit exponent.  format_float's text then
-    replaces the records of the slow values, at offsets shifted by the
-    bytes inserted before them.  ``records`` is a _RECORD array of at least
-    as many rows, with the separators set; the parts may be views of it."""
+    Each value is laid out as a packed record.  One np.insert adds a "-"
+    before each negative record.  format_float's text then replaces the
+    records of the slow values, among them every three-digit exponent, at
+    offsets shifted by the signs inserted before them.  ``records`` is a
+    _RECORD array of at least as many rows, with the separators set; the
+    parts may be views of it."""
     x = values.ravel()
     mantissa, e, slow = _digits(x)
     lead, high, mid, low = _groups(mantissa)
@@ -193,18 +190,15 @@ def _format_rows(values: np.ndarray, records: np.ndarray) -> list:
     flat["high"] = _GROUP[high]
     flat["mid"] = _GROUP[mid]
     flat["low"] = _GROUP[low]
-    flat["exp"] = _EXP2[e]
-    negative, three = np.signbit(x), np.abs(e) >= 100
-    # format_float's text replaces a slow record whole: nothing goes into it
-    negative[slow] = three[slow] = False
+    flat["exp"] = _EXP[e]
+    negative = np.signbit(x)
+    # format_float's text replaces a slow record whole: no sign goes before it
+    negative[slow] = False
     size = _RECORD.itemsize
-    offsets = np.sort(np.concatenate((np.flatnonzero(negative) * size,
-                                      np.flatnonzero(three) * size + _HUNDREDS_AT)))
+    offsets = np.flatnonzero(negative) * size
     text = flat.view(_U8)
     if offsets.size:  # with no offsets np.insert still masks the whole chunk
-        index, byte = np.divmod(offsets, size)
-        text = np.insert(text, offsets,
-                         np.where(byte, _HUNDREDS[e[index]], _U8(ord("-"))))
+        text = np.insert(text, offsets, _U8(ord("-")))
     text = memoryview(text)
     parts, start = [], 0
     shifts = np.searchsorted(offsets, slow * size)
@@ -397,8 +391,8 @@ def read_columns(path, header: str, columns: str):
     before the run, and all of a file with another suffix, is split into
     lines and read by :func:`_parse_lines` with ``float()`` per field,
     which also names a line at fault.  In a file :func:`write_columns`
-    wrote, its rows run to the last one with an inserted sign or hundreds
-    digit, one of the first rows in the package's artifacts; in another
+    wrote, its rows run to the last one with a sign or a three-digit
+    exponent, one of the first rows in the package's artifacts; in another
     program's file they are every row."""
     path = Path(path)
     data = path.read_bytes()

@@ -34,3 +34,16 @@ def test_run_paper_presets_exits_1_when_any_run_fails(tmp_path, failing):
     presets.rabibeat_main = fake_main
     args = argparse.Namespace(out=str(tmp_path), seed=7)
     assert presets.run(args) == (0 if failing is None else 1)
+
+
+def test_preset_artifacts_match_the_digest_manifest(tmp_path):
+    script = load_script("artifact_digests")
+    manifest = json.loads(script.MANIFEST.read_text())
+    expected, found = manifest["files"], script.digests(tmp_path)
+    differ = sorted(name for name in expected.keys() | found.keys()
+                    if expected.get(name) != found.get(name))
+    if differ and script.numpy_major() != manifest["numpy_major"]:
+        pytest.skip(f"numpy {script.numpy_major()}.x writes other bytes than "
+                    f"numpy {manifest['numpy_major']}.x, the manifest's, in {differ}")
+    # after a deliberate artifact change, rerun scripts/artifact_digests.py
+    assert differ == []

@@ -120,8 +120,8 @@ def assert_rows_formatted_as_format_float(directory, rows):
                                        min_size=1, max_size=40)))
 def test_write_columns_writes_every_double_as_format_float(tmp_path_factory, rows):
     # st.floats(0, 1e99) rows are mostly plain packed records; st.floats()
-    # rows mostly get a sign or a hundreds digit inserted, or are spliced
-    # format_float text
+    # rows mostly get a sign inserted or, with a three-digit exponent, are
+    # spliced format_float text
     assert_rows_formatted_as_format_float(tmp_path_factory.mktemp("rows"), rows)
 
 
@@ -132,9 +132,11 @@ def test_write_columns_is_exact_next_to_rounding_ties(tmp_path):
     # (k + 0.5) * 10**(e - 12): the 13-digit rounding of these is a tie
     ties = [float(f"{k}5e{e - 13}") for k, e in zip(mantissas, exponents)]
     ties += [float(f"{k}.5") for k in mantissas]  # exact ties
-    ties = np.array(ties + [9.9999999999995, 9.9999999999995e-5])
-    # values that round up into the next decade, and the decade edges
-    decades = np.array([1e-280, 1e-5, 1.0, 1e12, 1e13, 1e200, 1e279])
+    ties = np.array(ties + [9.9999999999995, 9.9999999999995e-5, 9.9999999999995e99,
+                            9.9999999999995e-100])
+    # values that round up into the next decade, and the decade edges, among
+    # them those of the two-digit exponents
+    decades = np.array([1e-280, 1e-99, 1e-5, 1.0, 1e12, 1e13, 1e100, 1e200, 1e279])
     edges = [9.99999999999996e-5, 9.99999999999999e200, *decades,
              *np.nextafter(decades, 0.0), *np.nextafter(decades, np.inf)]
     values = np.concatenate([
@@ -178,11 +180,11 @@ def test_write_columns_packs_exact_ties_zeros_and_isolated_wide_records(
     monkeypatch.setattr(traces, "format_float",
                         lambda x: calls.append(x) or format_float(x))
     assert_rows_formatted_as_format_float(tmp_path, values.reshape(-1, 2))
-    assert calls == []
+    # a three-digit exponent is format_float's
+    assert calls == [2.5e-120]
 
 
-def test_write_columns_inserts_signs_and_exponent_digits_in_dense_chunks(
-        tmp_path, monkeypatch):
+def test_write_columns_inserts_signs_in_dense_chunks(tmp_path, monkeypatch):
     rng = np.random.default_rng(29)
     # an ESR scan: a half-negative frequency column beside a positive signal
     freqs = np.linspace(-15.0, 15.0, traces._CHUNK)
@@ -200,6 +202,7 @@ def test_write_columns_inserts_signs_and_exponent_digits_in_dense_chunks(
     slow = [5e-324, -np.inf, np.inf, np.nan, 1.2345678901235e-20,
             -1.2345678901235e-120]
     special = [-2.5, -0.0, 3e-120, -7e250, *slow]
+    three = re.compile(r"e[+-][0-9]{3}$")
     calls = []
     monkeypatch.setattr(traces, "format_float",
                         lambda x: calls.append(x) or format_float(x))
@@ -210,8 +213,13 @@ def test_write_columns_inserts_signs_and_exponent_digits_in_dense_chunks(
             rows.flat[traces._CHUNK - 1 : traces._CHUNK + 1] = [special[j] for j in edge]
             calls.clear()
             assert_rows_formatted_as_format_float(tmp_path, rows)
+            # format_float writes each slow value and each three-digit
+            # exponent, in the order of the rows
+            slow_at = {traces._CHUNK - 1 + n for n, j in enumerate(edge)
+                       if j >= len(special) - len(slow)}
+            texts = [format_float(x) for x in rows.ravel().tolist()]
             assert list(map(format_float, calls)) == [
-                format_float(special[j]) for j in edge if j >= len(special) - len(slow)]
+                text for i, text in enumerate(texts) if i in slow_at or three.search(text)]
 
 
 def test_simulated_presets_write_without_format_float(tmp_path, monkeypatch):
