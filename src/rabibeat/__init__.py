@@ -21,7 +21,6 @@ from .traces import SampledTrace
 from .analysis import (
     Spectrum,
     Lineshape,
-    SpectralPeak,
     BeatReport,
     ResolutionEstimate,
     fft_spectrum,

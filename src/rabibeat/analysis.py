@@ -23,7 +23,6 @@ from .traces import SampledTrace, write_columns
 __all__ = [
     "Spectrum",
     "Lineshape",
-    "SpectralPeak",
     "BeatReport",
     "ResolutionEstimate",
     "fft_spectrum",
@@ -103,12 +102,6 @@ class Lineshape:
         return write_columns(
             path, LINESHAPE_HEADER, LINESHAPE_COLUMNS, (self.freqs, self.values)
         )
-
-
-@dataclass(frozen=True)
-class SpectralPeak:
-    frequency: float
-    magnitude: float
 
 
 @dataclass
@@ -201,18 +194,17 @@ def fft_spectrum(
     return Spectrum(freqs, mags, window)
 
 
-def _parabolic_refine(freqs, mags, i) -> SpectralPeak:
-    """Quadratic interpolation of a peak position through three bins."""
-    if i <= 0 or i >= len(mags) - 1:
-        return SpectralPeak(float(freqs[i]), float(mags[i]))
+def _parabolic_refine(freqs, mags, i) -> float:
+    """Frequency of the vertex of the parabola through bins i - 1, i, i + 1,
+    for a peak bin i of :func:`_peak_indices`, which is never an end bin."""
     a, b, c = mags[i - 1], mags[i], mags[i + 1]
     denom = a - 2.0 * b + c
     if denom == 0:
-        return SpectralPeak(float(freqs[i]), float(b))
+        return float(freqs[i])
     shift = 0.5 * (a - c) / denom
     shift = float(np.clip(shift, -0.5, 0.5))
     df = freqs[1] - freqs[0]
-    return SpectralPeak(float(freqs[i] + shift * df), float(b - 0.25 * (a - c) * shift))
+    return float(freqs[i] + shift * df)
 
 
 def _peak_indices(x: np.ndarray, height: float, distance: int) -> np.ndarray:
@@ -250,22 +242,19 @@ def find_peaks(
     min_height_rel: float = 0.1,
     min_separation: float = 0.0,
 ) -> list:
-    """Local maxima of a spectrum, sorted by frequency.
+    """Frequencies in MHz of a spectrum's local maxima, ascending.
 
     ``min_height_rel`` is relative to the largest magnitude.  Peaks closer
-    than ``min_separation`` (MHz) are pruned keeping the larger one.
-    Positions are refined by parabolic interpolation.
+    than ``min_separation`` (MHz) are pruned keeping the larger one.  Each
+    frequency is refined by parabolic interpolation through the peak bin
+    and its two lower neighbours, so it stays within half a bin of it.
     """
     mags = spectrum.magnitudes
-    if mags.size < 3 or mags.max() <= 0:
-        return []
     distance = 1
     if min_separation > 0:
         distance = max(1, int(math.ceil(min_separation / spectrum.bin_width)))
     idx = _peak_indices(mags, min_height_rel * mags.max(), distance)
-    peaks = [_parabolic_refine(spectrum.freqs, mags, int(i)) for i in idx]
-    peaks.sort(key=lambda p: p.frequency)
-    return peaks
+    return sorted(_parabolic_refine(spectrum.freqs, mags, int(i)) for i in idx)
 
 
 class _HannRecord(SampledTrace):
@@ -497,7 +486,9 @@ def fit_decay_time(trace: SampledTrace) -> float:
     interpolation.  For a clean exponential this reproduces the time
     constant; for other monotone envelopes it is the effective 1/e time.
     Beat modulation can pull the envelope below 1/e long before the decay
-    itself does; :attr:`BeatReport.decay_time` is robust to that.
+    itself does; :attr:`BeatReport.decay_time` is robust to that.  A
+    reference at most 1e-14 of the largest |value|, the rounding left by a
+    constant trace, gives inf, by :func:`dominant_frequency`'s rule.
     """
     times, env = analytic_envelope(trace)
     n = env.size
@@ -505,15 +496,13 @@ def fit_decay_time(trace: SampledTrace) -> float:
     head = max(3, n // 10)
     i0 = int(np.argmax(smooth[:head]))
     ref = smooth[i0]
-    if ref <= 0:
+    if ref <= 1e-14 * np.abs(trace.values).max():
         return math.inf
     target = ref / math.e
     below = np.nonzero(smooth[i0:] < target)[0]
     if below.size == 0:
         return math.inf
     j = below[0] + i0
-    if j == i0:
-        return 0.0
     t_hi, t_lo = times[j], times[j - 1]
     v_hi, v_lo = smooth[j], smooth[j - 1]
     frac = (v_lo - target) / (v_lo - v_hi)
@@ -584,14 +573,9 @@ def extract_beats(trace: SampledTrace, mode: str = "single") -> BeatReport:
         masked = Spectrum(
             spec.freqs, np.where(sel, spec.magnitudes, 0.0), spec.window
         )
-        peaks = find_peaks(
-            masked, min_height_rel=0.15, min_separation=1.5 / sub.duration
-        )
-        refined = [
-            refine_peak_frequency(sub, p.frequency)
-            for p in peaks
-            if f_min <= p.frequency <= f_max
-        ]
+        # masked is zero outside [f_min, f_max], so every peak lies inside
+        refined = [refine_peak_frequency(sub, f) for f in find_peaks(
+            masked, min_height_rel=0.15, min_separation=1.5 / sub.duration)]
     # refinement can slide a marginal peak to the edge of its search
     # window; anything now outside the physical beat band is an artifact
     refined = sorted(f for f in refined if f_min <= f <= f_max)

@@ -90,7 +90,8 @@ class FieldMap:
 
     ``positions`` in micrometers, strictly increasing; ``rabi`` in MHz,
     strictly monotone and positive over the tabulated range.  ``meta``
-    names the generating model, or ``"measured"`` for experimental maps.
+    holds the ``model`` that :meth:`to_csv` writes, the generating model's
+    name; a map without one is written as ``"measured"``.
     """
 
     positions: np.ndarray
@@ -139,17 +140,8 @@ class FieldMap:
             pos = np.linspace(0.0, half, n_points)
         else:
             pos = np.linspace(half, geometry.gap, n_points)
-        return cls(
-            pos,
-            rabi_at(geometry, pos),
-            {
-                "model": "edge-cutoff waveguide profile",
-                "branch": branch,
-                "gap_um": geometry.gap,
-                "edge_cutoff_um": geometry.edge_cutoff,
-                "drive_scale_MHz": geometry.drive_scale,
-            },
-        )
+        return cls(pos, rabi_at(geometry, pos),
+                   {"model": "edge-cutoff waveguide profile"})
 
     def to_csv(self, path):
         return write_columns(

@@ -132,16 +132,16 @@ def test_criterion_04_hyperfine_beat_regime():
 
     spec = fft_spectrum(trace, window="rectangular", zero_pad=4)
     peaks = [
-        p
-        for p in find_peaks(spec, min_height_rel=0.25, min_separation=0.06)
-        if 21.5 <= p.frequency <= 23.5
+        f
+        for f in find_peaks(spec, min_height_rel=0.25, min_separation=0.06)
+        if 21.5 <= f <= 23.5
     ]
     targets = (22.2, 22.31, 22.63)
     peaks_ok = len(peaks) == 3 and all(
-        abs(p.frequency - t) <= spec.bin_width for p, t in zip(peaks, targets)
+        abs(f - t) <= spec.bin_width for f, t in zip(peaks, targets)
     )
     devs = (
-        [f"{abs(p.frequency - t):.4f}" for p, t in zip(peaks, targets)]
+        [f"{abs(f - t):.4f}" for f, t in zip(peaks, targets)]
         if len(peaks) == 3
         else ["n/a"]
     )

@@ -81,7 +81,7 @@ def test_find_peaks_orders_by_frequency_and_interpolates():
     spec = fft_spectrum(trace, window="hann", zero_pad=4)
     peaks = find_peaks(spec, min_height_rel=0.5)
     assert len(peaks) == 1
-    assert peaks[0].frequency == pytest.approx(5.043, abs=0.2 * spec.bin_width)
+    assert peaks[0] == pytest.approx(5.043, abs=0.2 * spec.bin_width)
 
 
 def test_next_fast_len_is_scipys():
@@ -101,19 +101,23 @@ TIES = [1, 2, 2, 0, 0, 2, 2, 0, 0, 2, 1, 0, 2, 0, 1, 1, 1, 0, 0, 2, 2, 2, 1, 2,
         0, 1, 2, 0, 0, 0, 1, 2, 0, 1, 1, 2, 0, 1, 0, 0, 2, 0, 0, 1, 1, 0, 2, 2]
 
 
+# runs of equal levels give plateaus, runs of zeros, equal heights and
+# maxima at either end
+RUNS = st.lists(st.tuples(st.one_of(st.integers(0, 3).map(float),
+                                    st.floats(0.0, 3.0, **finite)),
+                          st.integers(1, 4)), min_size=3, max_size=120)
+
+
 @settings(max_examples=300)
 @given(
-    runs=st.lists(st.tuples(st.one_of(st.integers(0, 3).map(float),
-                                      st.floats(0.0, 3.0, **finite)),
-                            st.integers(1, 4)), min_size=3, max_size=120),
+    runs=RUNS,
     min_height_rel=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
                              st.floats(0.0, 1.0, **finite)),
     min_separation=st.floats(0.0, 2.0, **finite),
 )
 @example(runs=[(float(v), 1) for v in TIES], min_height_rel=0.0, min_separation=1.0)
 def test_find_peaks_picks_scipys_indices(runs, min_height_rel, min_separation):
-    # runs of equal levels give plateaus, runs of zeros, equal heights and
-    # maxima at either end; 0.25 MHz bins make min_separation up to 8 bins
+    # 0.25 MHz bins make min_separation up to 8 bins
     levels, counts = zip(*runs)
     mags = np.repeat(levels, counts)
     freqs = 0.25 * np.arange(mags.size)
@@ -124,8 +128,23 @@ def test_find_peaks_picks_scipys_indices(runs, min_height_rel, min_separation):
     distance = max(1, int(np.ceil(min_separation / 0.25)))
     idx, _ = scipy.signal.find_peaks(mags, height=min_height_rel * mags.max(),
                                      distance=distance)
-    assert peaks == sorted((_parabolic_refine(freqs, mags, i) for i in idx),
-                           key=lambda p: p.frequency)
+    assert peaks == sorted(_parabolic_refine(freqs, mags, i) for i in idx)
+
+
+@settings(max_examples=300)
+@given(runs=RUNS, band=st.tuples(st.floats(0.0, 30.0, **finite),
+                                 st.floats(0.0, 30.0, **finite)).map(sorted))
+def test_find_peaks_of_a_band_masked_spectrum_lie_in_the_band(runs, band):
+    # extract_beats zeroes its beat spectrum outside [f_min, f_max] and
+    # refines every peak find_peaks returns: at a band edge the zero
+    # neighbour turns the parabolic shift inward
+    f_min, f_max = band
+    levels, counts = zip(*runs)
+    mags = np.repeat(levels, counts)
+    freqs = 0.25 * np.arange(mags.size)
+    masked = np.where((freqs >= f_min) & (freqs <= f_max), mags, 0.0)
+    peaks = find_peaks(Spectrum(freqs, masked, "hann"), 0.0)
+    assert all(f_min <= f <= f_max for f in peaks)
 
 
 @settings(max_examples=20)
@@ -452,6 +471,16 @@ def test_fit_decay_time_crossing_on_clean_exponential():
 def test_fit_decay_time_inf_when_no_decay():
     trace = tone(8.0, duration=10.0, n=2001)
     assert fit_decay_time(trace) == np.inf
+
+
+@pytest.mark.parametrize("level, n", [(0.3, 2001), (0.3, 1001), (0.3, 6001),
+                                      (0.0, 2001), (0.1, 2001), (0.7, 2001),
+                                      (1e6, 2001)])
+def test_fit_decay_time_inf_for_a_constant_trace(level, n):
+    # the envelope of a constant trace is the rounding of its mean, whose
+    # 1/e crossing is no decay time
+    times = np.linspace(0.0, 10.0, n)
+    assert fit_decay_time(SampledTrace(times, np.full(n, level))) == np.inf
 
 
 def test_fit_decay_time_trend_ignores_beat_nodes():

@@ -1,8 +1,9 @@
 """Every name the package exports has a caller in the pipeline or in a
-script, and every parameter default of an exported function has a caller
-that overrides it, so code and options that only tests use live on the
-test side."""
+script, every parameter default of an exported function has a caller
+that overrides it, and every field of an exported dataclass has a reader,
+so code and options that only tests use live on the test side."""
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -95,3 +96,21 @@ def test_every_parameter_default_is_overridden_by_a_caller():
             ):
                 unused.append(f"{qualname}({param.name})")
     assert unused == []
+
+
+def test_every_field_of_an_exported_dataclass_is_read():
+    # a field that nothing reads is an output with no consumer
+    read = {
+        node.attr
+        for tree in caller_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{name}.{f.name}"
+        for name in sorted(exported_names())
+        if dataclasses.is_dataclass(getattr(rabibeat, name))
+        for f in dataclasses.fields(getattr(rabibeat, name))
+        if f.name not in read
+    ]
+    assert unread == []
