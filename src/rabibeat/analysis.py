@@ -284,9 +284,9 @@ class _HannRecord(SampledTrace):
         return anchors, self.dt * np.arange(_BLOCK), blocks.reshape(-1, _BLOCK)
 
     def neg_power(self, f: float):
-        """-g(f) = -|X(f)|^2 and its first two derivatives in f, for the
-        DTFT X(f) = sum_j x_j exp(-2 pi i f t_j) of the windowed record,
-        with t_j = anchors[b] + offsets[m].
+        """``(slope, curvature)``: the first two derivatives in f of -g(f) =
+        -|X(f)|^2, for the DTFT X(f) = sum_j x_j exp(-2 pi i f t_j) of the
+        windowed record, with t_j = anchors[b] + offsets[m].
 
         Three matrix-vector products S_k = blocks @ (offsets**k * p), p the
         in-block phasors, and three dot products with the anchor phasors e
@@ -307,10 +307,9 @@ class _HannRecord(SampledTrace):
         x = complex(e @ s0)
         y = complex(e @ y_terms)
         z = complex(e @ (anchors * (y_terms + s1) + s2))
-        g = x.real * x.real + x.imag * x.imag
         slope = 4.0 * np.pi * (x.conjugate() * y).imag
         curvature = 8.0 * np.pi**2 * (abs(y) ** 2 - (x.conjugate() * z).real)
-        return -g, -slope, -curvature
+        return -slope, -curvature
 
 
 def refine_peak_frequency(trace: SampledTrace, f_guess: float) -> float:
@@ -321,7 +320,7 @@ def refine_peak_frequency(trace: SampledTrace, f_guess: float) -> float:
     Grid-free: accuracy is limited by spectral leakage, not bin width.
     The trace must be uniform in the sense of
     :meth:`SampledTrace.is_uniform`.  Newton steps on the closed-form g'
-    and g'' (:meth:`_HannRecord.neg_power`) start at ``f_guess`` and run
+    and g'' alone (:meth:`_HannRecord.neg_power`) start at ``f_guess`` and run
     in :func:`_newton`, in plain numpy; each evaluation is a pass over the
     record in blocks of ``_BLOCK`` samples, and the iteration typically
     ends after two to five of them.  A maximum beyond the search window
@@ -329,15 +328,14 @@ def refine_peak_frequency(trace: SampledTrace, f_guess: float) -> float:
     """
     record = _HannRecord.of(trace)
     half_width = 1.0 / record.duration
-    x, _ = _newton(record.neg_power, f_guess, max(f_guess - half_width, 0.0),
-                   f_guess + half_width, 1e-7 * half_width)
-    return float(x)
+    return float(_newton(record.neg_power, f_guess,
+                         max(f_guess - half_width, 0.0), f_guess + half_width,
+                         1e-7 * half_width))
 
 
 def _newton(fun, x0, lo, hi, xtol):
-    """``(x, nfev)``: the minimizer of ``fun`` over [lo, hi] by safeguarded
-    Newton steps from ``x0``, and the number of evaluations of ``fun``,
-    which returns the value and its first two derivatives.
+    """The minimizer over [lo, hi] of a function whose slope and curvature
+    at x are ``fun(x)``, by safeguarded Newton steps from ``x0``.
 
     The sign of each slope shrinks the bracket [lo, hi] that holds the
     minimum.  A step where the curvature is not positive, or that would
@@ -350,8 +348,8 @@ def _newton(fun, x0, lo, hi, xtol):
     """
     seen_lo = seen_hi = False  # whether lo, hi are evaluated points
     x = float(x0)
-    for nfev in range(1, 101):
-        _, slope, curvature = fun(x)
+    for _ in range(100):
+        slope, curvature = fun(x)
         if slope < 0:
             lo, seen_lo = x, True
         elif slope > 0:
@@ -368,7 +366,7 @@ def _newton(fun, x0, lo, hi, xtol):
             x = 0.5 * (lo + hi) if seen_hi else hi
         else:
             x = 0.5 * (lo + hi) if seen_lo else lo
-    return x, nfev
+    return x
 
 
 def dominant_frequency(trace: SampledTrace) -> float:

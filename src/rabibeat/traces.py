@@ -15,8 +15,8 @@ readers: one numpy pass decodes the run of packed lines that ends a
 it, and every file with another suffix, with ``float()`` per field.  A trace's
 metadata travels in a JSON sidecar ``<stem>.meta.json`` with the top-level
 keys ``units``, ``drive``, ``decay`` and ``provenance``; all JSON goes
-through :func:`write_json`.  Equal inputs produce byte-identical files, and
-parse -> re-serialize is the identity on files this module wrote.
+through :func:`write_json`.  Equal inputs produce byte-identical files; a
+file is reproduced from its columns and the comments its writer was given.
 """
 from __future__ import annotations
 
@@ -233,14 +233,6 @@ def write_columns(path, header: str, columns: str, arrays, comments=None) -> Pat
     return path
 
 
-def _add_comment(comments: dict, text: str) -> None:
-    """Record a stripped ``# key: value`` line; a comment without ":" is
-    skipped."""
-    key, sep, value = text[1:].partition(":")
-    if sep:
-        comments[key.strip()] = value.strip()
-
-
 def _decode(records, up, down):
     """``(values, valid, window)`` of a flat _RECORD array: each field's
     value, whether the field is packed (``d.``, three 4-digit groups and
@@ -293,28 +285,21 @@ def _decode(records, up, down):
     return mantissa, valid, window
 
 
-def _parse_lines(path, lines, columns: str, width: int, comments: dict):
+def _parse_lines(path, lines, columns: str, width: int):
     """The data rows among the ``(lineno, raw)`` pairs ``lines``, as an
-    array of ``width`` columns, each field read by ``float()``.  Comment
-    lines go into ``comments``; blank and column lines are skipped.  The
-    first line with another number of fields raises, then the first field
-    float() rejects."""
-    fields = []
+    array of ``width`` columns, each field read by ``float()``.  Blank,
+    comment and column lines are skipped.  The first line, in file order,
+    with another number of fields or a field float() rejects raises."""
+    rows = []
     for lineno, raw in lines:
         text = raw.strip()
-        if text[:1] == "#":
-            _add_comment(comments, text)
-        elif not text or text == columns:
+        if not text or text[0] == "#" or text == columns:
             continue
-        elif text.count(",") != width - 1:
+        if text.count(",") != width - 1:
             raise ValueError(f"{path}:{lineno}: expected {width} "
                              f"comma-separated fields, got {raw!r}")
-        else:
-            fields.append((lineno, text.split(",")))
-    rows = []
-    for lineno, row in fields:  # after every row's field count is checked
         try:
-            rows.append([float(text) for text in row])
+            rows.append([float(value) for value in text.split(",")])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return np.array(rows).reshape(-1, width)
@@ -374,11 +359,11 @@ def _packed_run(data: bytes, width: int):
 
 
 def read_columns(path, header: str, columns: str):
-    """Parse a columns file into ``(arrays, comments)``: one float array
-    per column and the dict of ``# key: value`` lines.  Blank lines,
-    comment lines and repeats of the column line may stand anywhere after
-    the header, lines end as ``str.splitlines`` ends them, and every field
-    reads as ``float()`` reads it.  Errors name the file and line.
+    """Parse a columns file into a list of float arrays, one per column.
+    Blank lines, comment lines and repeats of the column line may stand
+    anywhere after the header and are skipped, lines end as
+    ``str.splitlines`` ends them, and every field reads as ``float()``
+    reads it.  Errors name the file and line.
 
     Two readers share a file.  The run of lines of packed 19-byte records
     that ends a ``.csv`` file (:func:`_packed_run`; it may be empty) is
@@ -390,7 +375,7 @@ def read_columns(path, header: str, columns: str):
     fast path).  Other fields of such lines go to float().  The text
     before the run, and all of a file with another suffix, is split into
     lines and read by :func:`_parse_lines` with ``float()`` per field,
-    which also names a line at fault.  In a file :func:`write_columns`
+    which raises at the first line at fault.  In a file :func:`write_columns`
     wrote, its rows run to the last one with a sign or a three-digit
     exponent, one of the first rows in the package's artifacts; in another
     program's file they are every row."""
@@ -406,12 +391,11 @@ def read_columns(path, header: str, columns: str):
     lines = data[:start].decode("ascii").splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}:1: missing header {header!r}")
-    comments = {}
-    rows = _parse_lines(path, enumerate(lines[1:], start=2), columns, width, comments)
+    rows = _parse_lines(path, enumerate(lines[1:], start=2), columns, width)
     table = np.concatenate((rows, run))
     if len(table) < 2:
         raise ValueError(f"{path}: fewer than two data rows")
-    return list(table.T.copy()), comments
+    return list(table.T.copy())
 
 
 def _jsonable(obj):
@@ -496,7 +480,7 @@ class SampledTrace:
     @classmethod
     def from_csv(cls, path) -> "SampledTrace":
         """Read a trace and its sidecar; errors name the file at fault."""
-        (times, values), _ = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
+        times, values = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
         meta = {}
         side = meta_path_for(path)
         if side.exists():

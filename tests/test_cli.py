@@ -75,17 +75,18 @@ def test_analyze_round_trips_its_own_output(tmp_path):
     second = trace.to_csv(tmp_path / "again.csv")
     assert (sim / "trace.csv").read_text() == second.read_text()
 
-    # and so must the spectrum and ESR columns files
+    # and so must the spectrum and ESR columns files, with the comments
+    # their writers were given
     ana = tmp_path / "ana"
     esr = tmp_path / "esr"
     main(["analyze", "--config", "paper-fig8", "--trace", str(second),
           "--out", str(ana)])
     main(["esr", "--config", "paper-fig2", "--out", str(esr)])
-    for path, header, columns in (
-        (ana / "spectrum.csv", SPECTRUM_HEADER, SPECTRUM_COLUMNS),
-        (esr / "esr.csv", LINESHAPE_HEADER, LINESHAPE_COLUMNS),
+    for path, header, columns, comments in (
+        (ana / "spectrum.csv", SPECTRUM_HEADER, SPECTRUM_COLUMNS, {"window": "hann"}),
+        (esr / "esr.csv", LINESHAPE_HEADER, LINESHAPE_COLUMNS, None),
     ):
-        arrays, comments = read_columns(path, header, columns)
+        arrays = read_columns(path, header, columns)
         again = write_columns(tmp_path / path.name, header, columns, arrays, comments)
         assert path.read_bytes() == again.read_bytes()
 
@@ -128,8 +129,8 @@ def test_imaging_demo_localizes_on_the_right_branch(tmp_path):
     assert main(["imaging-demo", "--config", str(config), "--out", str(out)]) == 0
     report = read_json(out / "report.json")
     assert 1e3 * report["error_um"] <= report["budget"]["delta_x_nm"]
-    (positions, _), _ = read_columns(out / "fieldmap.csv", FIELDMAP_HEADER,
-                                     FIELDMAP_COLUMNS)
+    positions, _ = read_columns(out / "fieldmap.csv", FIELDMAP_HEADER,
+                                FIELDMAP_COLUMNS)
     assert positions[0] == 5.0 and positions[-1] == 10.0
 
 

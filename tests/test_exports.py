@@ -1,7 +1,8 @@
 """Every name the package exports has a caller in the pipeline or in a
 script, every parameter default of an exported function has a caller
-that overrides it, and every field of an exported dataclass has a reader,
-so code and options that only tests use live on the test side."""
+that overrides it, every field of an exported dataclass has a reader, and
+no call's result is assigned to ``_`` there, so code, options and results
+that only tests use live on the test side."""
 import ast
 import dataclasses
 import inspect
@@ -13,12 +14,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rabibeat"
 
 
+def source_paths():
+    """The modules of the package and the scripts."""
+    return sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
 def caller_trees():
     """The parsed modules of the package, apart from ``__init__``, and of
     the scripts."""
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += sorted((ROOT / "scripts").glob("*.py"))
-    return [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in source_paths() if path.name != "__init__.py"]
 
 
 def exported_names():
@@ -114,3 +119,17 @@ def test_every_field_of_an_exported_dataclass_is_read():
         if f.name not in read
     ]
     assert unread == []
+
+
+def test_no_call_result_is_discarded():
+    # a call result assigned to _ is an output its one caller throws away;
+    # loop targets and subscripts of a table are not calls
+    discarded = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in source_paths()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and any(isinstance(name, ast.Name) and name.id == "_"
+                for target in node.targets for name in ast.walk(target))
+    ]
+    assert discarded == []

@@ -66,8 +66,8 @@ def test_field_map_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# rabibeat-fieldmap v1"
     assert lines[2] == "position_um,rabi_MHz"
-    (positions, rabi), comments = read_columns(path, FIELDMAP_HEADER, FIELDMAP_COLUMNS)
-    loaded = FieldMap(positions, rabi, comments)
+    positions, rabi = read_columns(path, FIELDMAP_HEADER, FIELDMAP_COLUMNS)
+    loaded = FieldMap(positions, rabi, {"model": "edge-cutoff waveguide profile"})
     assert np.allclose(loaded.positions, fmap.positions, rtol=1e-12)
     assert np.allclose(loaded.rabi, fmap.rabi, rtol=1e-12)
     assert loaded.meta["model"] == fmap.meta["model"]

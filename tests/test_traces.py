@@ -244,8 +244,7 @@ def fig7_trace_csv(tmp_path):
 def test_read_columns_matches_float_per_field(tmp_path):
     path = fig7_trace_csv(tmp_path)
     rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
-    (times, values), comments = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
-    assert comments == {}
+    times, values = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
     for column, parsed in enumerate((times, values)):
         expected = np.array([float(row[column]) for row in rows])
         assert parsed.dtype == expected.dtype
@@ -260,22 +259,21 @@ def test_read_columns_skips_blank_and_comment_lines_anywhere(tmp_path):
     messy.write_text(TRACE_HEADER + "\n\n# a: 1\n" + TRACE_COLUMNS
                      + "\n0.0,1.0\n\n   \n# b: two words\n 0.5 , 2.0 \n"
                      + TRACE_COLUMNS + "\n#no colon\n1.0,3.0\n\n# a: 3\n")
-    (t0, v0), _ = read_columns(clean, TRACE_HEADER, TRACE_COLUMNS)
-    (t1, v1), comments = read_columns(messy, TRACE_HEADER, TRACE_COLUMNS)
-    assert np.array_equal(t0, t1) and np.array_equal(v0, v1)
-    assert comments == {"a": "3", "b": "two words"}
+    t0, v0 = read_columns(clean, TRACE_HEADER, TRACE_COLUMNS)
+    t1, v1 = read_columns(messy, TRACE_HEADER, TRACE_COLUMNS)
+    assert t0.tobytes() == t1.tobytes() and v0.tobytes() == v1.tobytes()
     # a written trace decodes as packed records; with a comment past row
-    # 1000 the rows after it still decode and the line reader reads the
-    # comment and the rows before it, to the same bits
+    # 1000 the rows after it still decode and the line reader skips the
+    # comment and reads the rows before it, to the same bits
     full = fig7_trace_csv(tmp_path)
     lines = full.read_text().splitlines()
     lines.insert(1500, "# k: v")
     commented = tmp_path / "commented.csv"
     commented.write_text("\n".join(lines) + "\n")
-    (t0, v0), _ = read_columns(full, TRACE_HEADER, TRACE_COLUMNS)
-    (t1, v1), comments = read_columns(commented, TRACE_HEADER, TRACE_COLUMNS)
+    t0, v0 = read_columns(full, TRACE_HEADER, TRACE_COLUMNS)
+    t1, v1 = read_columns(commented, TRACE_HEADER, TRACE_COLUMNS)
     assert t0.tobytes() == t1.tobytes() and v0.tobytes() == v1.tobytes()
-    assert t1.size == len(lines) - 3 and comments == {"k": "v"}
+    assert t1.size == len(lines) - 3
 
 
 def test_read_columns_decodes_commented_files_and_the_line_reader_reads_the_rest(
@@ -283,7 +281,8 @@ def test_read_columns_decodes_commented_files_and_the_line_reader_reads_the_rest
     # spectrum.csv and fieldmap.csv carry "# key: value" lines under the
     # header and decode as packed records; hand.csv has no packed row, so
     # float() reads each of its fields.  A .txt copy, which goes to the line
-    # reader, gives the same bits and comments
+    # reader, gives the same bits, those of float() on the rows below the
+    # column line
     trace = SampledTrace.from_csv(fig7_trace_csv(tmp_path))
     fmap = FieldMap.from_model(WaveguideGeometry(gap=10.0, drive_scale=20.0))
     hand = tmp_path / "hand.csv"
@@ -291,22 +290,22 @@ def test_read_columns_decodes_commented_files_and_the_line_reader_reads_the_rest
                     "a,b\n0.0,1.0\n0.5,2.0\n")
     files = [
         (fft_spectrum(trace).to_csv(tmp_path / "spectrum.csv"),
-         SPECTRUM_HEADER, SPECTRUM_COLUMNS, {"window": "hann"}),
-        (fmap.to_csv(tmp_path / "fieldmap.csv"), FIELDMAP_HEADER, FIELDMAP_COLUMNS,
-         {"model": "edge-cutoff waveguide profile"}),
-        (hand, "# rows", "a,b", {"a": "3", "b": "two words"}),
+         SPECTRUM_HEADER, SPECTRUM_COLUMNS),
+        (fmap.to_csv(tmp_path / "fieldmap.csv"), FIELDMAP_HEADER, FIELDMAP_COLUMNS),
+        (hand, "# rows", "a,b"),
     ]
     read = []
-    for path, header, columns, expected in files:
+    for path, header, columns in files:
         copy = path.with_suffix(".txt")
         copy.write_bytes(path.read_bytes())
         calls = count_reads(monkeypatch)
-        fast, fast_comments = read_columns(path, header, columns)
+        fast = read_columns(path, header, columns)
         read.append([text for text in calls if isinstance(text, str)])
         monkeypatch.undo()
-        slow, slow_comments = read_columns(copy, header, columns)
-        assert fast_comments == slow_comments == expected
-        assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
+        slow = read_columns(copy, header, columns)
+        expected = float_per_field(path, columns)
+        assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow] == [
+            a.tobytes() for a in expected]
     assert read == [[], [], ["0.0", "1.0", "0.5", "2.0"]]
 
 
@@ -316,7 +315,7 @@ def test_read_columns_reads_plain_text_under_any_suffix(tmp_path, suffix):
     # the plain text they hold
     path = tmp_path / f"rows{suffix}"
     path.write_text("# rows\na,b\n1.0,2.0\n3.0,4.0\n")
-    (a, b), _ = read_columns(path, "# rows", "a,b")
+    a, b = read_columns(path, "# rows", "a,b")
     assert a.tolist() == [1.0, 3.0] and b.tolist() == [2.0, 4.0]
 
 
@@ -337,14 +336,29 @@ def test_read_columns_names_the_line_past_row_1000(tmp_path, bad_row, cause):
     assert str(excinfo.value) == f"{bad}:1501: {cause}"
 
 
+@pytest.mark.parametrize("first, second, cause", [
+    ("0.5,oops", "1.0", "could not convert string to float: 'oops'"),
+    ("1.0", "0.5,oops", "expected 2 comma-separated fields, got '1.0'"),
+])
+def test_read_columns_names_the_first_faulty_line(tmp_path, first, second, cause):
+    # two faulty rows, on lines 4 and 5: the line reader names line 4,
+    # whichever of the two faults it holds
+    path = tmp_path / "two.csv"
+    path.write_text("\n".join([TRACE_HEADER, TRACE_COLUMNS, "0.0,1.0", first, second,
+                               "1.5,2.0"]) + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
+    assert str(excinfo.value) == f"{path}:4: {cause}"
+
+
 def read_back(directory, rows):
     """``read_columns`` of ``write_columns(rows)`` against ``float(format_float(x))``."""
     rows = np.asarray(rows, dtype=float)
     names = ",".join("abc"[: rows.shape[1]])
     path = write_columns(directory / "rows.csv", "# rows", names, rows.T)
-    columns, comments = read_columns(path, "# rows", names)
+    columns = read_columns(path, "# rows", names)
     expected = np.array([[float(format_float(x)) for x in row] for row in rows.tolist()])
-    assert comments == {} and len(columns) == rows.shape[1]
+    assert len(columns) == rows.shape[1]
     for parsed, column in zip(columns, expected.T):
         assert parsed.dtype == column.dtype
         assert parsed.tobytes() == column.tobytes()
@@ -398,8 +412,8 @@ def test_reading_a_written_trace_sends_only_out_of_window_fields_to_float(
     path = write_columns(tmp_path / "trace.csv", TRACE_HEADER, TRACE_COLUMNS,
                          (trace.times, values))
     calls = count_reads(monkeypatch)
-    columns, comments = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
-    assert trace.n == 12001 and comments == {}
+    columns = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
+    assert trace.n == 12001
     assert calls == [b"2.500000000000e-11", b"4.000000000000e+35", b"9.000000000000e-99"]
     expected = float_per_field(path, TRACE_COLUMNS)
     assert [a.tobytes() for a in columns] == [a.tobytes() for a in expected]
@@ -428,7 +442,7 @@ def test_every_writer_artifact_reads_back_as_float(tmp_path, monkeypatch):
     packed_row = re.compile(r"[0-9]\.[0-9]{12}e[+-][0-9]{2}(,[0-9]\.[0-9]{12}e[+-][0-9]{2})*")
     for path, header, columns in files:
         calls = count_reads(monkeypatch)
-        arrays, _ = read_columns(path, header, columns)
+        arrays = read_columns(path, header, columns)
         monkeypatch.undo()
         expected = float_per_field(path, columns)
         assert [a.tobytes() for a in arrays] == [a.tobytes() for a in expected]
@@ -466,13 +480,13 @@ def test_packed_lines_accept_exactly_the_packed_shape():
 
 
 def read_outcome(path, header, columns):
-    """``read_columns`` as comparable data: the column bytes and comments,
-    or the error message with the path taken out."""
+    """``read_columns`` as comparable data: the column bytes, or the error
+    message with the path taken out."""
     try:
-        arrays, comments = read_columns(path, header, columns)
+        arrays = read_columns(path, header, columns)
     except ValueError as exc:
         return str(exc).replace(str(path), "<path>")
-    return [a.tobytes() for a in arrays], comments
+    return [a.tobytes() for a in arrays]
 
 
 # packed rows, spliced rows (a sign, a three-digit exponent) and packed
@@ -495,7 +509,7 @@ def test_read_columns_reads_edited_files_as_the_line_reader(tmp_path, edit):
             path.write_bytes(data[:-1])
         copy = path.with_suffix(".txt")
         copy.write_bytes(path.read_bytes())
-        (a, b), _ = read_columns(path, "# rows", "a,b")
+        a, b = read_columns(path, "# rows", "a,b")
         assert a.size == len(rows)
         assert read_outcome(path, "# rows", "a,b") == read_outcome(copy, "# rows", "a,b")
 
@@ -534,7 +548,7 @@ def test_read_columns_sends_a_file_without_a_packed_last_row_to_the_line_reader(
                         lambda data, start, width: starts.append(start)
                         or packed_lines(data, start, width))
     calls = count_reads(monkeypatch)
-    columns, _ = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
+    columns = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
     rows = path.read_text().splitlines()[2:]
     assert calls == [text for row in rows for text in row.split(",")]
     assert len(starts) == decoded
@@ -547,8 +561,8 @@ def test_read_columns_sends_a_file_without_a_packed_last_row_to_the_line_reader(
        st.integers(0, 255))
 def test_read_columns_decodes_no_file_the_line_reader_rejects(
         tmp_path_factory, change, at, byte):
-    # one byte of the body changed: the .csv reads to the same bits and
-    # comments as a .txt copy, which the line reader reads, or fails with
+    # one byte of the body changed: the .csv reads to the same bits as a
+    # .txt copy, which the line reader reads, or fails with
     # the same message
     directory = tmp_path_factory.mktemp("mutated")
     path = write_columns(directory / "rows.csv", "# rows", "a,b", MUTATED_ROWS.T, {"k": "v"})
@@ -577,7 +591,7 @@ def test_read_columns_decodes_no_file_the_line_reader_rejects(
 def test_read_columns_reads_hand_written_fields_as_float(tmp_path, text):
     path = tmp_path / "hand.csv"
     path.write_text(f"# rows\na,b\n{text},0.0\n1.0,{text}\n")
-    (a, b), _ = read_columns(path, "# rows", "a,b")
+    a, b = read_columns(path, "# rows", "a,b")
     expected = np.array([float(text)])
     assert a[:1].tobytes() == b[1:].tobytes() == expected.tobytes()
 
@@ -589,11 +603,10 @@ def test_read_columns_ends_lines_as_splitlines_does(tmp_path):
     odd.write_bytes(text.encode("ascii"))
     plain = tmp_path / "plain.csv"
     plain.write_text("\n".join(text.splitlines()) + "\n")
-    (t0, v0), c0 = read_columns(plain, TRACE_HEADER, TRACE_COLUMNS)
-    (t1, v1), c1 = read_columns(odd, TRACE_HEADER, TRACE_COLUMNS)
+    t0, v0 = read_columns(plain, TRACE_HEADER, TRACE_COLUMNS)
+    t1, v1 = read_columns(odd, TRACE_HEADER, TRACE_COLUMNS)
     assert t0.tolist() == t1.tolist() == [0.0, 0.5, 1.0, 1.5]
     assert v0.tolist() == v1.tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert c0 == c1 == {"a": "1", "b": "2"}
     bad = odd.with_name("bad.csv")
     bad.write_bytes(text.replace("1.5,4.0", "1.5,four").encode("ascii"))
     lineno = text.replace("1.5,4.0", "1.5,four").splitlines().index("1.5,four") + 1
@@ -610,10 +623,10 @@ def test_read_columns_reads_a_crlf_file_by_the_line_reader(tmp_path, monkeypatch
     path = fig7_trace_csv(tmp_path)
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    expected, _ = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
+    expected = read_columns(path, TRACE_HEADER, TRACE_COLUMNS)
     calls = count_reads(monkeypatch)
-    columns, comments = read_columns(crlf, TRACE_HEADER, TRACE_COLUMNS)
+    columns = read_columns(crlf, TRACE_HEADER, TRACE_COLUMNS)
     rows = crlf.read_text().splitlines()[2:]
-    assert comments == {} and len(rows) == expected[0].size == 12001
+    assert len(rows) == expected[0].size == 12001
     assert calls == [text for row in rows for text in row.split(",")]
     assert [a.tobytes() for a in columns] == [a.tobytes() for a in expected]
